@@ -1,28 +1,20 @@
 // Throughput of the analysis side: legacy one-scan-per-analysis vs the
-// single-pass engine at 1/2/4 workers.
+// single-pass engine at 1/2/4 threads (AnalysisEngine::Config::
+// decodeThreads).
 //
 // The legacy model is what the repo's tooling did before the engine
 // existed: each of the eight standard analyses re-read the trace file
 // from disk and decoded every record again — eight decodes of the same
 // bytes to produce one report.  The engine decodes each batch exactly
-// once (strings interned to 32-bit ids, record slots reused) and fans it
-// out to all eight passes, optionally across worker threads.
-//
-// A fourth phase re-encodes the trace as columnar v2 and scans it with
-// the engine's extent-parallel decoder (engine.runFile, 4 decode
-// threads): workers claim whole extents from the footer index instead
-// of sharing one reader thread, which is where the remaining gap to raw
-// v2 scan speed lives.
+// once (strings interned to 32-bit ids, record slots reused) and hands
+// it to all eight passes, optionally fanned out across threads.
 //
 // The engine's report text is the identity oracle: the run at every
-// worker count — and the extent-parallel run — must render byte-identical
-// output to the serial run, or the bench fails.  Results land in
-// BENCH_analysis.json; exit is nonzero unless the 4-worker engine beats
-// the legacy baseline by >= 3x with identical output (skipped in
-// NFSTRACE_SMOKE=1 mode).  The extent-decode scaling gate
-// (engine4_rps_parallel_decode >= 3x engine1_rps) applies only when the
-// host has >= 4 hardware threads; fewer cores report
-// scaling_gate_applied:false and time multi-worker phases single-rep.
+// thread count must render byte-identical output to the serial run, or
+// the bench fails.  Results land in BENCH_analysis.json; exit is nonzero
+// unless the 4-thread engine beats the legacy baseline by >= 3x with
+// identical output (skipped in NFSTRACE_SMOKE=1 mode).  On a single
+// hardware thread the multi-thread phases run single-rep.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -126,22 +118,14 @@ void runLegacy(const std::string& path) {
   }
 }
 
-// The report label is a constant so runs over different encodings of
-// the same records (v1 file vs its v2 re-encode) stay comparable.
-std::string runEngine(const std::string& path, std::size_t workers,
-                      std::size_t decodeThreads = 1) {
+std::string runEngine(const std::string& path, std::size_t threads) {
   StandardAnalyses analyses;
   AnalysisEngine::Config cfg;
-  cfg.workers = workers;
-  cfg.decodeThreads = decodeThreads;
+  cfg.decodeThreads = threads;
   AnalysisEngine engine(cfg);
   engine.addPasses(analyses.all());
-  if (decodeThreads > 1) {
-    engine.runFile(path);
-  } else {
-    TraceReader reader(path);
-    engine.run(reader);
-  }
+  TraceReader reader(path);
+  engine.run(reader);
   return renderReportText("trace", analyses);
 }
 
@@ -177,13 +161,12 @@ int main(int argc, char** argv) {
 
   const unsigned hwThreads =
       std::max(1u, std::thread::hardware_concurrency());
-  // On a single hardware thread, multi-worker timings only measure
+  // On a single hardware thread, multi-thread timings only measure
   // scheduler overhead: run those phases once (the identity oracle
-  // still applies) and skip the scaling gates.
+  // still applies).
   const int multiReps = hwThreads > 1 ? reps : 1;
   if (hwThreads == 1) {
-    std::printf("single hardware thread: multi-worker phases run 1 rep, "
-                "scaling gates skipped\n");
+    std::printf("single hardware thread: multi-thread phases run 1 rep\n");
   }
 
   double legacyRps =
@@ -192,12 +175,12 @@ int main(int argc, char** argv) {
 
   std::string serialReport;
   double engineRps[3] = {0, 0, 0};
-  const std::size_t workerCounts[3] = {1, 2, 4};
+  const std::size_t threadCounts[3] = {1, 2, 4};
   bool identical = true;
   for (int i = 0; i < 3; ++i) {
     std::string report;
     engineRps[i] = bestRps(
-        records, [&] { report = runEngine(tracePath, workerCounts[i]); },
+        records, [&] { report = runEngine(tracePath, threadCounts[i]); },
         i == 0 ? reps : multiReps);
     if (i == 0) {
       serialReport = report;
@@ -205,74 +188,42 @@ int main(int argc, char** argv) {
       identical = false;
     }
     std::printf("engine x%zu       : %10.0f rec/s  (identical=%s)\n",
-                workerCounts[i], engineRps[i],
+                threadCounts[i], engineRps[i],
                 i == 0 || report == serialReport ? "yes" : "NO");
   }
   identical = identical && !serialReport.empty();
 
-  // Extent-parallel decode: re-encode as columnar v2 (the extent
-  // scheduler needs a footer index) and scan with 4 decode threads.
-  const std::string v2Path = "bench_analysis_v2.trace";
-  {
-    TraceWriter::Options wopts;
-    wopts.format = TraceWriter::Format::V2;
-    TraceWriter writer(v2Path, wopts);
-    TraceReader reader(tracePath);
-    TraceRecord rec;
-    while (reader.nextInto(rec)) writer.write(rec);
-    writer.finalize();
-  }
-  std::string parReport;
-  double parRps = bestRps(
-      records, [&] { parReport = runEngine(v2Path, 1, 4); }, multiReps);
-  bool parIdentical = parReport == serialReport;
-  std::printf("engine x4 decode: %10.0f rec/s  (identical=%s)\n", parRps,
-              parIdentical ? "yes" : "NO");
-  identical = identical && parIdentical;
-
   double speedup4 = legacyRps > 0 ? engineRps[2] / legacyRps : 0;
-  double decodeSpeedup = engineRps[0] > 0 ? parRps / engineRps[0] : 0;
-  std::printf("\nspeedup at 4 workers over legacy: %.2fx\n", speedup4);
-  std::printf("extent-parallel decode over serial engine: %.2fx\n",
-              decodeSpeedup);
-  std::printf("engine output identical on every path: %s\n",
+  std::printf("\nspeedup at 4 threads over legacy: %.2fx\n", speedup4);
+  std::printf("engine output identical at every thread count: %s\n",
               identical ? "true" : "false");
 
   std::remove(tracePath.c_str());
-  std::remove(v2Path.c_str());
 
   std::FILE* j = std::fopen(jsonPath.c_str(), "w");
   if (!j) {
     std::fprintf(stderr, "cannot write %s\n", jsonPath.c_str());
     return 1;
   }
-  const bool scalingGate = hwThreads >= 4;
   std::fprintf(j,
                "{\"bench\":\"analysis_throughput\",\"records\":%llu,"
                "\"hw_threads\":%u,"
                "\"legacy_rps\":%.0f,\"engine1_rps\":%.0f,"
                "\"engine2_rps\":%.0f,\"engine4_rps\":%.0f,"
-               "\"engine4_rps_parallel_decode\":%.0f,"
                "\"speedup_4worker\":%.5g,"
-               "\"decode_speedup_4thread\":%.5g,"
-               "\"output_identical\":%s,"
-               "\"scaling_gate_applied\":%s",
+               "\"output_identical\":%s",
                static_cast<unsigned long long>(records), hwThreads, legacyRps,
-               engineRps[0], engineRps[1], engineRps[2], parRps, speedup4,
-               decodeSpeedup, identical ? "true" : "false",
-               scalingGate && !smoke ? "true" : "false");
+               engineRps[0], engineRps[1], engineRps[2], speedup4,
+               identical ? "true" : "false");
   if (hwThreads == 1) {
     std::fprintf(j,
-                 ",\"skipped_reason\":\"hw_threads==1: multi-worker phases "
-                 "single-rep, scaling gates skipped\"");
+                 ",\"skipped_reason\":\"hw_threads==1: multi-thread phases "
+                 "single-rep\"");
   }
   std::fprintf(j, "}\n");
   std::fclose(j);
   std::printf("wrote %s\n", jsonPath.c_str());
 
   if (smoke) return 0;
-  bool ok = identical && speedup4 >= 3.0;
-  // The extent-decode scaling gate needs real cores to mean anything.
-  if (scalingGate) ok = ok && parRps >= 3.0 * engineRps[0];
-  return ok ? 0 : 1;
+  return identical && speedup4 >= 3.0 ? 0 : 1;
 }

@@ -402,7 +402,7 @@ int main(int argc, char** argv) {
   for (int workers : {1, kShards}) {
     StandardAnalyses analyses;
     AnalysisEngine::Config ec;
-    ec.workers = static_cast<std::size_t>(workers);
+    ec.decodeThreads = static_cast<std::size_t>(workers);
     AnalysisEngine engine(ec);
     engine.addPasses(analyses.all());
     if (workers != 1) engine.attachMetrics(engineReg);
@@ -526,7 +526,7 @@ int main(int argc, char** argv) {
   for (int workers : {1, kShards}) {
     StandardAnalyses analyses;
     AnalysisEngine::Config ec;
-    ec.workers = static_cast<std::size_t>(workers);
+    ec.decodeThreads = static_cast<std::size_t>(workers);
     AnalysisEngine engine(ec);
     engine.addPasses(analyses.all());
     TraceReader reader(v2CorruptPath, /*recover=*/true);

@@ -1,5 +1,5 @@
-// Trace format shoot-out: v1 text vs v1 binary vs v2 columnar extents on
-// the same multi-day synthetic EECS trace.
+// Trace format shoot-out: row-oriented text vs v2 columnar extents on the
+// same multi-day synthetic EECS trace.
 //
 // Measures what the format migration is for: bytes on disk (the paper's
 // traces ran to hundreds of GB; compression ratio decides what a capture
@@ -7,7 +7,7 @@
 // the trace once per report; scan records/sec decides how fast a report
 // comes back).  The v2 columns decode almost directly into the batch
 // arena — extent dictionaries land in the reader's interners at load
-// time, so the per-record parse and per-record hash of v1 disappear.
+// time, so the per-record parse and per-record hash of text disappear.
 //
 // A pruned-scan phase times a time-windowed query two ways over the v2
 // file: the classic reader scan with record-level filtering (the
@@ -17,10 +17,11 @@
 // effective throughput, where pruning is the win.
 //
 // Correctness gate: the full 8-pass analysis report must be
-// byte-identical across all three formats at 1 and 4 workers, and the
-// pruned query report byte-identical to its unpruned oracle.  Results
-// land in BENCH_format.json; non-smoke exit is nonzero unless v2 scans
-// >= 3x faster than v1 binary, is >= 2x smaller on disk with identical
+// byte-identical across both formats at 1 and 4 threads (through
+// runFile, so v2 at 4 threads is the extent walk feeding the fan-out),
+// and the pruned query report byte-identical to its unpruned oracle.
+// Results land in BENCH_format.json; non-smoke exit is nonzero unless v2
+// scans >= 3x faster than text, is >= 2x smaller on disk with identical
 // reports, and the windowed query prunes >= 50% of extents with an
 // identical report.
 #include <algorithm>
@@ -29,6 +30,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/engine/engine.hpp"
@@ -72,14 +74,13 @@ std::uint64_t scanBatches(const std::string& path) {
   return n;
 }
 
-std::string runEngine(const std::string& path, std::size_t workers) {
+std::string runEngine(const std::string& path, std::size_t threads) {
   StandardAnalyses analyses;
   AnalysisEngine::Config cfg;
-  cfg.workers = workers;
+  cfg.decodeThreads = threads;
   AnalysisEngine engine(cfg);
   engine.addPasses(analyses.all());
-  TraceReader reader(path);
-  engine.run(reader);
+  engine.runFile(path);
   // Constant label: the report must compare equal across format files.
   return renderReportText("trace", analyses);
 }
@@ -121,9 +122,8 @@ int main(int argc, char** argv) {
     TraceWriter::Format format;
     std::string path;
   };
-  Variant variants[3] = {
+  Variant variants[2] = {
       {"text", TraceWriter::Format::Text, "bench_format_text.trace"},
-      {"binary", TraceWriter::Format::Binary, "bench_format_bin.trace"},
       {"v2", TraceWriter::Format::V2, "bench_format_v2.trace"},
   };
 
@@ -140,24 +140,22 @@ int main(int argc, char** argv) {
     eecs.workload->run(kWeekStart, kWeekStart + days(simDays));
     eecs.env->finishCapture();
   }
-  // Re-encode the canonical text trace into the other two formats.
+  // Re-encode the canonical text trace as v2.
   {
     auto all = TraceReader::readAll(variants[0].path);
-    for (int v = 1; v < 3; ++v) {
-      TraceWriter::Options opts;
-      opts.format = variants[v].format;
-      // Smoke traces are tiny; shrink extents so the v2 path still
-      // exercises multi-extent scans and the footer index.
-      if (smoke) opts.v2ExtentRecords = 256;
-      TraceWriter w(variants[v].path, opts);
-      for (const auto& r : all) w.write(r);
-    }
+    TraceWriter::Options opts;
+    opts.format = variants[1].format;
+    // Smoke traces are tiny; shrink extents so the v2 path still
+    // exercises multi-extent scans and the footer index.
+    if (smoke) opts.v2ExtentRecords = 256;
+    TraceWriter w(variants[1].path, opts);
+    for (const auto& r : all) w.write(r);
   }
   std::printf("  %llu records\n", static_cast<unsigned long long>(records));
 
-  std::uint64_t bytes[3] = {0, 0, 0};
-  double scanRps[3] = {0, 0, 0};
-  for (int v = 0; v < 3; ++v) {
+  std::uint64_t bytes[2] = {0, 0};
+  double scanRps[2] = {0, 0};
+  for (int v = 0; v < 2; ++v) {
     bytes[v] = std::filesystem::file_size(variants[v].path);
     scanBatches(variants[v].path);  // warm-up: page cache + allocator
     scanRps[v] = bestRps(
@@ -169,22 +167,22 @@ int main(int argc, char** argv) {
   }
 
   // The report oracle: text input, serial engine.  Every other
-  // format/worker combination must render the identical bytes.
+  // format/thread-count combination must render the identical bytes.
   bool identical = true;
   std::string oracle = runEngine(variants[0].path, 1);
-  for (int v = 0; v < 3; ++v) {
-    for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-      if (v == 0 && workers == 1) continue;
-      if (runEngine(variants[v].path, workers) != oracle) {
+  for (int v = 0; v < 2; ++v) {
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      if (v == 0 && threads == 1) continue;
+      if (runEngine(variants[v].path, threads) != oracle) {
         identical = false;
-        std::printf("REPORT MISMATCH: %s at %zu workers\n", variants[v].name,
-                    workers);
+        std::printf("REPORT MISMATCH: %s at %zu threads\n", variants[v].name,
+                    threads);
       }
     }
   }
   identical = identical && !oracle.empty();
 
-  auto index = tracev2::loadExtentIndex(variants[2].path);
+  auto index = tracev2::loadExtentIndex(variants[1].path);
   std::size_t extents = index ? index->size() : 0;
 
   // Pruned scan: a time-windowed query over the middle of the trace.
@@ -204,14 +202,14 @@ int main(int argc, char** argv) {
     pred.from = tsMin + static_cast<MicroTime>(span * 0.60);
     pred.to = tsMin + static_cast<MicroTime>(span * 0.85);
     std::string prunedOracle =
-        runEngineFiltered(variants[2].path, pred, false, nullptr);
+        runEngineFiltered(variants[1].path, pred, false, nullptr);
     AnalysisEngine::Stats pstats;
     std::string prunedReport;
     prunedRps = bestRps(
         records,
         [&] {
           prunedReport =
-              runEngineFiltered(variants[2].path, pred, true, &pstats);
+              runEngineFiltered(variants[1].path, pred, true, &pstats);
         },
         reps);
     prunedIdentical = prunedReport == prunedOracle && !prunedOracle.empty();
@@ -226,18 +224,13 @@ int main(int argc, char** argv) {
   double prunedFrac =
       extents ? static_cast<double>(prunedExtents) / extents : 0;
 
-  double v2VsBinScan = scanRps[1] > 0 ? scanRps[2] / scanRps[1] : 0;
-  double v2VsTextScan = scanRps[0] > 0 ? scanRps[2] / scanRps[0] : 0;
-  double binOverV2 =
-      bytes[2] > 0 ? static_cast<double>(bytes[1]) / bytes[2] : 0;
+  double v2VsTextScan = scanRps[0] > 0 ? scanRps[1] / scanRps[0] : 0;
   double textOverV2 =
-      bytes[2] > 0 ? static_cast<double>(bytes[0]) / bytes[2] : 0;
-  std::printf("\nv2 scan speedup : %.2fx vs binary, %.2fx vs text\n",
-              v2VsBinScan, v2VsTextScan);
-  std::printf("v2 size ratio   : %.2fx smaller than binary, %.2fx than text\n",
-              binOverV2, textOverV2);
+      bytes[1] > 0 ? static_cast<double>(bytes[0]) / bytes[1] : 0;
+  std::printf("\nv2 scan speedup : %.2fx vs text\n", v2VsTextScan);
+  std::printf("v2 size ratio   : %.2fx smaller than text\n", textOverV2);
   std::printf("extents indexed : %zu\n", extents);
-  std::printf("reports byte-identical across formats and workers: %s\n",
+  std::printf("reports byte-identical across formats and threads: %s\n",
               identical ? "true" : "false");
 
   for (const auto& v : variants) std::remove(v.path.c_str());
@@ -250,22 +243,21 @@ int main(int argc, char** argv) {
   std::fprintf(
       j,
       "{\"bench\":\"format_throughput\",\"records\":%llu,"
-      "\"text_bytes\":%llu,\"binary_bytes\":%llu,\"v2_bytes\":%llu,"
+      "\"hw_threads\":%u,"
+      "\"text_bytes\":%llu,\"v2_bytes\":%llu,"
       "\"v2_extents\":%zu,"
-      "\"text_scan_rps\":%.0f,\"binary_scan_rps\":%.0f,\"v2_scan_rps\":%.0f,"
-      "\"v2_scan_vs_binary\":%.5g,\"v2_scan_vs_text\":%.5g,"
-      "\"binary_size_over_v2\":%.5g,\"text_size_over_v2\":%.5g,"
+      "\"text_scan_rps\":%.0f,\"v2_scan_rps\":%.0f,"
+      "\"v2_scan_vs_text\":%.5g,\"text_size_over_v2\":%.5g,"
       "\"pruned_scan_rps\":%.0f,\"pruned_extents\":%llu,"
       "\"pruned_extents_frac\":%.5g,\"pruned_report_identical\":%s,"
       "\"report_identical\":%s}\n",
       static_cast<unsigned long long>(records),
+      std::max(1u, std::thread::hardware_concurrency()),
       static_cast<unsigned long long>(bytes[0]),
-      static_cast<unsigned long long>(bytes[1]),
-      static_cast<unsigned long long>(bytes[2]), extents, scanRps[0],
-      scanRps[1], scanRps[2], v2VsBinScan, v2VsTextScan, binOverV2,
-      textOverV2, prunedRps, static_cast<unsigned long long>(prunedExtents),
-      prunedFrac, prunedIdentical ? "true" : "false",
-      identical ? "true" : "false");
+      static_cast<unsigned long long>(bytes[1]), extents, scanRps[0],
+      scanRps[1], v2VsTextScan, textOverV2, prunedRps,
+      static_cast<unsigned long long>(prunedExtents), prunedFrac,
+      prunedIdentical ? "true" : "false", identical ? "true" : "false");
   std::fclose(j);
   std::printf("wrote %s\n", jsonPath.c_str());
 
@@ -286,7 +278,7 @@ int main(int argc, char** argv) {
     }
     return ok ? 0 : 1;
   }
-  return identical && v2VsBinScan >= 3.0 && binOverV2 >= 2.0 &&
+  return identical && v2VsTextScan >= 3.0 && textOverV2 >= 2.0 &&
                  prunedIdentical && prunedFrac >= 0.5
              ? 0
              : 1;

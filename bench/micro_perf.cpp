@@ -15,7 +15,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "analysis/engine/extent_scan.hpp"
 #include "analysis/reorder.hpp"
 #include "analysis/runs.hpp"
 #include "anon/anon.hpp"
@@ -453,30 +452,6 @@ void BM_ExtentDecode(benchmark::State& state) {
   std::remove(path.c_str());
 }
 BENCHMARK(BM_ExtentDecode);
-
-/// Reorder stage between out-of-order extent decoders and the in-order
-/// consumer: acquire a window of slots, publish them in reverse order,
-/// drain in order.  Single-threaded and always in-window, so it times
-/// the queue bookkeeping, never a blocked wait.
-void BM_ReorderStage(benchmark::State& state) {
-  BatchReorderQueue<int> q(std::vector<int>{1, 2, 3, 4});
-  std::uint64_t seq = 0;
-  std::uint64_t items = 0;
-  for (auto _ : state) {
-    int slots[4];
-    for (int i = 0; i < 4; ++i) slots[i] = q.acquire(seq + i);
-    for (int i = 3; i >= 0; --i) q.publish(seq + i, slots[i]);
-    for (int i = 0; i < 4; ++i) {
-      int s = 0;
-      q.popNext(s);
-      q.recycle(s);
-    }
-    seq += 4;
-    items += 4;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(items));
-}
-BENCHMARK(BM_ReorderStage);
 
 void BM_ReorderWindowSort(benchmark::State& state) {
   auto recs = syntheticDataRecords(static_cast<std::size_t>(state.range(0)));

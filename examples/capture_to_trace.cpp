@@ -2,7 +2,7 @@
 // NFS traffic, and write a trace file.  Demonstrates the offline path of
 // the pipeline (capture once, analyze forever).
 //
-//   capture_to_trace [--chaos plan.cfg] [--format text|binary|v2]
+//   capture_to_trace [--chaos plan.cfg] [--format text|v2]
 //                    [--flight trace.json] [input.pcap [output.trace]]
 //
 // With no arguments it first generates a demo capture to convert.
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--format" && i + 1 < argc) {
       auto f = traceFormatFromName(argv[++i]);
       if (!f) {
-        std::fprintf(stderr, "unknown format '%s' (text, binary, v2)\n",
+        std::fprintf(stderr, "unknown format '%s' (text, v2)\n",
                      argv[i]);
         return 1;
       }

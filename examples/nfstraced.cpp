@@ -2,7 +2,7 @@
 // checkpoint-aligned rotation, crash recovery, retention, supervision.
 //
 //   nfstraced [--config configs/daemon.cfg] [--dir DIR] [--prefix P]
-//             [--format text|binary|v2] [--rotate-records N]
+//             [--format text|v2] [--rotate-records N]
 //             [--rotate-bytes N] [--retain-segments N] [--retain-bytes N]
 //             [--compact-after-s S] [--records N] [--sim-hours H]
 //             [--chaos plan.cfg] [--supervise N] [--status]
@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <stdexcept>
 #include <string>
 
 #include "daemon/daemon.hpp"
@@ -70,7 +71,6 @@ struct Options {
   std::uint64_t v2ExtentRecords = 8192;
   int maxRetries = 8;
   std::uint64_t reopenAfterSheds = 256;
-  std::size_t decodeThreads = 1;
   std::uint64_t maxRecords = 0;  // 0 = run the whole simulated window
   double simHours = 2.0;
   int simUsers = 24;
@@ -83,13 +83,23 @@ struct Options {
   bool recoverOnly = false;
 };
 
+/// The one place a format name becomes a TraceWriter::Format, for the
+/// config key and the flag alike: an unknown name (the retired v1
+/// "binary" included) is an error, never a silent default.
+TraceWriter::Format parseFormat(const std::string& name) {
+  auto f = traceFormatFromName(name);
+  if (!f) {
+    throw std::runtime_error("unknown trace format \"" + name +
+                             "\" (text, v2)");
+  }
+  return *f;
+}
+
 void applyConfigFile(Options& o, const std::string& path) {
   ConfigFile cfg = ConfigFile::load(path);
   o.dir = cfg.get("dir", o.dir);
   o.prefix = cfg.get("prefix", o.prefix);
-  if (auto f = cfg.get("format")) {
-    if (auto fmt = traceFormatFromName(*f)) o.format = *fmt;
-  }
+  if (auto f = cfg.get("format")) o.format = parseFormat(*f);
   o.rotateRecords = static_cast<std::uint64_t>(
       cfg.getInt("rotate_records", static_cast<std::int64_t>(o.rotateRecords)));
   o.rotateBytes = static_cast<std::uint64_t>(
@@ -107,8 +117,6 @@ void applyConfigFile(Options& o, const std::string& path) {
   o.maxRetries = static_cast<int>(cfg.getInt("max_retries", o.maxRetries));
   o.reopenAfterSheds = static_cast<std::uint64_t>(cfg.getInt(
       "reopen_after_sheds", static_cast<std::int64_t>(o.reopenAfterSheds)));
-  o.decodeThreads = static_cast<std::size_t>(cfg.getInt(
-      "decode_threads", static_cast<std::int64_t>(o.decodeThreads)));
   o.maxRecords = static_cast<std::uint64_t>(
       cfg.getInt("max_records", static_cast<std::int64_t>(o.maxRecords)));
   o.simHours = cfg.getDouble("sim_hours", o.simHours);
@@ -131,7 +139,6 @@ daemon::TraceDaemon::Config daemonConfig(const Options& o,
   dc.v2ExtentRecords = o.v2ExtentRecords;
   dc.maxRetries = o.maxRetries;
   dc.reopenAfterSheds = o.reopenAfterSheds;
-  dc.decodeThreads = o.decodeThreads;
   dc.faults = faults;
   dc.retention.maxSegments = o.retainSegments;
   dc.retention.maxTotalBytes = o.retainBytes;
@@ -244,7 +251,7 @@ int usage(const char* argv0) {
       "usage: %s [--config FILE] [--dir DIR] [--prefix P] [--format F]\n"
       "          [--rotate-records N] [--rotate-bytes N]\n"
       "          [--retain-segments N] [--retain-bytes N]\n"
-      "          [--compact-after-s S] [--decode-threads N]\n"
+      "          [--compact-after-s S]\n"
       "          [--records N] [--sim-hours H]\n"
       "          [--chaos plan.cfg] [--supervise N] [--status]\n"
       "          [--prom FILE] [--jsonl FILE] [--recover-only]\n",
@@ -270,9 +277,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--prefix") {
         o.prefix = next();
       } else if (arg == "--format") {
-        auto f = traceFormatFromName(next());
-        if (!f) return usage(argv[0]);
-        o.format = *f;
+        o.format = parseFormat(next());
       } else if (arg == "--rotate-records") {
         o.rotateRecords = std::strtoull(next().c_str(), nullptr, 10);
       } else if (arg == "--rotate-bytes") {
@@ -283,9 +288,6 @@ int main(int argc, char** argv) {
         o.retainBytes = std::strtoull(next().c_str(), nullptr, 10);
       } else if (arg == "--compact-after-s") {
         o.compactAfterSec = std::strtoll(next().c_str(), nullptr, 10);
-      } else if (arg == "--decode-threads") {
-        o.decodeThreads = std::strtoull(next().c_str(), nullptr, 10);
-        if (o.decodeThreads == 0) o.decodeThreads = 1;
       } else if (arg == "--records") {
         o.maxRecords = std::strtoull(next().c_str(), nullptr, 10);
       } else if (arg == "--sim-hours") {

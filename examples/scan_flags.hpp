@@ -1,7 +1,10 @@
-// Shared CLI plumbing for the scan-predicate and decode-parallelism
-// flags that trace_analyze and trace_stats both take:
+// Shared CLI plumbing for the scan-predicate and thread-count flags
+// that trace_analyze and trace_stats both take:
 //
-//   --decode-threads N    extent-decode threads for indexed v2 input
+//   --decode-threads N    scan threads (AnalysisEngine::Config::
+//                         decodeThreads): 1 scans inline, N > 1 fans
+//                         every batch out to N observer threads and
+//                         finalizes on up to N; output is byte-identical
 //   --from SEC / --to SEC keep records with SEC <= timestamp <= SEC
 //                         (decimal seconds, same unit the reports print)
 //   --ops a,b,c           keep only the named NFS ops (read,write,...)

@@ -1,20 +1,18 @@
 // Single-pass analysis driver: every table and figure from one scan.
 //
-//   trace_analyze [--workers N] [--decode-threads N] [--json] [--recover]
-//                 [--batch N] [--from SEC] [--to SEC] [--ops a,b,...]
-//                 [--uid N] [--metrics] [--flight trace.json] [trace-file]
+//   trace_analyze [--decode-threads N] [--json] [--recover] [--batch N]
+//                 [--from SEC] [--to SEC] [--ops a,b,...] [--uid N]
+//                 [--metrics] [--flight trace.json] [trace-file]
 //
 // Where trace_stats grew up one analysis at a time (one full decode of
 // the trace per table), trace_analyze decodes each record exactly once
-// and fans the batches out to all eight standard analysis passes.  With
-// --workers N the scan runs on N threads; the output is byte-identical
-// to the serial run at any worker count.
+// and hands the batches to all eight standard analysis passes.  With
+// --decode-threads N the batches fan out to N threads; the output is
+// byte-identical to the serial run at any thread count.
 //
-//   --workers N   worker threads for the scan (default 1 = serial)
 //   --decode-threads N
-//                 extent-decode threads for indexed v2 input: workers
-//                 claim whole extents from the footer index and decode
-//                 in parallel; output stays byte-identical
+//                 scan threads (default 1 = inline): one thread decodes,
+//                 N observe, and up to N finalize the passes
 //   --from/--to SEC, --ops LIST, --uid N
 //                 pushdown predicate: filters records and, on indexed
 //                 v2 input, prunes whole extents via footer zone maps
@@ -75,7 +73,7 @@ std::string makeDemoTrace() {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--workers N] [--decode-threads N] [--json] "
+               "usage: %s [--decode-threads N] [--json] "
                "[--recover] [--batch N] [--from SEC] [--to SEC] "
                "[--ops a,b,...] [--uid N] [--metrics] "
                "[--flight trace.json] [trace-file]\n",
@@ -90,7 +88,6 @@ int main(int argc, char** argv) {
   bool recover = false;
   bool metrics = false;
   std::string flightPath;
-  std::size_t workers = 1;
   std::size_t batchRecords = TraceBatch::kDefaultCapacity;
   ScanFlags sf;
   std::string input;
@@ -107,8 +104,6 @@ int main(int argc, char** argv) {
       metrics = true;
     } else if (arg == "--flight" && i + 1 < argc) {
       flightPath = argv[++i];
-    } else if (arg == "--workers" && i + 1 < argc) {
-      workers = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--batch" && i + 1 < argc) {
       batchRecords =
           static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
@@ -126,7 +121,6 @@ int main(int argc, char** argv) {
   obs::Registry registry;
   StandardAnalyses analyses;
   AnalysisEngine::Config cfg;
-  cfg.workers = workers;
   cfg.batchRecords = batchRecords;
   cfg.decodeThreads = sf.decodeThreads;
   cfg.predicate = sf.predicate;
@@ -140,10 +134,9 @@ int main(int argc, char** argv) {
   const bool extentScan =
       !recover && (sf.decodeThreads > 1 || !sf.predicate.trivial());
   if (extentScan) {
-    // runFile picks the extent-parallel scanner on indexed v2 input
-    // (zone-map pruning + per-extent decode fan-out) and falls back to
-    // the classic reader scan — record-level filtering still applies —
-    // on v1 or index-less input.
+    // runFile takes the extent walk on indexed v2 input (zone-map
+    // pruning) and falls back to the reader — record-level filtering
+    // still applies — on text or index-less input.
     try {
       st = engine.runFile(input);
     } catch (const std::exception& e) {

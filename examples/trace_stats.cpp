@@ -1,7 +1,7 @@
 // Trace statistics tool: run the paper's analyses over any trace file —
 // the `nfsscan` counterpart to capture_to_trace's `nfsdump`.
 //
-//   trace_stats [--json] [--recover] [--workers N] [--decode-threads N]
+//   trace_stats [--json] [--recover] [--decode-threads N]
 //               [--from SEC] [--to SEC] [--ops a,b,...] [--uid N]
 //               [--metrics] [trace-file]
 //
@@ -9,8 +9,8 @@
 // classification, block-lifetime summary, and name-category census.
 // The scan is one pass through the analysis engine: every record is
 // decoded once and fanned out to all eight standard passes, instead of
-// the historical one-decode-per-analysis loop.  --workers N runs the
-// scan on N threads; output is byte-identical at any worker count.
+// the historical one-decode-per-analysis loop.  --decode-threads N runs
+// the scan on N threads; output is byte-identical at any thread count.
 // With --json the summary is emitted as one JSON object on stdout for
 // scripting; progress goes to stderr.
 // With --recover a damaged trace is read end-to-end anyway: corrupt
@@ -18,10 +18,9 @@
 // batch boundaries) and a recovery summary goes to stderr.
 // With --metrics the engine's obs registry snapshot and any DEGRADED
 // alert line go to stderr after the report.
-// With --decode-threads N, indexed v2 input is decoded extent-parallel
-// (output stays byte-identical); --from/--to/--ops/--uid build a
-// pushdown predicate that filters records and prunes whole extents via
-// the v2 footer zone maps before any decode.
+// --from/--to/--ops/--uid build a pushdown predicate that filters
+// records and prunes whole extents via the v2 footer zone maps before
+// any decode.
 // With no input argument it generates a demo trace first.
 #include <cstdio>
 #include <cstdlib>
@@ -70,7 +69,6 @@ int main(int argc, char** argv) {
   bool json = false;
   bool recover = false;
   bool metrics = false;
-  std::size_t workers = 1;
   ScanFlags sf;
   std::string input;
   for (int i = 1; i < argc; ++i) {
@@ -84,8 +82,6 @@ int main(int argc, char** argv) {
       recover = true;
     } else if (arg == "--metrics") {
       metrics = true;
-    } else if (arg == "--workers" && i + 1 < argc) {
-      workers = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else {
       input = arg;
     }
@@ -97,7 +93,6 @@ int main(int argc, char** argv) {
   obs::Registry registry;
   StandardAnalyses analyses;
   AnalysisEngine::Config cfg;
-  cfg.workers = workers;
   cfg.decodeThreads = sf.decodeThreads;
   cfg.predicate = sf.predicate;
   AnalysisEngine engine(cfg);
@@ -108,10 +103,9 @@ int main(int argc, char** argv) {
   const bool extentScan =
       !recover && (sf.decodeThreads > 1 || !sf.predicate.trivial());
   if (extentScan) {
-    // runFile picks the extent-parallel scanner on indexed v2 input
-    // (zone-map pruning + per-extent decode fan-out) and falls back to
-    // the classic reader scan — record-level filtering still applies —
-    // on v1 or index-less input.
+    // runFile takes the extent walk on indexed v2 input (zone-map
+    // pruning) and falls back to the reader — record-level filtering
+    // still applies — on text or index-less input.
     try {
       st = engine.runFile(input);
     } catch (const std::exception& e) {

@@ -1,24 +1,36 @@
-// Single-pass, multi-consumer, parallel analysis driver.
+// Single-pass, multi-consumer analysis driver.
 //
 // Legacy analysis tooling scanned the trace once per analysis — eight
 // decodes of the same bytes for the standard table set.  The engine
-// decodes each batch exactly once and fans it out to every registered
-// AnalysisPass:
+// decodes each batch exactly once and hands it to every registered
+// AnalysisPass.
 //
-//   reader thread:  TraceReader::nextBatch -> refcounted batch slot
-//                   -> one pointer push per worker SPSC ring
-//   worker w:       mergeable passes   — observe(batch, w) iff
-//                                        batch.seq % workers == w
-//                   sequential passes  — pass p is pinned to worker
-//                                        p % workers and sees every batch
-//                                        in stream order
-//   finalize:       passes finalize in parallel; mergeable passes fold
-//                   their shards with exact (integer/min-max/union)
-//                   merges
+// Two batch sources:
+//   reader        TraceReader::nextBatch — any format, recover mode
+//   extent walk   the v2 footer index, extent by extent: zone-map
+//                 pruning before any payload is read, each batch tagged
+//                 with its extent's op bitmask, and no batch straddling
+//                 two extents (runFile only)
 //
-// Determinism: batches are numbered by the reader, shard assignment is
-// seq % workers, and every merge is exact — so results are byte-identical
-// to the serial path at any worker count (pinned in tests/engine_test).
+// Two loops, fed by either source:
+//   inline        decodeThreads <= 1: decode and observe on the calling
+//                 thread
+//   fan-out       decodeThreads = N > 1: the calling thread decodes into
+//                 a refcounted batch slot and pushes one pointer per
+//                 worker SPSC ring; worker w observes
+//                   mergeable passes  — iff batch.seq % N == w
+//                   sequential passes — pass p is pinned to worker
+//                                       p % N and sees every batch in
+//                                       stream order
+//
+// Either way a pass whose opMask() misses the batch's op bitmask is
+// skipped, and finalize runs the passes on up to N threads; mergeable
+// passes fold their shards with exact (integer/min-max/union) merges.
+//
+// Determinism: batches are numbered by the source, shard assignment is
+// seq % N, and every merge is exact — so results are byte-identical to
+// the inline loop at any thread count and from either source (pinned in
+// tests/engine_test and tests/query_test).
 #pragma once
 
 #include <cstdint>
@@ -34,30 +46,18 @@ namespace nfstrace {
 class AnalysisEngine {
  public:
   struct Config {
-    /// Worker threads; 0 or 1 runs the scan inline (no threads).
-    std::size_t workers = 1;
     /// Records per batch.
     std::size_t batchRecords = TraceBatch::kDefaultCapacity;
-    /// In-flight batches per worker ring; the pool holds
-    /// workers * queueBatches + 1 slots.
-    std::size_t queueBatches = 8;
-    /// Alert when the interners grow past this many ids combined
-    /// (engine.intern_high_water) — a runaway namespace or a corrupt
-    /// trace interning garbage.
-    std::size_t internHighWater = 1u << 20;
-    /// Alert (engine.merge_skew) when the busiest mergeable shard saw
-    /// more than this factor times the records of the laziest: the
-    /// deterministic seq % workers deal went pathological.
-    double mergeSkewFactor = 8.0;
-    /// Decode threads for the extent-parallel scan runFile() takes on
-    /// indexed v2 input; 0 or 1 decodes inline.  Independent of
-    /// `workers`: on the extent path the decode threads *are* the
-    /// observers (mergeable passes run on them, sequential passes on
-    /// the in-order consumer), so `workers` is not used there.
+    /// Scan threads, for run() and runFile() alike.  0 or 1 scans inline
+    /// on the calling thread; N > 1 decodes on the calling thread and
+    /// fans every batch out to N observer threads, then finalizes the
+    /// passes on up to N threads.  Reports are byte-identical at any
+    /// value.  (The name predates the fan-out: it once counted
+    /// extent-decode threads.)
     std::size_t decodeThreads = 1;
     /// Pushdown filter.  Non-trivial predicates filter record-by-record
-    /// on every path, and additionally prune whole extents via the v2
-    /// footer zone maps on runFile()'s extent path.
+    /// from either source, and the extent walk additionally prunes
+    /// whole extents via the v2 footer zone maps.
     ScanPredicate predicate;
   };
 
@@ -69,7 +69,7 @@ class AnalysisEngine {
     std::size_t internedHandles = 0;
     std::uint64_t mergeSkewAlerts = 0;
     std::uint64_t internHighWaterAlerts = 0;
-    /// Extent path only: footer entries seen / skipped by zone maps.
+    /// Extent walk only: footer entries seen / skipped by zone maps.
     std::uint64_t extentsTotal = 0;
     std::uint64_t extentsPruned = 0;
     /// Records decoded but rejected by the record-level predicate.
@@ -97,28 +97,35 @@ class AnalysisEngine {
   /// observe* -> finalize).  Reusable: each call re-prepares the passes.
   const Stats& run(TraceReader& reader);
 
-  /// Scan a trace file, picking the fastest applicable path: indexed v2
-  /// input with decodeThreads > 1 or a non-trivial predicate goes
-  /// through the extent-parallel scanner (zone-map pruning + per-extent
-  /// decode fan-out); everything else — v1 formats, index-less or torn
-  /// v2, recover mode — falls back to the classic reader scan.  Reports
-  /// are byte-identical across paths and thread counts.
+  /// Scan a trace file, picking the source: indexed v2 input with
+  /// decodeThreads > 1 or a non-trivial predicate takes the extent walk
+  /// (zone-map pruning); everything else — text, index-less or torn
+  /// v2, recover mode — takes the reader.  Reports are byte-identical
+  /// across sources and thread counts.
   const Stats& runFile(const std::string& path, bool recover = false);
 
   const Stats& stats() const { return stats_; }
 
  private:
-  void runSerial(TraceReader& reader);
-  void runParallel(TraceReader& reader);
-  /// The extent scheduler (src/analysis/engine/extent_scan.cpp).  The
-  /// caller owns the global interners so they outlive the scan into
-  /// finalize (passes hold pointers into them).
-  void runExtentParallel(const std::string& path,
-                         const std::vector<tracev2::ChainedExtent>& extents,
-                         StringInterner& names, StringInterner& handles);
+  /// One scan over `source` (a ReaderSource or ExtentWalk, engine.cpp):
+  /// prepare, the inline or fan-out loop, finalize.
+  template <class Source>
+  const Stats& scan(Source& source);
+  template <class Source>
+  void scanInline(Source& source);
+  template <class Source>
+  void scanFanOut(Source& source);
+  /// Per-batch bookkeeping shared by both loops: resync and predicate
+  /// accounting, then the batch/record counters.  False when the
+  /// predicate filtered the batch down to nothing.
+  bool admit(TraceBatch& batch);
   /// Drop records failing config_.predicate, compacting the batch in
   /// place; returns how many were dropped.
   std::size_t applyPredicate(TraceBatch& batch) const;
+  /// observe() of pass i on one batch, timed into its histogram and a
+  /// flight span on `flog`.
+  void observe(std::size_t i, const TraceBatch& batch, std::size_t shard,
+               obs::ThreadLog* flog);
   void finalizeAll(std::size_t parallelism);
   void noteScanDone(const std::vector<std::uint64_t>& shardRecords,
                     std::size_t internedNames, std::size_t internedHandles);

@@ -540,13 +540,8 @@ void TraceDaemon::applyRetention() {
 std::string TraceDaemon::engineReport(const std::string& path,
                                       std::uint64_t& recordsOut) const {
   StandardAnalyses analyses;
-  AnalysisEngine::Config ecfg;
-  ecfg.decodeThreads = cfg_.decodeThreads;
-  AnalysisEngine engine(ecfg);
+  AnalysisEngine engine;
   engine.addPasses(analyses.all());
-  // runFile: indexed v2 segments decode extent-parallel when
-  // decodeThreads > 1; v1 and index-less input takes the classic
-  // reader path.  Either way the report is byte-identical.
   recordsOut = engine.runFile(path).records;
   // The input label must match on both sides of the comparison, so the
   // report is rendered with a neutral one.

@@ -10,7 +10,7 @@
 //   captured == sealed + recovered + lost          (Books::balanced)
 //
 // Rotation is checkpoint-aligned: the active `<prefix>-NNNNNN.part`
-// segment is finalized (v2: tail extent + footer index; v1: final
+// segment is finalized (v2: tail extent + footer index; text: final
 // checkpoint), flushed, fsync'd, renamed to `<prefix>-NNNNNN.trace`
 // (rename is atomic), and only then journaled in the manifest, which is
 // itself replaced atomically.  The crash matrix (see DESIGN.md):
@@ -41,7 +41,7 @@
 //
 // Retention runs incrementally after each rotation: oldest segments are
 // retired when count/bytes/age budgets are exceeded (the books are NOT
-// rewound — retirement is policy, not loss), and v1 segments past a
+// rewound — retirement is policy, not loss), and text segments past a
 // configurable age are compacted to columnar v2, verified byte-identical
 // via the standard 8-pass engine report before the original is unlinked.
 #pragma once
@@ -108,11 +108,6 @@ class TraceDaemon {
     /// Degraded mode: after this many consecutive shed records, probe
     /// the disk (recover the abandoned segment, reopen a fresh one).
     std::uint64_t reopenAfterSheds = 256;
-
-    /// Decode threads for the compaction verification scans: indexed v2
-    /// input goes through the engine's extent-parallel scanner (reports
-    /// stay byte-identical, so the verification gate is unchanged).
-    std::size_t decodeThreads = 1;
 
     /// Wall clock (unix seconds) for seal stamps and age retention;
     /// injectable so tests can age segments deterministically.  Null

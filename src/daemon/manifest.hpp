@@ -38,7 +38,7 @@ namespace nfstrace::daemon {
 struct SegmentInfo {
   std::uint64_t seq = 0;      ///< segment sequence number (1-based)
   std::string file;           ///< basename within the daemon directory
-  std::string format;         ///< "text" / "binary" / "v2"
+  std::string format;         ///< "text" / "v2"
   std::uint64_t records = 0;  ///< records sealed in this segment
   std::uint64_t bytes = 0;    ///< file size at seal time
   /// Cumulative stream position of this segment's first record: the

@@ -41,6 +41,7 @@ constexpr StageInfo kStages[kStageCount] = {
     {"trace.checkpoint", false, Stage::kStageCount, Stage::kStageCount},
     // Analysis engine.
     {"engine.reader_decode", false, Stage::kStageCount, Stage::kStageCount},
+    {"engine.extent_decode", false, Stage::kStageCount, Stage::kStageCount},
     {"engine.batch_pool_wait", true, Stage::ReaderDecode, Stage::PassObserve},
     {"engine.worker_batch_wait", true, Stage::PassObserve,
      Stage::ReaderDecode},
@@ -56,14 +57,6 @@ constexpr StageInfo kStages[kStageCount] = {
     {"daemon.recover", false, Stage::kStageCount, Stage::kStageCount},
     {"daemon.compact", false, Stage::kStageCount, Stage::kStageCount},
     {"daemon.records_shed", false, Stage::kStageCount, Stage::kStageCount},
-    // Extent-parallel scan.  Dictionary-ticket waits block on the
-    // previous extent's decode; the in-order consumer's reorder waits
-    // block on whichever decode owes the next batch.
-    {"engine.extent_claim", false, Stage::kStageCount, Stage::kStageCount},
-    {"engine.extent_decode", false, Stage::kStageCount, Stage::kStageCount},
-    {"engine.extent_dict_wait", true, Stage::ExtentDecode,
-     Stage::ExtentDecode},
-    {"engine.reorder_wait", true, Stage::PassObserve, Stage::ExtentDecode},
 };
 
 const StageInfo& info(Stage s) {

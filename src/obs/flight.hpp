@@ -72,6 +72,7 @@ enum class Stage : std::uint16_t {
   WriterCheckpoint,  ///< instant: checkpoint footer appended
   // Analysis engine (src/analysis/engine).
   ReaderDecode,    ///< reader: decoding one batch from the trace
+  ExtentDecode,    ///< extent walk: reading + decoding one batch
   BatchPoolWait,   ///< reader stalled: every pool slot still referenced
   WorkerBatchWait, ///< engine worker starved: batch ring empty
   PassObserve,     ///< worker: one pass observing one batch
@@ -84,13 +85,8 @@ enum class Stage : std::uint16_t {
   // Continuous-capture daemon (src/daemon).
   DaemonRotate,   ///< sealing + renaming the active segment
   DaemonRecover,  ///< startup recovery of a torn active segment
-  DaemonCompact,  ///< background v1 -> v2 segment compaction
+  DaemonCompact,  ///< background text -> v2 segment compaction
   DaemonShed,     ///< instant: record shed while the trace disk is down
-  // Extent-parallel scan (src/analysis/engine/extent_scan).
-  ExtentClaim,     ///< instant: worker claimed extent (arg = task index)
-  ExtentDecode,    ///< worker: read + decode of one claimed extent
-  ExtentDictWait,  ///< worker stalled: waiting its dictionary ticket
-  ReorderWait,     ///< consumer stalled: next in-order batch not decoded
   kStageCount
 };
 

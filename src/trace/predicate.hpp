@@ -9,8 +9,7 @@
 //     inputs, where it is the only filter).
 //
 // The zone-map test must never prune a matching record, so it answers
-// "possibly" wherever the footer's ranges are conservative (legacy
-// 32-byte entries load as never-prune ranges — see trace/v2.hpp).
+// "possibly" wherever the footer's ranges are conservative.
 #pragma once
 
 #include <cstdint>

@@ -381,176 +381,25 @@ std::optional<TraceRecord> parseRecord(const std::string& line) {
   return rec;
 }
 
-// ------------------------------------------------------------ binary format
+// ----------------------------------------------------------------- file I/O
 
 namespace {
 
-constexpr char kBinMagic[6] = {'N', 'F', 'S', 'T', '1', '\n'};
-
-// Checkpoint sentinel: an impossible record length followed by an 8-byte
-// magic and the cumulative record count.  A recovering reader byte-scans
-// for the magic to resynchronise after corruption.
-constexpr std::uint32_t kCkptSentinel = 0xFFFFFFFFu;
-constexpr char kCkptMagic[8] = {'N', 'F', 'S', 'C', 'K', 'P', 'T', '1'};
+/// Magic of the retired v1 binary format, kept only to reject such files
+/// with a clear error instead of misreading them as text.
+constexpr char kV1BinaryMagic[6] = {'N', 'F', 'S', 'T', '1', '\n'};
 constexpr char kTextCkptPrefix[] = "#ckpt";
 
-void putU(std::string& b, std::uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) b.push_back(static_cast<char>(v >> (8 * i)));
+std::uint32_t getU32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-std::uint64_t getU(const std::uint8_t* p, int bytes) {
-  std::uint64_t v = 0;
-  for (int i = bytes - 1; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-void packBinaryInto(std::string& out, const TraceRecord& r) {
-  // Length-prefixed record: reserve the prefix, append the body in place,
-  // then patch the length — no per-record temporary buffer.
-  std::size_t lenAt = out.size();
-  out.append(4, '\0');
-  std::string& b = out;
-  putU(b, static_cast<std::uint64_t>(r.ts), 8);
-  putU(b, static_cast<std::uint64_t>(r.replyTs), 8);
-  putU(b, r.client, 4);
-  putU(b, r.server, 4);
-  putU(b, r.xid, 4);
-  std::uint8_t flags = (r.hasReply ? 1 : 0) | (r.overTcp ? 2 : 0) |
-                       (r.eof ? 4 : 0) | (r.hasResFh ? 8 : 0) |
-                       (r.hasAttrs ? 16 : 0) | (r.hasPre ? 32 : 0);
-  putU(b, flags, 1);
-  putU(b, r.vers, 1);
-  putU(b, static_cast<std::uint8_t>(r.op), 1);
-  putU(b, r.uid, 4);
-  putU(b, r.gid, 4);
-  putU(b, r.fh.len, 1);
-  b.append(reinterpret_cast<const char*>(r.fh.data.data()), r.fh.len);
-  putU(b, r.fh2.len, 1);
-  b.append(reinterpret_cast<const char*>(r.fh2.data.data()), r.fh2.len);
-  putU(b, r.resFh.len, 1);
-  b.append(reinterpret_cast<const char*>(r.resFh.data.data()), r.resFh.len);
-  putU(b, r.name.size(), 2);
-  b += r.name;
-  putU(b, r.name2.size(), 2);
-  b += r.name2;
-  putU(b, r.offset, 8);
-  putU(b, r.count, 4);
-  putU(b, static_cast<std::uint32_t>(r.status), 4);
-  putU(b, r.retCount, 4);
-  putU(b, static_cast<std::uint32_t>(r.ftype), 1);
-  putU(b, r.fileSize, 8);
-  putU(b, static_cast<std::uint64_t>(r.fileMtime), 8);
-  putU(b, r.fileId, 8);
-  putU(b, r.preSize, 8);
-  putU(b, static_cast<std::uint64_t>(r.preMtime), 8);
-  std::uint64_t bodyLen = out.size() - lenAt - 4;
-  for (int i = 0; i < 4; ++i) {
-    out[lenAt + static_cast<std::size_t>(i)] =
-        static_cast<char>(bodyLen >> (8 * i));
-  }
-}
-
-void unpackBinaryInto(const std::vector<std::uint8_t>& buf, TraceRecord& r) {
-  const std::uint8_t* p = buf.data();
-  const std::uint8_t* end = buf.data() + buf.size();
-  auto need = [&](std::size_t n) {
-    if (static_cast<std::size_t>(end - p) < n) {
-      throw std::runtime_error("trace: binary record underrun");
-    }
-  };
-  resetRecordKeepCapacity(r);
-  need(8 + 8 + 4 + 4 + 4 + 1 + 1 + 1 + 4 + 4);
-  r.ts = static_cast<MicroTime>(getU(p, 8)); p += 8;
-  r.replyTs = static_cast<MicroTime>(getU(p, 8)); p += 8;
-  r.client = static_cast<IpAddr>(getU(p, 4)); p += 4;
-  r.server = static_cast<IpAddr>(getU(p, 4)); p += 4;
-  r.xid = static_cast<std::uint32_t>(getU(p, 4)); p += 4;
-  std::uint8_t flags = *p++;
-  r.hasReply = flags & 1;
-  r.overTcp = flags & 2;
-  r.eof = flags & 4;
-  r.hasResFh = flags & 8;
-  r.hasAttrs = flags & 16;
-  r.hasPre = flags & 32;
-  r.vers = *p++;
-  r.op = static_cast<NfsOp>(*p++);
-  r.uid = static_cast<std::uint32_t>(getU(p, 4)); p += 4;
-  r.gid = static_cast<std::uint32_t>(getU(p, 4)); p += 4;
-  auto readFh = [&](FileHandle& fh) {
-    need(1);
-    std::uint8_t n = *p++;
-    need(n);
-    fh = FileHandle::fromBytes({p, n});
-    p += n;
-  };
-  readFh(r.fh);
-  readFh(r.fh2);
-  readFh(r.resFh);
-  auto readStr = [&](std::string& s) {
-    need(2);
-    std::size_t n = static_cast<std::size_t>(getU(p, 2));
-    p += 2;
-    need(n);
-    s.assign(reinterpret_cast<const char*>(p), n);
-    p += n;
-  };
-  readStr(r.name);
-  readStr(r.name2);
-  need(8 + 4 + 4 + 4 + 1 + 8 + 8 + 8 + 8 + 8);
-  r.offset = getU(p, 8); p += 8;
-  r.count = static_cast<std::uint32_t>(getU(p, 4)); p += 4;
-  r.status = static_cast<NfsStat>(getU(p, 4)); p += 4;
-  r.retCount = static_cast<std::uint32_t>(getU(p, 4)); p += 4;
-  r.ftype = static_cast<FileType>(*p++);
-  r.fileSize = getU(p, 8); p += 8;
-  r.fileMtime = static_cast<MicroTime>(getU(p, 8)); p += 8;
-  r.fileId = getU(p, 8); p += 8;
-  r.preSize = getU(p, 8); p += 8;
-  r.preMtime = static_cast<MicroTime>(getU(p, 8)); p += 8;
-}
-
-/// One framed item from a binary trace: a record, a checkpoint, or EOF.
-enum class BinKind { Record, Checkpoint, Eof };
-
-struct BinFrame {
-  BinKind kind = BinKind::Eof;
-  std::uint64_t checkpointCount = 0;
-};
-
-/// Read one frame; a Record frame is decoded into `rec` via the caller's
-/// reusable body buffer (no per-record allocation once warmed up).
-BinFrame readBinaryFrame(std::FILE* f, std::vector<std::uint8_t>& buf,
-                         TraceRecord& rec) {
-  BinFrame frame;
-  std::uint8_t lenBuf[4];
-  std::size_t got = std::fread(lenBuf, 1, 4, f);
-  if (got == 0) {
-    frame.kind = BinKind::Eof;
-    return frame;
-  }
-  if (got != 4) throw std::runtime_error("trace: truncated binary record");
-  std::uint32_t len32 = static_cast<std::uint32_t>(getU(lenBuf, 4));
-  if (len32 == kCkptSentinel) {
-    std::uint8_t body[sizeof(kCkptMagic) + 8];
-    if (std::fread(body, 1, sizeof(body), f) != sizeof(body)) {
-      throw std::runtime_error("trace: truncated checkpoint");
-    }
-    if (std::memcmp(body, kCkptMagic, sizeof(kCkptMagic)) != 0) {
-      throw std::runtime_error("trace: bad checkpoint magic");
-    }
-    frame.kind = BinKind::Checkpoint;
-    frame.checkpointCount = getU(body + sizeof(kCkptMagic), 8);
-    return frame;
-  }
-  std::size_t len = static_cast<std::size_t>(len32);
-  if (len > 1 << 20) throw std::runtime_error("trace: absurd binary record");
-  buf.resize(len);
-  if (std::fread(buf.data(), 1, len, f) != len) {
-    throw std::runtime_error("trace: truncated binary record body");
-  }
-  unpackBinaryInto(buf, rec);
-  frame.kind = BinKind::Record;
-  return frame;
+[[noreturn]] void rejectV1Binary(const std::string& path) {
+  throw std::runtime_error("trace: v1 binary traces are no longer read: " +
+                           path);
 }
 
 void sleepAndGrow(MicroTime& us, MicroTime maxUs) {
@@ -569,9 +418,7 @@ TraceWriter::TraceWriter(const std::string& path, const Options& opts)
   if (!f_) throw std::runtime_error("trace: cannot open for write: " + path);
   buf_.reserve(kWriterFlushBytes + 4096);
   try {
-    if (format_ == Format::Binary) {
-      writeAll(kBinMagic, sizeof(kBinMagic));
-    } else if (format_ == Format::V2) {
+    if (format_ == Format::V2) {
       std::string preamble(tracev2::kFileMagic, sizeof(tracev2::kFileMagic));
       tracev2::appendSchema(preamble);
       writeAll(preamble.data(), preamble.size());
@@ -639,12 +486,8 @@ void TraceWriter::write(const TraceRecord& rec) {
     }
     return;
   }
-  if (format_ == Format::Text) {
-    appendRecord(buf_, rec);
-    buf_.push_back('\n');
-  } else {
-    packBinaryInto(buf_, rec);
-  }
+  appendRecord(buf_, rec);
+  buf_.push_back('\n');
   ++count_;
   if (opts_.checkpointEveryRecords > 0 &&
       count_ - lastCkptCount_ >= opts_.checkpointEveryRecords) {
@@ -662,23 +505,17 @@ void TraceWriter::sealV2Extent() {
   ++ioStats_.checkpoints;
   ckptC_.inc();
   if (flog_) flog_->instant(obs::Stage::WriterCheckpoint, count_);
-  // Crash consistency, as with v1 checkpoints: the whole extent reaches
+  // Crash consistency, as with text checkpoints: the whole extent reaches
   // the OS before more records are buffered.
   flushBuffer();
   std::fflush(f_);
 }
 
 void TraceWriter::appendCheckpoint() {
-  if (format_ == Format::Text) {
-    buf_ += kTextCkptPrefix;
-    buf_ += " n=";
-    appendUint(buf_, count_);
-    buf_.push_back('\n');
-  } else {
-    putU(buf_, kCkptSentinel, 4);
-    buf_.append(kCkptMagic, sizeof(kCkptMagic));
-    putU(buf_, count_, 8);
-  }
+  buf_ += kTextCkptPrefix;
+  buf_ += " n=";
+  appendUint(buf_, count_);
+  buf_.push_back('\n');
   lastCkptCount_ = count_;
   ++ioStats_.checkpoints;
   ckptC_.inc();
@@ -788,32 +625,37 @@ TraceReader::TraceReader(const std::string& path, bool recover)
     : recover_(recover) {
   f_ = std::fopen(path.c_str(), "rb");
   if (!f_) throw std::runtime_error("trace: cannot open for read: " + path);
-  char magic[sizeof(kBinMagic)];
+  char magic[sizeof(tracev2::kFileMagic)];
   std::size_t got = std::fread(magic, 1, sizeof(magic), f_);
-  if (got == sizeof(magic) && std::memcmp(magic, kBinMagic, sizeof(magic)) == 0) {
-    binary_ = true;
-  } else if (got == sizeof(magic) &&
-             std::memcmp(magic, tracev2::kFileMagic, sizeof(magic)) == 0) {
+  if (got == sizeof(magic) &&
+      std::memcmp(magic, kV1BinaryMagic, sizeof(magic)) == 0) {
+    std::fclose(f_);
+    f_ = nullptr;
+    rejectV1Binary(path);
+  }
+  if (got == sizeof(magic) &&
+      std::memcmp(magic, tracev2::kFileMagic, sizeof(magic)) == 0) {
     v2_ = true;
     // Validate + skip the schema block.  In recover mode a damaged
     // schema is survivable — the extent scan resynchronises — so only
     // strict mode rejects the file here.
-    bool ok = false;
+    std::string error = "bad schema header";
     unsigned char shdr[8];
     if (std::fread(shdr, 1, sizeof(shdr), f_) == sizeof(shdr)) {
-      std::uint64_t len = getU(shdr + 4, 4);
+      std::uint32_t len = getU32(shdr + 4);
       if (len <= 64 * 1024) {
         std::string block(reinterpret_cast<const char*>(shdr), sizeof(shdr));
         block.resize(sizeof(shdr) + len);
-        ok = std::fread(block.data() + sizeof(shdr), 1, len, f_) == len &&
-             tracev2::parseSchema(block.data(), block.size(), &v2Schema_)
-                 .has_value();
+        if (std::fread(block.data() + sizeof(shdr), 1, len, f_) == len &&
+            tracev2::parseSchema(block.data(), block.size(), &error)) {
+          error.clear();
+        }
       }
     }
-    if (!ok && !recover_) {
+    if (!error.empty() && !recover_) {
       std::fclose(f_);
       f_ = nullptr;
-      throw std::runtime_error("trace v2: bad schema header: " + path);
+      throw std::runtime_error("trace v2: " + error + ": " + path);
     }
   } else {
     std::rewind(f_);
@@ -846,8 +688,7 @@ bool TraceReader::nextInto(TraceRecord& rec) {
     pendingValid_ = false;
     return true;
   }
-  if (v2_) return nextV2Into(rec);
-  return binary_ ? nextBinaryInto(rec) : nextTextInto(rec);
+  return v2_ ? nextV2Into(rec) : nextTextInto(rec);
 }
 
 bool TraceReader::nextBatch(TraceBatch& batch, std::size_t maxRecords) {
@@ -966,10 +807,7 @@ bool TraceReader::loadNextV2Extent() {
     // A valid header is a checkpoint: its cumulative count charges any
     // records a skipped region ate to `skipped`, exactly.
     reconcileCheckpoint(hdr.recordsBefore);
-    if (!v2dec_) {
-      v2dec_ = std::make_unique<tracev2::ExtentDecoder>();
-      v2dec_->setSchema(v2Schema_);
-    }
+    if (!v2dec_) v2dec_ = std::make_unique<tracev2::ExtentDecoder>();
     auto& buf = v2dec_->buffer();
     if (buf.size() < hdr.payloadBytes) buf.resize(hdr.payloadBytes);
     if (std::fread(buf.data(), 1, hdr.payloadBytes, f_) != hdr.payloadBytes) {
@@ -1005,66 +843,47 @@ bool TraceReader::loadNextV2Extent() {
 }
 
 bool TraceReader::chainNextV2Segment(long footerStart) {
-  // The footer's entry count is on disk but its entry width is not
-  // (56-byte schema-4 entries vs 32-byte legacy), so try both widths
-  // and accept the one whose computed end lands on a trailer magic
-  // followed by a fresh file magic + valid schema block.  Any other
-  // landing spot means either a single-segment file (trailer then EOF)
-  // or a torn concatenation; the caller seeks back and stops cleanly.
+  // Hop the footer (entry count x fixed entry width, CRC, offset,
+  // trailer) and accept the landing spot only if a trailer magic ends
+  // the footer and a fresh file magic + valid schema block follows.  Any
+  // other landing spot means either a single-segment file (trailer then
+  // EOF) or a torn concatenation; the caller seeks back and stops
+  // cleanly.
   unsigned char head[8];
   if (std::fseek(f_, footerStart, SEEK_SET) != 0 ||
       std::fread(head, 1, 8, f_) != 8) {
     return false;
   }
-  std::uint64_t count = static_cast<std::uint32_t>(head[4]) |
-                        (static_cast<std::uint32_t>(head[5]) << 8) |
-                        (static_cast<std::uint32_t>(head[6]) << 16) |
-                        (static_cast<std::uint32_t>(head[7]) << 24);
-  for (std::size_t entrySize :
-       {tracev2::kIndexEntryBytes, tracev2::kIndexEntryBytesLegacy}) {
-    long end = footerStart +
-               static_cast<long>(8 + count * entrySize + 4 + 8 + 8);
-    unsigned char tail[8];
-    if (std::fseek(f_, end - 8, SEEK_SET) != 0 ||
-        std::fread(tail, 1, 8, f_) != 8 ||
-        std::memcmp(tail, tracev2::kTrailerMagic,
-                    sizeof(tracev2::kTrailerMagic)) != 0) {
-      continue;
-    }
-    char magic[6];
-    if (std::fread(magic, 1, 6, f_) != 6 ||
-        std::memcmp(magic, tracev2::kFileMagic, 6) != 0) {
-      continue;
-    }
-    char shdr[8];
-    if (std::fread(shdr, 1, 8, f_) != 8) continue;
-    std::uint32_t slen = static_cast<std::uint8_t>(shdr[4]) |
-                         (static_cast<std::uint32_t>(
-                              static_cast<std::uint8_t>(shdr[5]))
-                          << 8) |
-                         (static_cast<std::uint32_t>(
-                              static_cast<std::uint8_t>(shdr[6]))
-                          << 16) |
-                         (static_cast<std::uint32_t>(
-                              static_cast<std::uint8_t>(shdr[7]))
-                          << 24);
-    if (slen > (1u << 16)) continue;
-    std::string sblock(8 + slen, '\0');
-    std::memcpy(sblock.data(), shdr, 8);
-    if (slen > 0 && std::fread(sblock.data() + 8, 1, slen, f_) != slen) {
-      continue;
-    }
-    int schema = v2Schema_;
-    if (!tracev2::parseSchema(sblock.data(), sblock.size(), &schema)) {
-      continue;
-    }
-    // Chained: the stream now sits at the new segment's first extent.
-    // Each segment carries its own schema block, so the decoder's
-    // schema-dependent state must follow it.
-    v2Schema_ = schema;
-    if (v2dec_) v2dec_->setSchema(v2Schema_);
-    return true;
+  std::uint64_t count = getU32(head + 4);
+  long end = footerStart + static_cast<long>(
+                               8 + count * tracev2::kIndexEntryBytes + 4 + 8 + 8);
+  unsigned char tail[8];
+  if (std::fseek(f_, end - 8, SEEK_SET) != 0 ||
+      std::fread(tail, 1, 8, f_) != 8 ||
+      std::memcmp(tail, tracev2::kTrailerMagic,
+                  sizeof(tracev2::kTrailerMagic)) != 0) {
+    return false;
   }
+  char magic[6];
+  if (std::fread(magic, 1, 6, f_) != 6 ||
+      std::memcmp(magic, tracev2::kFileMagic, 6) != 0) {
+    return false;
+  }
+  unsigned char shdr[8];
+  if (std::fread(shdr, 1, 8, f_) != 8) return false;
+  std::uint32_t slen = getU32(shdr + 4);
+  if (slen > (1u << 16)) return false;
+  std::string sblock(8 + slen, '\0');
+  std::memcpy(sblock.data(), shdr, 8);
+  if (slen > 0 && std::fread(sblock.data() + 8, 1, slen, f_) != slen) {
+    return false;
+  }
+  // Chained: the stream now sits at the new segment's first extent.
+  std::string error;
+  if (tracev2::parseSchema(sblock.data(), sblock.size(), &error)) return true;
+  // A whole segment follows that this reader cannot decode (an older
+  // schema): strict mode refuses it rather than end the stream early.
+  if (!recover_) throw std::runtime_error("trace v2: " + error);
   return false;
 }
 
@@ -1106,7 +925,7 @@ void TraceReader::reconcileCheckpoint(std::uint64_t count) {
   if (recover_ && count > seen) {
     // The footer knows exactly how many records precede it; anything we
     // did not see (whole lines eaten, records merged by a corrupted
-    // newline, a skipped binary region) is charged to `skipped`.
+    // newline, a skipped v2 region) is charged to `skipped`.
     rstats_.skipped += count - seen;
   }
 }
@@ -1179,60 +998,11 @@ bool TraceReader::nextTextInto(TraceRecord& rec) {
   return false;
 }
 
-bool TraceReader::nextBinaryInto(TraceRecord& rec) {
-  for (;;) {
-    if (!recover_) {
-      BinFrame frame = readBinaryFrame(f_, binBuf_, rec);
-      if (frame.kind == BinKind::Eof) return false;
-      if (frame.kind == BinKind::Checkpoint) {
-        reconcileCheckpoint(frame.checkpointCount);
-        continue;
-      }
-      ++rstats_.recovered;
-      return true;
-    }
-    try {
-      BinFrame frame = readBinaryFrame(f_, binBuf_, rec);
-      if (frame.kind == BinKind::Eof) return false;
-      if (frame.kind == BinKind::Checkpoint) {
-        reconcileCheckpoint(frame.checkpointCount);
-        continue;
-      }
-      ++rstats_.recovered;
-      return true;
-    } catch (const std::exception&) {
-      ++rstats_.resyncs;
-      if (!scanToBinaryCheckpoint()) return false;
-    }
-  }
-}
-
-bool TraceReader::scanToBinaryCheckpoint() {
-  // Rolling byte-match for the checkpoint magic.  The magic has no
-  // repeated prefix, so a mismatch only needs to recheck the first byte.
-  std::size_t matched = 0;
-  int c;
-  while ((c = std::fgetc(f_)) != EOF) {
-    std::uint8_t b = static_cast<std::uint8_t>(c);
-    if (b == static_cast<std::uint8_t>(kCkptMagic[matched])) {
-      if (++matched == sizeof(kCkptMagic)) {
-        std::uint8_t cnt[8];
-        if (std::fread(cnt, 1, sizeof(cnt), f_) != sizeof(cnt)) return false;
-        reconcileCheckpoint(getU(cnt, 8));
-        return true;
-      }
-    } else {
-      matched = b == static_cast<std::uint8_t>(kCkptMagic[0]) ? 1 : 0;
-    }
-  }
-  return false;
-}
-
 namespace {
 
-/// Capacity hint from the file size: text records run ~150 bytes, binary
-/// ones ~120, so bytes/128 overshoots modestly rather than reallocating
-/// the vector a dozen times while it doubles up from empty.
+/// Capacity hint from the file size: text records run ~150 bytes, so
+/// bytes/128 overshoots modestly rather than reallocating the vector a
+/// dozen times while it doubles up from empty.
 std::size_t estimateRecordCount(const std::string& path) {
   std::error_code ec;
   auto bytes = std::filesystem::file_size(path, ec);
@@ -1279,8 +1049,8 @@ TraceWriter::Format detectTraceFormat(const std::string& path) {
   std::size_t got = std::fread(magic, 1, sizeof(magic), f);
   std::fclose(f);
   if (got == sizeof(magic)) {
-    if (std::memcmp(magic, kBinMagic, sizeof(magic)) == 0) {
-      return TraceWriter::Format::Binary;
+    if (std::memcmp(magic, kV1BinaryMagic, sizeof(magic)) == 0) {
+      rejectV1Binary(path);
     }
     if (std::memcmp(magic, tracev2::kFileMagic, sizeof(magic)) == 0) {
       return TraceWriter::Format::V2;
@@ -1292,7 +1062,6 @@ TraceWriter::Format detectTraceFormat(const std::string& path) {
 const char* traceFormatName(TraceWriter::Format format) {
   switch (format) {
     case TraceWriter::Format::Text: return "text";
-    case TraceWriter::Format::Binary: return "binary";
     case TraceWriter::Format::V2: return "v2";
   }
   return "unknown";
@@ -1300,7 +1069,6 @@ const char* traceFormatName(TraceWriter::Format format) {
 
 std::optional<TraceWriter::Format> traceFormatFromName(std::string_view name) {
   if (name == "text") return TraceWriter::Format::Text;
-  if (name == "binary") return TraceWriter::Format::Binary;
   if (name == "v2") return TraceWriter::Format::V2;
   return std::nullopt;
 }

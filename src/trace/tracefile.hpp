@@ -6,8 +6,9 @@
 //   t=0.013202 r=0.013514 c=10.1.0.5 s=10.0.0.1 xid=1a2b v=3 p=udp op=read
 //   fh=0001...:  off=0 cnt=8192 st=OK ret=8192 eof=1 sz=123456 mt=999.0
 //
-// Unknown keys are skipped on read, so the format can grow.  A compact
-// binary format (magic "NFST") is also provided for large traces.
+// Unknown keys are skipped on read, so the format can grow.  For large
+// traces the columnar v2 format (trace/v2.hpp) is smaller and scans
+// faster; readers detect either by its magic.
 #pragma once
 
 #include <cstdint>
@@ -49,11 +50,11 @@ bool parseRecordInto(std::string_view line, TraceRecord& rec);
 /// is formatting only (no per-record heap allocation or fwrite call).
 class TraceWriter {
  public:
-  enum class Format { Text, Binary, V2 };
+  enum class Format { Text, V2 };
 
   /// Durability knobs.  Defaults match the historical writer except for
-  /// checkpoints, which are cheap (a comment line / sentinel record every
-  /// few thousand records) and make crash/corruption recovery exact.
+  /// checkpoints, which are cheap (a comment line every few thousand
+  /// records) and make crash/corruption recovery exact.
   struct Options {
     Format format = Format::Text;
     /// Append a checkpoint footer every N records (0 disables).  The
@@ -97,7 +98,7 @@ class TraceWriter {
   /// Flush the batch buffer and the underlying stream.
   void flush();
   /// Seal the file completely (V2: tail extent + footer index + trailer;
-  /// v1: final checkpoint), flush, optionally fsync, and close.  Unlike
+  /// text: final checkpoint), flush, optionally fsync, and close.  Unlike
   /// the destructor — which does the same work but must swallow errors —
   /// finalize() throws on failure, so a caller that needs to *know* the
   /// segment is durable (the rotation path in src/daemon) can react.
@@ -170,8 +171,9 @@ class TraceReader {
 
   /// `recover == false` (the default) preserves historical behaviour:
   /// corruption throws.  `recover == true` skips corrupt bytes forward to
-  /// the next parseable boundary (text: next well-formed line; binary:
-  /// next checkpoint sentinel) and keeps going, tallying RecoverStats.
+  /// the next parseable boundary (text: next well-formed line; v2: next
+  /// valid extent header) and keeps going, tallying RecoverStats.  A v1
+  /// binary ("NFST1") trace is rejected in either mode.
   explicit TraceReader(const std::string& path, bool recover = false);
   ~TraceReader();
   TraceReader(const TraceReader&) = delete;
@@ -207,7 +209,6 @@ class TraceReader {
   /// Refill chunk_ from the file; returns false at EOF.
   bool refill();
   bool nextTextInto(TraceRecord& rec);
-  bool nextBinaryInto(TraceRecord& rec);
   bool nextV2Into(TraceRecord& rec);
   bool nextBatchV2(TraceBatch& batch, std::size_t maxRecords);
   /// V2: read + validate the next extent header and CRC'd payload into
@@ -217,9 +218,10 @@ class TraceReader {
   bool loadNextV2Extent();
   /// V2: the stream hit a footer index at `footerStart`.  If another
   /// sealed segment follows (concatenated daemon output), position the
-  /// stream at its first extent, adopt its schema, and return true;
-  /// otherwise leave the position unspecified and return false (the
-  /// caller seeks back to the footer).
+  /// stream at its first extent and return true; otherwise leave the
+  /// position unspecified and return false (the caller seeks back to
+  /// the footer).  Throws in strict mode when the following segment's
+  /// schema block is whole but not one this reader decodes.
   bool chainNextV2Segment(long footerStart);
   /// V2 recover mode: byte-scan forward for the next valid extent
   /// header; on success `hdr` is filled and the stream sits at its
@@ -228,18 +230,9 @@ class TraceReader {
   /// Handle a "#ckpt n=<count>" comment line (text format).
   void noteTextCheckpoint(std::string_view line);
   void reconcileCheckpoint(std::uint64_t count);
-  /// Binary recover mode: byte-scan forward for the next checkpoint
-  /// sentinel magic; returns false at EOF.
-  bool scanToBinaryCheckpoint();
 
   std::FILE* f_ = nullptr;
-  bool binary_ = false;
   bool v2_ = false;
-  /// Schema version from the current segment's schema block (4 unless
-  /// the segment is legacy schema 2/3; also 4 when recover mode
-  /// tolerates a damaged block).  Re-read per segment on concatenated
-  /// input.
-  int v2Schema_ = 4;
   std::unique_ptr<tracev2::ExtentDecoder> v2dec_;
   bool recover_ = false;
   bool inBadRun_ = false;  // inside a run of consecutive corrupt lines
@@ -248,8 +241,6 @@ class TraceReader {
   std::string chunk_;
   std::size_t pos_ = 0;
   std::string carry_;  // partial line spanning chunk boundaries
-  // Binary path: reusable record-body buffer.
-  std::vector<std::uint8_t> binBuf_;
   // Batch path: interners, sequence counter, and the one-record stash
   // used to cut batches at recovery resync points.
   StringInterner names_;
@@ -260,10 +251,11 @@ class TraceReader {
 };
 
 /// Identify a trace file's format by its magic (files without a known
-/// magic are the text format).  Throws if the file cannot be opened.
+/// magic are the text format).  Throws if the file cannot be opened or
+/// is a v1 binary ("NFST1") trace, which is no longer read.
 TraceWriter::Format detectTraceFormat(const std::string& path);
 
-/// "text" / "binary" / "v2" — for CLI flags and status output.
+/// "text" / "v2" — for CLI flags and status output.
 const char* traceFormatName(TraceWriter::Format format);
 
 /// Inverse of traceFormatName; nullopt for unknown names.

@@ -209,36 +209,28 @@ void appendSchema(std::string& out) {
 }
 
 std::optional<std::size_t> parseSchema(const char* data, std::size_t n,
-                                       int* schemaVersion) {
-  if (n < sizeof(kSchemaMagic) + 4) return std::nullopt;
-  if (std::memcmp(data, kSchemaMagic, sizeof(kSchemaMagic)) != 0) {
+                                       std::string* error) {
+  auto fail = [error](std::string why) -> std::optional<std::size_t> {
+    if (error) *error = std::move(why);
     return std::nullopt;
+  };
+  if (n < sizeof(kSchemaMagic) + 4 ||
+      std::memcmp(data, kSchemaMagic, sizeof(kSchemaMagic)) != 0) {
+    return fail("bad schema header");
   }
   std::uint32_t len =
       getU32(reinterpret_cast<const unsigned char*>(data) + 4);
-  std::size_t total = sizeof(kSchemaMagic) + 4 + len;
-  if (len > n - sizeof(kSchemaMagic) - 4) return std::nullopt;
-  // Require a known major schema line; everything after it (extra
-  // columns, new dict kinds) is forward-compatible detail.  Schema 4 is
-  // what the writer emits; schema 3 (32-byte footer entries, no
-  // uid/fileId zone maps) and schema 2 (additionally: ftype column as a
-  // raw byte instead of a varint) stay readable so segments sealed
-  // before the bumps don't become dead weight.
+  if (len > n - sizeof(kSchemaMagic) - 4) return fail("bad schema header");
+  // Require the current major schema line; everything after it (extra
+  // columns, new dict kinds) is forward-compatible detail.
+  constexpr std::string_view kMajor = "nfstrace-v2 schema 4\n";
   std::string_view text(data + 8, len);
-  int version;
-  if (text.substr(0, 21) == std::string_view("nfstrace-v2 schema 4\n")) {
-    version = 4;
-  } else if (text.substr(0, 21) ==
-             std::string_view("nfstrace-v2 schema 3\n")) {
-    version = 3;
-  } else if (text.substr(0, 21) ==
-             std::string_view("nfstrace-v2 schema 2\n")) {
-    version = 2;
-  } else {
-    return std::nullopt;
+  if (text.substr(0, kMajor.size()) != kMajor) {
+    std::string_view line = text.substr(0, text.find('\n'));
+    return fail("unsupported schema \"" + std::string(line.substr(0, 64)) +
+                "\" (only schema 4 is read)");
   }
-  if (schemaVersion) *schemaVersion = version;
-  return total;
+  return sizeof(kSchemaMagic) + 4 + len;
 }
 
 // ---------------------------------------------------------------------------
@@ -299,28 +291,23 @@ void appendIndex(std::string& out, const std::vector<ExtentInfo>& extents,
 
 namespace {
 
-ExtentInfo parseIndexEntry(const unsigned char* p, std::size_t entrySize) {
-  ExtentInfo e;  // legacy entries keep the never-prune zone-map defaults
+ExtentInfo parseIndexEntry(const unsigned char* p) {
+  ExtentInfo e;
   e.offset = getU64(p);
   e.records = getU32(p + 8);
   e.tsMin = static_cast<MicroTime>(getU64(p + 12));
   e.tsMax = static_cast<MicroTime>(getU64(p + 20));
   e.opMask = getU32(p + 28);
-  if (entrySize >= kIndexEntryBytes) {
-    e.uidMin = getU32(p + 32);
-    e.uidMax = getU32(p + 36);
-    e.fileIdMin = getU64(p + 40);
-    e.fileIdMax = getU64(p + 48);
-  }
+  e.uidMin = getU32(p + 32);
+  e.uidMax = getU32(p + 36);
+  e.fileIdMin = getU64(p + 40);
+  e.fileIdMax = getU64(p + 48);
   return e;
 }
 
-/// Read + CRC-check the "NFIX" footer whose magic sits at `off`.  The
-/// entry count is in the footer but the entry width is not, so both the
-/// schema-4 width and the legacy one are tried — the body CRC
-/// disambiguates (the footer predates the schema block's version line
-/// reaching this layer).  With non-null `endOut`, reports the file
-/// offset just past the footer's trailer.
+/// Read + CRC-check the "NFIX" footer whose magic sits at `off`.  With
+/// non-null `endOut`, reports the file offset just past the footer's
+/// trailer.
 std::optional<std::vector<ExtentInfo>> readFooterAt(std::FILE* f,
                                                     std::uint64_t off,
                                                     std::uint64_t fileSize,
@@ -335,31 +322,27 @@ std::optional<std::vector<ExtentInfo>> readFooterAt(std::FILE* f,
     return std::nullopt;
   }
   std::uint32_t count = getU32(head + 4);
-  for (std::size_t entrySize : {kIndexEntryBytes, kIndexEntryBytesLegacy}) {
-    std::uint64_t bodyBytes =
-        8 + static_cast<std::uint64_t>(count) * entrySize;
-    if (off + bodyBytes + 4 + 16 > fileSize) continue;
-    std::vector<unsigned char> body(bodyBytes);
-    std::memcpy(body.data(), head, 8);
-    if (std::fseek(f, static_cast<long>(off + 8), SEEK_SET) != 0) continue;
-    if (bodyBytes > 8 &&
-        std::fread(body.data() + 8, 1, bodyBytes - 8, f) != bodyBytes - 8) {
-      continue;
-    }
-    unsigned char crcBuf[4];
-    if (std::fread(crcBuf, 1, 4, f) != 4) continue;
-    if (crc32(body.data(), body.size()) != getU32(crcBuf)) continue;
-
-    std::vector<ExtentInfo> out;
-    out.reserve(count);
-    const unsigned char* p = body.data() + 8;
-    for (std::uint32_t i = 0; i < count; ++i, p += entrySize) {
-      out.push_back(parseIndexEntry(p, entrySize));
-    }
-    if (endOut) *endOut = off + bodyBytes + 4 + 8 + 8;
-    return out;
+  std::uint64_t bodyBytes =
+      8 + static_cast<std::uint64_t>(count) * kIndexEntryBytes;
+  if (off + bodyBytes + 4 + 16 > fileSize) return std::nullopt;
+  std::vector<unsigned char> body(bodyBytes);
+  std::memcpy(body.data(), head, 8);
+  unsigned char crcBuf[4];
+  if ((bodyBytes > 8 &&
+       std::fread(body.data() + 8, 1, bodyBytes - 8, f) != bodyBytes - 8) ||
+      std::fread(crcBuf, 1, 4, f) != 4 ||
+      crc32(body.data(), body.size()) != getU32(crcBuf)) {
+    return std::nullopt;
   }
-  return std::nullopt;
+
+  std::vector<ExtentInfo> out;
+  out.reserve(count);
+  const unsigned char* p = body.data() + 8;
+  for (std::uint32_t i = 0; i < count; ++i, p += kIndexEntryBytes) {
+    out.push_back(parseIndexEntry(p));
+  }
+  if (endOut) *endOut = off + bodyBytes + 4 + 8 + 8;
+  return out;
 }
 
 }  // namespace
@@ -393,7 +376,7 @@ std::optional<std::vector<ExtentInfo>> loadExtentIndex(
   return readFooterAt(f, off, static_cast<std::uint64_t>(size), nullptr);
 }
 
-std::optional<std::vector<ChainedExtent>> loadChainedIndex(
+std::optional<std::vector<ExtentInfo>> loadChainedIndex(
     const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) return std::nullopt;
@@ -404,7 +387,7 @@ std::optional<std::vector<ChainedExtent>> loadChainedIndex(
   if (std::fseek(f, 0, SEEK_END) != 0) return std::nullopt;
   std::uint64_t size = static_cast<std::uint64_t>(std::ftell(f));
 
-  std::vector<ChainedExtent> out;
+  std::vector<ExtentInfo> out;
   std::uint64_t pos = 0;
   while (pos < size) {
     // Segment start: file magic + schema block.
@@ -425,10 +408,7 @@ std::optional<std::vector<ChainedExtent>> loadChainedIndex(
     if (slen > 0 && std::fread(sblock.data() + 8, 1, slen, f) != slen) {
       return std::nullopt;
     }
-    int schema = 4;
-    if (!parseSchema(sblock.data(), sblock.size(), &schema)) {
-      return std::nullopt;
-    }
+    if (!parseSchema(sblock.data(), sblock.size())) return std::nullopt;
     pos += 8 + slen;
 
     // Hop extent headers (payloads are fseek'd over, never read) until
@@ -465,7 +445,7 @@ std::optional<std::vector<ChainedExtent>> loadChainedIndex(
             return std::nullopt;
           }
           e.offset += segBase;
-          out.push_back(ChainedExtent{e, schema});
+          out.push_back(e);
         }
         pos = footerEnd;
         footerDone = true;
@@ -485,7 +465,7 @@ struct ExtentEncoder::Impl {
   std::array<std::string, kColumnCount> col;
   // Extent-local dictionaries.  Reusing StringInterner gives the same
   // first-appearance-order id assignment the batch reader uses, which is
-  // what makes reader-side global ids line up with a v1 decode.  `who`
+  // what makes reader-side global ids line up with a text decode.  `who`
   // interns the packed (client, server, uid, gid) tuple.
   std::unique_ptr<StringInterner> handles;
   std::unique_ptr<StringInterner> names;
@@ -584,7 +564,7 @@ void ExtentEncoder::add(const TraceRecord& rec) {
   putU32(im.col[kXid], rec.xid);
 
   // Dictionary interning order within a record (fh, fh2, resFh; name,
-  // name2) matches the v1 batch reader so global id assignment agrees.
+  // name2) matches the text batch reader so global id assignment agrees.
   putVarint(im.col[kFh], im.handles->intern(fhView(rec.fh)));
   putVarint(im.col[kFh2], im.handles->intern(fhView(rec.fh2)));
   if (resFh) {
@@ -713,11 +693,6 @@ struct ExtentDecoder::Impl {
   std::int64_t prevFileSize = 0, prevFileMtime = 0, prevFileId = 0;
   std::int64_t prevPreSize = 0, prevPreMtime = 0;
 
-  /// Schema-2 compatibility: that schema stored ftype as a raw byte
-  /// rather than a varint.  Sticky across load() — the whole file shares
-  /// one schema block.
-  bool ftypeRawByte = false;
-
   std::uint32_t mapHandle(std::uint64_t local) const {
     if (local >= h2g.size()) {
       throw std::runtime_error("trace v2: handle dictionary id out of range");
@@ -743,10 +718,6 @@ ExtentDecoder::~ExtentDecoder() { delete impl_; }
 
 std::vector<std::uint8_t>& ExtentDecoder::buffer() { return impl_->buf; }
 
-void ExtentDecoder::setSchema(int version) {
-  impl_->ftypeRawByte = version < 3;
-}
-
 void ExtentDecoder::load(const ExtentHeader& hdr, StringInterner& names,
                          StringInterner& handles) {
   Impl& im = *impl_;
@@ -757,7 +728,7 @@ void ExtentDecoder::load(const ExtentHeader& hdr, StringInterner& names,
 
   // Intern dictionary entries into the global interners in extent order —
   // first-appearance order across the whole trace, i.e. the exact id
-  // sequence a v1 per-record decode would have produced.
+  // sequence a text per-record decode would have produced.
   auto loadDict = [&c](std::vector<std::uint32_t>& map,
                        StringInterner& global, std::uint64_t maxLen) {
     std::uint64_t count = c.varint();
@@ -921,9 +892,7 @@ inline void ExtentDecoder::decodeOne(TraceRecord& rec, Ids* ids) {
   }
   if (rec.hasAttrs) {
     rec.ftype = static_cast<FileType>(
-        im.ftypeRawByte
-            ? static_cast<std::uint32_t>(im.col[kFtype].byte())
-            : static_cast<std::uint32_t>(im.col[kFtype].varint()));
+        static_cast<std::uint32_t>(im.col[kFtype].varint()));
     im.prevFileSize += unzigzag(im.col[kFileSize].varint());
     rec.fileSize = static_cast<std::uint64_t>(im.prevFileSize);
     im.prevFileMtime += unzigzag(im.col[kFileMtime].varint());

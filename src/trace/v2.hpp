@@ -1,6 +1,6 @@
 // Trace format v2: fixed-size column-oriented extents (DataSeries-style).
 //
-// The v1 formats are row-oriented — every record carries every field, and
+// The text format is row-oriented — every record carries every field, and
 // the reader pays a full per-record parse.  v2 groups records into
 // extents of a few thousand records and stores each field as its own
 // contiguous column stream with a per-column encoding:
@@ -31,7 +31,7 @@
 // property both seekable scans and extent-granular recovery rest on.
 // Local dictionary order is first-appearance order within the extent,
 // which makes the reader's global interned ids identical to the ids a
-// v1 per-record decode would assign: the analysis engine's byte-identical
+// text per-record decode would assign: the analysis engine's byte-identical
 // guarantee carries over to v2 input for free.  The identity-tuple
 // ("who") dictionary stores 16-byte packed little-endian
 // (client, server, uid, gid) entries and is decoded into a local lookup
@@ -50,7 +50,7 @@
 // (dictionaries then columns, CRC'd as a unit).  The header carries the
 // cumulative record count of all prior extents, so a recovering reader
 // that skips damage knows exactly how many records it lost — the v2
-// generalization of the v1 checkpoint footer.
+// generalization of the text format's checkpoint comment.
 #pragma once
 
 #include <cstdint>
@@ -77,10 +77,7 @@ inline constexpr std::size_t kExtentHeaderBytes = 4 + 4 + 4 + 8 + 8 + 4 + 4;
 
 /// One footer-index entry (also what the writer tracks per sealed
 /// extent): enough to skip an extent by time range, op mix, uid or
-/// fileId range without touching its payload.  Schema 4 stores the full
-/// 56-byte entry; schema 2/3 footers carry only the first 32 bytes
-/// (offset through opMask) and load with the conservative zone-map
-/// defaults below, so every pruning decision stays sound on old files.
+/// fileId range without touching its payload.
 struct ExtentInfo {
   std::uint64_t offset = 0;  // file offset of the extent magic
   std::uint32_t records = 0;
@@ -89,19 +86,17 @@ struct ExtentInfo {
   /// Bit i set iff some record in the extent has op == i (ops >= 31
   /// collapse into bit 31).
   std::uint32_t opMask = 0;
-  /// Zone maps (schema 4).  uid ranges over every record; fileId ranges
-  /// over the value a decode would produce (0 for records without
-  /// post-op attrs), so record-level predicate semantics match.
+  /// Zone maps.  uid ranges over every record; fileId ranges over the
+  /// value a decode would produce (0 for records without post-op
+  /// attrs), so record-level predicate semantics match.
   std::uint32_t uidMin = 0;
   std::uint32_t uidMax = ~std::uint32_t{0};
   std::uint64_t fileIdMin = 0;
   std::uint64_t fileIdMax = ~std::uint64_t{0};
 };
 
-/// Footer-index entry sizes on disk: schema 4 appends uid/fileId zone
-/// maps to the legacy 32-byte entry.
+/// Footer-index entry size on disk.
 inline constexpr std::size_t kIndexEntryBytes = 56;
-inline constexpr std::size_t kIndexEntryBytesLegacy = 32;
 
 struct ExtentHeader {
   std::uint32_t payloadBytes = 0;
@@ -115,12 +110,11 @@ struct ExtentHeader {
 void appendSchema(std::string& out);
 
 /// Validate + skip a schema block at `data` (bytes after the file magic).
-/// Returns the block's total size, or nullopt if malformed.  Accepts the
-/// current schema 4 plus the legacy schema 3 (32-byte footer entries)
-/// and schema 2 (ftype as raw byte); with non-null `schemaVersion`,
-/// reports which one was found.
+/// Returns the block's total size, or nullopt if the block is malformed
+/// or names any schema but "nfstrace-v2 schema 4" (the only one read);
+/// with non-null `error`, says which, naming the schema found.
 std::optional<std::size_t> parseSchema(const char* data, std::size_t n,
-                                       int* schemaVersion = nullptr);
+                                       std::string* error = nullptr);
 
 /// Parse + validate a fixed extent header (kExtentHeaderBytes bytes
 /// starting at the magic).  Returns false on bad magic or header CRC.
@@ -133,28 +127,20 @@ void appendIndex(std::string& out, const std::vector<ExtentInfo>& extents,
 
 /// Load the footer index of a v2 trace.  nullopt when the file is not
 /// v2, has no footer (torn tail / still being written), or the footer
-/// fails its CRC.  Legacy 32-byte entries load with conservative
-/// (never-prune) uid/fileId zone maps.
+/// fails its CRC.
 std::optional<std::vector<ExtentInfo>> loadExtentIndex(
     const std::string& path);
 
-/// One extent of a (possibly concatenated) v2 stream: its footer-index
-/// entry with the offset rebased to the whole file, plus the schema
-/// version of the segment it belongs to.
-struct ChainedExtent {
-  ExtentInfo info;
-  int schema = 4;
-};
-
 /// Load the extent index of a v2 stream that may be several sealed
 /// segments concatenated back to back (cat of the daemon's sealed
-/// files).  Walks segments forward, chains every "NFIX" footer, and
-/// cross-checks each footer entry against the extent headers actually
-/// walked, so a bad or missing footer can never silently drop extents.
-/// nullopt when the file is not v2 or any segment lacks a clean,
-/// CRC-valid, header-consistent footer — callers fall back to the
-/// sequential magic-scan reader.
-std::optional<std::vector<ChainedExtent>> loadChainedIndex(
+/// files), with every entry's offset rebased to the whole file.  Walks
+/// segments forward, chains every "NFIX" footer, and cross-checks each
+/// footer entry against the extent headers actually walked, so a bad or
+/// missing footer can never silently drop extents.  nullopt when the
+/// file is not v2 or any segment lacks a clean, CRC-valid,
+/// header-consistent footer — callers fall back to the sequential
+/// magic-scan reader.
+std::optional<std::vector<ExtentInfo>> loadChainedIndex(
     const std::string& path);
 
 /// Writer-side column accumulator for one extent.  Records stream in via
@@ -206,12 +192,6 @@ class ExtentDecoder {
   /// The payload buffer the caller freads into before load() (reused
   /// across extents).
   std::vector<std::uint8_t>& buffer();
-
-  /// File-level schema version from parseSchema (default 4, the current
-  /// schema; 3 differs only in footer-entry width so decodes the same).
-  /// Schema 2 switches the ftype column to its legacy raw-byte decode;
-  /// sticky across every load() on this decoder.
-  void setSchema(int version);
 
   /// Parse dictionaries + column cursors from buffer() (which must hold
   /// hdr.payloadBytes bytes whose CRC already checked out).  Throws

@@ -1,11 +1,13 @@
 // Analysis-engine pins: batch decoding equivalence, intern-id stability,
 // recovery on batch boundaries, and the determinism guarantee (output
-// byte-identical to serial at any worker count).
+// byte-identical to serial at any thread count, from either source).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,42 +52,32 @@ class EngineTest : public ::testing::Test {
     // ctest entry, so concurrent processes would race on a fixed path.
     std::string pid = std::to_string(::getpid());
     textPath_ = new std::string("/tmp/engine_test_" + pid + "_text.trace");
-    binPath_ = new std::string("/tmp/engine_test_" + pid + "_bin.trace");
     {
       TraceWriter w(*textPath_, TraceWriter::Format::Text);
-      for (const auto& r : *records_) w.write(r);
-    }
-    {
-      TraceWriter w(*binPath_, TraceWriter::Format::Binary);
       for (const auto& r : *records_) w.write(r);
     }
   }
 
   static void TearDownTestSuite() {
     std::remove(textPath_->c_str());
-    std::remove(binPath_->c_str());
     delete records_;
     delete textPath_;
-    delete binPath_;
     records_ = nullptr;
     textPath_ = nullptr;
-    binPath_ = nullptr;
   }
 
   static std::vector<TraceRecord>* records_;
   static std::string* textPath_;
-  static std::string* binPath_;
 };
 
 std::vector<TraceRecord>* EngineTest::records_ = nullptr;
 std::string* EngineTest::textPath_ = nullptr;
-std::string* EngineTest::binPath_ = nullptr;
 
-std::string runEngineReport(const std::string& path, std::size_t workers,
+std::string runEngineReport(const std::string& path, std::size_t threads,
                             bool recover = false) {
   StandardAnalyses analyses;
   AnalysisEngine::Config cfg;
-  cfg.workers = workers;
+  cfg.decodeThreads = threads;
   AnalysisEngine engine(cfg);
   engine.addPasses(analyses.all());
   TraceReader reader(path, recover);
@@ -123,10 +115,6 @@ void checkBatchMatchesNext(const std::string& path) {
 
 TEST_F(EngineTest, BatchReaderMatchesNextText) {
   checkBatchMatchesNext(*textPath_);
-}
-
-TEST_F(EngineTest, BatchReaderMatchesNextBinary) {
-  checkBatchMatchesNext(*binPath_);
 }
 
 TEST_F(EngineTest, NextShimStillWorks) {
@@ -242,30 +230,62 @@ TEST_F(EngineTest, RecoverResyncsLandOnBatchBoundaries) {
 
 // -------------------------------------------------------- determinism
 
+std::string v2Copy(const std::vector<TraceRecord>& records,
+                   const std::string& path) {
+  TraceWriter::Options opts;
+  opts.format = TraceWriter::Format::V2;
+  opts.v2ExtentRecords = 512;  // many extents; batches end at each one
+  TraceWriter w(path, opts);
+  for (const auto& r : records) w.write(r);
+  return path;
+}
+
 TEST_F(EngineTest, ReportByteIdenticalAtAnyWorkerCount) {
-  std::string serial = runEngineReport(*textPath_, 1);
-  EXPECT_FALSE(serial.empty());
-  for (std::size_t workers : {2u, 4u, 7u}) {
-    EXPECT_EQ(runEngineReport(*textPath_, workers), serial)
-        << "report diverged at " << workers << " workers";
+  // The same records as text and as v2, through run() (the reader) and
+  // runFile() (the extent walk on v2 once threads > 1), inline and
+  // fanned out: one report.
+  const std::string v2Path =
+      v2Copy(*records_, "/tmp/engine_test_" + std::to_string(::getpid()) +
+                            "_copy.v2");
+  auto report = [](const std::string& path, std::size_t threads,
+                   bool viaFile,
+                   std::size_t batchRecords = TraceBatch::kDefaultCapacity) {
+    StandardAnalyses analyses;
+    AnalysisEngine::Config cfg;
+    cfg.decodeThreads = threads;
+    cfg.batchRecords = batchRecords;
+    AnalysisEngine engine(cfg);
+    engine.addPasses(analyses.all());
+    if (viaFile) {
+      engine.runFile(path);
+    } else {
+      TraceReader reader(path);
+      engine.run(reader);
+    }
+    return renderReportText("trace", analyses);
+  };
+  const std::string serial = report(*textPath_, 1, false);
+  ASSERT_FALSE(serial.empty());
+  for (std::size_t threads : {1u, 2u, 3u, 4u, 7u, 8u}) {
+    for (const std::string& path : {*textPath_, v2Path}) {
+      for (bool viaFile : {false, true}) {
+        EXPECT_EQ(report(path, threads, viaFile), serial)
+            << path << " at " << threads << " threads via "
+            << (viaFile ? "runFile" : "run");
+      }
+    }
   }
-  // Small batches force many seq%workers handoffs; still identical.
-  StandardAnalyses analyses;
-  AnalysisEngine::Config cfg;
-  cfg.workers = 3;
-  cfg.batchRecords = 19;
-  AnalysisEngine engine(cfg);
-  engine.addPasses(analyses.all());
-  TraceReader reader(*textPath_);
-  engine.run(reader);
-  EXPECT_EQ(renderReportText(*textPath_, analyses), serial);
+  // Small batches force many seq%threads handoffs; still identical.
+  EXPECT_EQ(report(*textPath_, 3, false, 19), serial);
+  EXPECT_EQ(report(v2Path, 3, true, 19), serial);
+  std::remove(v2Path.c_str());
 }
 
 TEST_F(EngineTest, JsonReportDeterministicToo) {
-  auto runJson = [&](std::size_t workers) {
+  auto runJson = [&](std::size_t threads) {
     StandardAnalyses analyses;
     AnalysisEngine::Config cfg;
-    cfg.workers = workers;
+    cfg.decodeThreads = threads;
     AnalysisEngine engine(cfg);
     engine.addPasses(analyses.all());
     TraceReader reader(*textPath_);
@@ -276,6 +296,92 @@ TEST_F(EngineTest, JsonReportDeterministicToo) {
   EXPECT_FALSE(j1.empty());
   EXPECT_EQ(j1.front(), '{');
   EXPECT_EQ(runJson(4), j1);
+}
+
+/// A pass whose observe() throws on the third batch it sees.
+class ThrowingPass : public AnalysisPass {
+ public:
+  explicit ThrowingPass(bool mergeable) : mergeable_(mergeable) {}
+  std::string_view name() const override { return "throwing"; }
+  bool mergeable() const override { return mergeable_; }
+  void prepare(std::size_t) override { seen_ = 0; }
+  void observe(const TraceBatch&, std::size_t) override {
+    if (++seen_ == 3) throw std::runtime_error("observe failed");
+  }
+  void finalize() override {}
+
+ private:
+  bool mergeable_;
+  std::atomic<int> seen_{0};
+};
+
+TEST_F(EngineTest, FanOutRethrowsScanErrors) {
+  // A pass that throws on a worker thread: the fan-out keeps draining,
+  // joins, and rethrows instead of ending the program.
+  for (bool mergeable : {false, true}) {
+    SCOPED_TRACE(mergeable ? "mergeable" : "sequential");
+    StandardAnalyses analyses;
+    ThrowingPass throwing(mergeable);
+    AnalysisEngine::Config cfg;
+    cfg.decodeThreads = 4;
+    cfg.batchRecords = 64;
+    AnalysisEngine engine(cfg);
+    engine.addPasses(analyses.all());
+    engine.addPass(&throwing);
+    TraceReader reader(*textPath_);
+    EXPECT_THROW(engine.run(reader), std::runtime_error);
+  }
+
+  // A strict scan of a damaged trace throws on the decoding thread; the
+  // fan-out must stop its workers and rethrow, from either source.
+  const std::string base = "/tmp/engine_test_" + std::to_string(::getpid());
+  const std::string textBad = base + "_bad.trace";
+  {
+    std::FILE* in = std::fopen(textPath_->c_str(), "rb");
+    std::FILE* out = std::fopen(textBad.c_str(), "wb");
+    ASSERT_NE(in, nullptr);
+    ASSERT_NE(out, nullptr);
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
+      std::fwrite(buf, 1, n, out);
+    }
+    std::fputs("x#!neither comment nor parseable\n", out);
+    std::fclose(in);
+    std::fclose(out);
+  }
+  const std::string v2Bad = v2Copy(*records_, base + "_bad.v2");
+  {
+    // Flip a payload byte of extent 2: headers and footer stay valid, so
+    // runFile takes the extent walk and meets the CRC mismatch mid-scan.
+    auto index = tracev2::loadExtentIndex(v2Bad);
+    ASSERT_TRUE(index.has_value());
+    ASSERT_GT(index->size(), 3u);
+    std::FILE* f = std::fopen(v2Bad.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f,
+               static_cast<long>((*index)[2].offset +
+                                 tracev2::kExtentHeaderBytes + 16),
+               SEEK_SET);
+    int c = std::fgetc(f);
+    std::fseek(f, -1, SEEK_CUR);
+    std::fputc(c ^ 0x5a, f);
+    std::fclose(f);
+  }
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    StandardAnalyses analyses;
+    AnalysisEngine::Config cfg;
+    cfg.decodeThreads = threads;
+    AnalysisEngine engine(cfg);
+    engine.addPasses(analyses.all());
+    TraceReader reader(textBad);
+    EXPECT_THROW(engine.run(reader), std::runtime_error);
+    EXPECT_GT(engine.stats().records, 0u);
+    EXPECT_THROW(engine.runFile(v2Bad), std::runtime_error);
+  }
+  std::remove(textBad.c_str());
+  std::remove(v2Bad.c_str());
 }
 
 // --------------------------------------------- legacy-result equality

@@ -537,20 +537,6 @@ TEST_F(FaultFileTest, TextCheckpointsAreInvisibleToNormalReaders) {
   EXPECT_EQ(rs.checkpointRecords, 5u);
 }
 
-TEST_F(FaultFileTest, BinaryCheckpointsAreInvisibleToNormalReaders) {
-  TraceWriter::Options opts;
-  opts.format = TraceWriter::Format::Binary;
-  opts.checkpointEveryRecords = 2;
-  {
-    TraceWriter w(path_, opts);
-    for (std::uint32_t i = 0; i < 5; ++i) w.write(simpleRecord(i));
-  }
-  EXPECT_EQ(TraceReader::readAll(path_).size(), 5u);
-  TraceReader::RecoverStats rs;
-  EXPECT_EQ(TraceReader::recoverAll(path_, &rs).size(), 5u);
-  EXPECT_EQ(rs.checkpoints, 3u);
-}
-
 TEST_F(FaultFileTest, TextRecoverySkipsCorruptionWithExactAccounting) {
   TraceWriter::Options opts;
   opts.checkpointEveryRecords = 50;
@@ -597,81 +583,6 @@ TEST_F(FaultFileTest, TextRecoverySkipsCorruptionWithExactAccounting) {
   EXPECT_EQ(rs.resyncs, 1u);
   EXPECT_EQ(rs.checkpoints, 4u);
   EXPECT_EQ(rs.recovered + rs.skipped, 200u);
-}
-
-TEST_F(FaultFileTest, BinaryRecoveryResynchronizesAtCheckpoints) {
-  TraceWriter::Options opts;
-  opts.format = TraceWriter::Format::Binary;
-  opts.checkpointEveryRecords = 10;
-  {
-    TraceWriter w(path_, opts);
-    for (std::uint32_t i = 0; i < 100; ++i) w.write(simpleRecord(i));
-  }
-
-  // Walk the frame structure to find record 24's length prefix and smash
-  // it with an absurd length, severing the record chain mid-file.
-  std::string bytes = readFileBytes(path_);
-  auto u32At = [&](std::size_t at) {
-    return static_cast<std::uint32_t>(
-        static_cast<std::uint8_t>(bytes[at]) |
-        (static_cast<std::uint8_t>(bytes[at + 1]) << 8) |
-        (static_cast<std::uint8_t>(bytes[at + 2]) << 16) |
-        (static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[at + 3]))
-         << 24));
-  };
-  std::size_t pos = 6;  // "NFST1\n"
-  int seen = 0;
-  std::size_t target = 0;
-  while (pos + 4 <= bytes.size()) {
-    std::uint32_t len = u32At(pos);
-    if (len == 0xFFFFFFFFu) {
-      pos += 4 + 16;  // checkpoint sentinel: magic + count
-      continue;
-    }
-    if (seen == 24) {
-      target = pos;
-      break;
-    }
-    ++seen;
-    pos += 4 + len;
-  }
-  ASSERT_GT(target, 0u);
-  bytes[target] = '\xff';
-  bytes[target + 1] = '\xff';
-  bytes[target + 2] = '\xff';
-  bytes[target + 3] = '\x7f';
-  writeFileBytes(path_, bytes);
-
-  EXPECT_THROW(TraceReader::readAll(path_), std::runtime_error);
-
-  // Recovery scans forward to the n=30 checkpoint, which proves exactly
-  // six records (25..30) were lost to the corrupt region.
-  TraceReader::RecoverStats rs;
-  auto recs = TraceReader::recoverAll(path_, &rs);
-  EXPECT_EQ(recs.size(), 94u);
-  EXPECT_EQ(rs.recovered, 94u);
-  EXPECT_EQ(rs.skipped, 6u);
-  EXPECT_EQ(rs.resyncs, 1u);
-  EXPECT_EQ(rs.checkpoints, 10u);
-  EXPECT_EQ(rs.recovered + rs.skipped, 100u);
-}
-
-TEST_F(FaultFileTest, BinaryRecoverySurvivesATruncatedTail) {
-  TraceWriter::Options opts;
-  opts.format = TraceWriter::Format::Binary;
-  opts.checkpointEveryRecords = 0;  // no checkpoints: pure truncation case
-  {
-    TraceWriter w(path_, opts);
-    for (std::uint32_t i = 0; i < 30; ++i) w.write(simpleRecord(i));
-  }
-  std::string bytes = readFileBytes(path_);
-  writeFileBytes(path_, bytes.substr(0, bytes.size() - 10));
-
-  TraceReader::RecoverStats rs;
-  auto recs = TraceReader::recoverAll(path_, &rs);
-  EXPECT_EQ(recs.size(), 29u);  // the final record was cut mid-body
-  EXPECT_EQ(rs.resyncs, 1u);
-  EXPECT_EQ(rs.skipped, 0u);  // no checkpoint to charge the tail against
 }
 
 // ---------------------------------------------------------------------------

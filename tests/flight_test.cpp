@@ -226,7 +226,7 @@ TEST(FlightChaos, EndToEndCoversStagesAndRendersValidChromeTrace) {
   // wires it: reader decode, per-pass observe, finalize.
   StandardAnalyses analyses;
   AnalysisEngine::Config ecfg;
-  ecfg.workers = 2;
+  ecfg.decodeThreads = 2;
   AnalysisEngine engine(ecfg);
   engine.addPasses(analyses.all());
   engine.attachFlight(flight);

@@ -1,8 +1,7 @@
-// Query pushdown and extent-parallel decode: the zone-map-pruned scan
-// must produce byte-identical reports to the record-filter-only oracle
-// on randomized traces and predicates, the extent scheduler must be
-// byte-identical to the serial reader at any thread count, legacy
-// schema-2/3 files must decode identically through the new path, and
+// Query pushdown and the extent walk: the zone-map-pruned scan must
+// produce byte-identical reports to the record-filter-only oracle on
+// randomized traces and predicates, the extent walk feeding the fan-out
+// must be byte-identical to the serial reader at any thread count, and
 // concatenated sealed segments must chain (with a sequential fallback
 // when a footer is missing).
 #include <gtest/gtest.h>
@@ -36,10 +35,8 @@ class QueryTest : public ::testing::Test {
 };
 
 /// Randomized record with the field population the sniffer can actually
-/// produce, so every decode path round-trips it identically.  With
-/// `inEnumFtypes`, ftype stays < 0x80 — required by the legacy-schema
-/// tests, where schema 2's raw-byte ftype column must equal the varint.
-TraceRecord randomRecord(Rng& rng, MicroTime ts, bool inEnumFtypes) {
+/// produce, so every decode path round-trips it identically.
+TraceRecord randomRecord(Rng& rng, MicroTime ts) {
   static const NfsOp kOps[] = {
       NfsOp::Getattr, NfsOp::Setattr, NfsOp::Lookup, NfsOp::Access,
       NfsOp::Read,    NfsOp::Write,   NfsOp::Create, NfsOp::Remove,
@@ -82,7 +79,7 @@ TraceRecord randomRecord(Rng& rng, MicroTime ts, bool inEnumFtypes) {
     }
     if (rng.chance(0.8)) {
       r.hasAttrs = true;
-      r.ftype = !inEnumFtypes && rng.chance(0.02)
+      r.ftype = rng.chance(0.02)
                     ? static_cast<FileType>(rng.below(1u << 16) + 8)
                     : rng.chance(0.2) ? FileType::Directory
                                       : FileType::Regular;
@@ -99,15 +96,14 @@ TraceRecord randomRecord(Rng& rng, MicroTime ts, bool inEnumFtypes) {
   return r;
 }
 
-std::vector<TraceRecord> randomRecords(std::size_t n, std::uint64_t seed,
-                                       bool inEnumFtypes = false) {
+std::vector<TraceRecord> randomRecords(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<TraceRecord> out;
   out.reserve(n);
   MicroTime ts = 86400 * kMicrosPerSecond;
   for (std::size_t i = 0; i < n; ++i) {
     ts += static_cast<MicroTime>(rng.below(20000));
-    out.push_back(randomRecord(rng, ts, inEnumFtypes));
+    out.push_back(randomRecord(rng, ts));
   }
   return out;
 }
@@ -121,8 +117,8 @@ void writeV2(const std::string& path, const std::vector<TraceRecord>& recs,
   for (const auto& r : recs) w.write(r);
 }
 
-/// The oracle: classic reader scan, record-level filtering only (no
-/// zone-map pruning, no extent parallelism).
+/// The oracle: classic reader scan, inline, record-level filtering only
+/// (no zone-map pruning).
 std::string reportClassic(const std::string& path,
                           const ScanPredicate& pred = {}) {
   StandardAnalyses analyses;
@@ -135,8 +131,8 @@ std::string reportClassic(const std::string& path,
   return renderReportText("q", analyses);
 }
 
-/// The path under test: runFile dispatches to the extent scanner when
-/// threads > 1 or the predicate is non-trivial.
+/// The path under test: runFile takes the extent walk when threads > 1
+/// or the predicate is non-trivial.
 std::string reportExtent(const std::string& path, std::size_t threads,
                          const ScanPredicate& pred = {},
                          AnalysisEngine::Stats* statsOut = nullptr) {
@@ -149,22 +145,6 @@ std::string reportExtent(const std::string& path, std::size_t threads,
   engine.runFile(path);
   if (statsOut) *statsOut = engine.stats();
   return renderReportText("q", analyses);
-}
-
-/// Patch the one schema digit in the header block ("schema 4" ->
-/// "schema <d>"), turning a current-writer file into what a pre-bump
-/// writer produced.
-void patchSchemaDigit(const std::string& path, char digit) {
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  char head[128];
-  std::size_t got = std::fread(head, 1, sizeof(head), f);
-  std::string h(head, got);
-  std::size_t pos = h.find("schema 4");
-  ASSERT_NE(pos, std::string::npos);
-  ASSERT_EQ(std::fseek(f, static_cast<long>(pos + 7), SEEK_SET), 0);
-  std::fputc(digit, f);
-  std::fclose(f);
 }
 
 TEST_F(QueryTest, PrunedMatchesUnprunedOnRandomizedPredicates) {
@@ -242,6 +222,8 @@ TEST_F(QueryTest, TimeWindowPrunesWholeExtents) {
 }
 
 TEST_F(QueryTest, ParallelDecodeByteIdenticalAcrossThreadCounts) {
+  // The extent walk feeding the fan-out: every thread count renders the
+  // serial reader's report, unpruned and pruned alike.
   auto recs = randomRecords(2000, 33);
   writeV2(path_, recs, /*extentRecords=*/256);
   std::string oracle = reportClassic(path_);
@@ -252,37 +234,23 @@ TEST_F(QueryTest, ParallelDecodeByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(st.records, recs.size());
     EXPECT_EQ(st.extentsPruned, 0u);
   }
-}
-
-TEST_F(QueryTest, LegacySchemaFilesDecodeIdenticallyThroughExtentPath) {
-  // Pre-bump files (schema 2: raw-byte ftype column; schema 3: varint
-  // ftype, 32-byte footer era) must decode through the extent scanner
-  // exactly as through the classic reader.  The writer emits schema 4;
-  // patching the digit back reproduces a legacy file because the column
-  // encodings agree for in-enum ftypes and footer-entry width is
-  // CRC-disambiguated, not schema-gated.
-  for (char digit : {'2', '3'}) {
-    SCOPED_TRACE(std::string("schema ") + digit);
-    auto recs = randomRecords(900, 55, /*inEnumFtypes=*/true);
-    writeV2(path_, recs, /*extentRecords=*/128);
-    patchSchemaDigit(path_, digit);
-    auto back = TraceReader::readAll(path_);
-    ASSERT_EQ(back.size(), recs.size());
-    std::string oracle = reportClassic(path_);
-    AnalysisEngine::Stats st;
-    EXPECT_EQ(reportExtent(path_, 4, {}, &st), oracle);
-    EXPECT_EQ(st.records, recs.size());
-    ScanPredicate pred;
-    pred.ops = opMaskBit(NfsOp::Read) | opMaskBit(NfsOp::Write);
-    EXPECT_EQ(reportExtent(path_, 2, pred), reportClassic(path_, pred));
-  }
+  // A pruned predicate at 4 threads: a mid-trace time window over data
+  // ops, so extents are pruned and the op-mask skip can fire.
+  ScanPredicate pred;
+  pred.from = recs[600].ts;
+  pred.to = recs[1300].ts;
+  pred.ops = opMaskBit(NfsOp::Read) | opMaskBit(NfsOp::Write);
+  AnalysisEngine::Stats st;
+  EXPECT_EQ(reportExtent(path_, 4, pred, &st), reportClassic(path_, pred));
+  EXPECT_GT(st.extentsPruned, 0u);
+  EXPECT_GT(st.records, 0u);
 }
 
 TEST_F(QueryTest, ChainedSegmentsIndexAndScanIdentically) {
   // Concatenated sealed segments — what the daemon's retention window
   // looks like as one byte stream.  The chained index must cover every
   // extent of every segment (offsets rebased), and both the sequential
-  // reader and the extent scanner must see all records.
+  // reader and the extent walk must see all records.
   auto all = randomRecords(1800, 77);
   std::vector<std::string> parts;
   for (int s = 0; s < 3; ++s) {

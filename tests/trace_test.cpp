@@ -166,30 +166,6 @@ TEST_F(TraceFileTest, TextFileRoundTrip) {
   for (std::size_t i = 0; i < 3; ++i) expectEqualRecords(recs[i], back[i]);
 }
 
-TEST_F(TraceFileTest, BinaryFileRoundTrip) {
-  std::vector<TraceRecord> recs = {sampleRecord(NfsOp::Read),
-                                   sampleRecord(NfsOp::Rename),
-                                   sampleRecord(NfsOp::Create)};
-  {
-    TraceWriter w(path_, TraceWriter::Format::Binary);
-    for (const auto& r : recs) w.write(r);
-  }
-  auto back = TraceReader::readAll(path_);
-  ASSERT_EQ(back.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) expectEqualRecords(recs[i], back[i]);
-}
-
-TEST_F(TraceFileTest, BinaryDetectedByMagic) {
-  {
-    TraceWriter w(path_, TraceWriter::Format::Binary);
-    w.write(sampleRecord(NfsOp::Read));
-  }
-  TraceReader r(path_);
-  auto rec = r.next();
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ(rec->op, NfsOp::Read);
-}
-
 TEST_F(TraceFileTest, MissingFileThrows) {
   EXPECT_THROW(TraceReader r("/no/such/trace"), std::runtime_error);
 }
@@ -197,22 +173,18 @@ TEST_F(TraceFileTest, MissingFileThrows) {
 TEST_F(TraceFileTest, CheckpointFootersInvisibleToPlainReaders) {
   // Checkpoint footers (written for crash/corruption recovery) must be
   // format-compatible: a reader that knows nothing about recovery sees
-  // only the records, in both text and binary form.
-  for (auto format :
-       {TraceWriter::Format::Text, TraceWriter::Format::Binary}) {
-    TraceWriter::Options opts;
-    opts.format = format;
-    opts.checkpointEveryRecords = 1;  // footer after every record
-    {
-      TraceWriter w(path_, opts);
-      w.write(sampleRecord(NfsOp::Read));
-      w.write(sampleRecord(NfsOp::Write));
-      w.write(sampleRecord(NfsOp::Lookup));
-    }
-    auto back = TraceReader::readAll(path_);
-    ASSERT_EQ(back.size(), 3u);
-    EXPECT_EQ(back[1].op, NfsOp::Write);
+  // only the records.
+  TraceWriter::Options opts;
+  opts.checkpointEveryRecords = 1;  // footer after every record
+  {
+    TraceWriter w(path_, opts);
+    w.write(sampleRecord(NfsOp::Read));
+    w.write(sampleRecord(NfsOp::Write));
+    w.write(sampleRecord(NfsOp::Lookup));
   }
+  auto back = TraceReader::readAll(path_);
+  ASSERT_EQ(back.size(), 3u);
+  EXPECT_EQ(back[1].op, NfsOp::Write);
 }
 
 }  // namespace

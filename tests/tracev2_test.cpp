@@ -5,6 +5,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 #include <unistd.h>
 
 #include "trace/tracefile.hpp"
@@ -173,21 +175,23 @@ TEST_F(TraceV2Test, RoundTripRandomizedRecordsAcrossExtents) {
   }
 }
 
-TEST_F(TraceV2Test, ReadsLegacySchema2Files) {
-  // Schema 2 stored the ftype column as a raw byte where schemas 3+ use
-  // a varint.  For in-enum ftypes (all < 0x80) the two encodings are
-  // byte-identical, so a current-writer file with its schema line patched
-  // back to "schema 2" is exactly what a pre-bump writer produced — and
-  // the reader must still accept and decode it, not reject every segment
-  // sealed before the upgrade.  (The schema-4 56-byte footer entries
-  // still load: entry width is CRC-disambiguated, not schema-gated.)
-  auto recs = randomRecords(600, /*seed=*/11);
-  for (auto& r : recs) {
-    if (static_cast<std::uint32_t>(r.ftype) >= 0x80) {
-      r.ftype = FileType::Directory;
-    }
+/// Expect `fn` to throw std::runtime_error whose message contains
+/// `needle`.
+template <class Fn>
+void expectThrowMentioning(Fn&& fn, const std::string& needle) {
+  try {
+    fn();
+    ADD_FAILURE() << "no exception; wanted one mentioning " << needle;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
   }
-  writeV2(path_, recs, /*extentRecords=*/128);
+}
+
+TEST_F(TraceV2Test, RejectsSchema3FileNamingTheSchema) {
+  // Only schema 4 is read.  A file stamped with an older schema line is
+  // refused outright, and the error says which schema it found.
+  writeV2(path_, randomRecords(300, /*seed=*/11), /*extentRecords=*/128);
   {
     std::FILE* f = std::fopen(path_.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
@@ -197,14 +201,34 @@ TEST_F(TraceV2Test, ReadsLegacySchema2Files) {
     std::size_t pos = h.find("schema 4");
     ASSERT_NE(pos, std::string::npos);
     ASSERT_EQ(std::fseek(f, static_cast<long>(pos + 7), SEEK_SET), 0);
-    std::fputc('2', f);
+    std::fputc('3', f);
     std::fclose(f);
   }
-  auto back = TraceReader::readAll(path_);
-  ASSERT_EQ(back.size(), recs.size());
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    expectSameRecord(recs[i], back[i], i);
+  expectThrowMentioning([&] { TraceReader reader(path_); },
+                        "nfstrace-v2 schema 3");
+  EXPECT_FALSE(tracev2::loadChainedIndex(path_).has_value());
+
+  // The same segment behind a current one, as concatenated daemon
+  // output: the strict reader refuses it too instead of stopping short.
+  const std::string chained = path_ + ".chained";
+  writeV2(chained, randomRecords(200, /*seed=*/12), /*extentRecords=*/128);
+  {
+    std::FILE* out = std::fopen(chained.c_str(), "ab");
+    std::FILE* in = std::fopen(path_.c_str(), "rb");
+    ASSERT_NE(out, nullptr);
+    ASSERT_NE(in, nullptr);
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
+      std::fwrite(buf, 1, n, out);
+    }
+    std::fclose(in);
+    std::fclose(out);
   }
+  expectThrowMentioning([&] { TraceReader::readAll(chained); },
+                        "nfstrace-v2 schema 3");
+  EXPECT_FALSE(tracev2::loadChainedIndex(chained).has_value());
+  std::remove(chained.c_str());
 }
 
 TEST_F(TraceV2Test, MatchesTextFormatNormalization) {
@@ -319,25 +343,32 @@ TEST_F(TraceV2Test, EmptyTraceHasEmptyIndex) {
 
 TEST_F(TraceV2Test, DetectsFormatsByMagic) {
   auto recs = randomRecords(10);
-  std::string text = path_ + ".t", bin = path_ + ".b";
+  std::string text = path_ + ".t", v1 = path_ + ".b";
   {
     TraceWriter wt(text, TraceWriter::Format::Text);
-    TraceWriter wb(bin, TraceWriter::Format::Binary);
-    for (const auto& r : recs) {
-      wt.write(r);
-      wb.write(r);
-    }
+    for (const auto& r : recs) wt.write(r);
     writeV2(path_, recs);
   }
+  {
+    // The retired v1 binary format: its magic must be refused with an
+    // error that says so, not parsed as a text trace.
+    std::FILE* f = std::fopen(v1.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("NFST1\n", f);
+    std::fclose(f);
+  }
   EXPECT_EQ(detectTraceFormat(text), TraceWriter::Format::Text);
-  EXPECT_EQ(detectTraceFormat(bin), TraceWriter::Format::Binary);
   EXPECT_EQ(detectTraceFormat(path_), TraceWriter::Format::V2);
+  expectThrowMentioning([&] { detectTraceFormat(v1); },
+                        "v1 binary traces are no longer read");
+  expectThrowMentioning([&] { TraceReader reader(v1, /*recover=*/true); },
+                        "v1 binary traces are no longer read");
   std::remove(text.c_str());
-  std::remove(bin.c_str());
+  std::remove(v1.c_str());
 
   EXPECT_STREQ(traceFormatName(TraceWriter::Format::V2), "v2");
   EXPECT_EQ(traceFormatFromName("v2"), TraceWriter::Format::V2);
-  EXPECT_EQ(traceFormatFromName("binary"), TraceWriter::Format::Binary);
+  EXPECT_EQ(traceFormatFromName("binary"), std::nullopt);
   EXPECT_EQ(traceFormatFromName("bogus"), std::nullopt);
 }
 
