@@ -11,15 +11,15 @@
 //
 // A pruned-scan phase times a time-windowed query two ways over the v2
 // file: the classic reader scan with record-level filtering (the
-// oracle) vs the extent scanner with zone-map pushdown, which skips
-// whole extents whose footer [tsMin,tsMax] misses the window before any
+// oracle) vs runFile with zone-map pushdown, whose reader skips whole
+// extents whose footer [tsMin,tsMax] misses the window before any
 // decode.  pruned_scan_rps is total file records over elapsed time —
 // effective throughput, where pruning is the win.
 //
 // Correctness gate: the full 8-pass analysis report must be
 // byte-identical across both formats at 1 and 4 threads (through
-// runFile, so v2 at 4 threads is the extent walk feeding the fan-out),
-// and the pruned query report byte-identical to its unpruned oracle.
+// runFile, so at 4 threads the reader feeds the fan-out), and the
+// pruned query report byte-identical to its unpruned oracle.
 // Results land in BENCH_format.json; non-smoke exit is nonzero unless v2
 // scans >= 3x faster than text, is >= 2x smaller on disk with identical
 // reports, and the windowed query prunes >= 50% of extents with an
@@ -87,7 +87,7 @@ std::string runEngine(const std::string& path, std::size_t threads) {
 
 /// The same predicate two ways: pushdown=false is the oracle (classic
 /// reader scan, record-level filtering only); pushdown=true goes
-/// through runFile's extent scanner, which prunes via zone maps first.
+/// through runFile, whose reader prunes via zone maps first.
 std::string runEngineFiltered(const std::string& path,
                               const ScanPredicate& pred, bool pushdown,
                               AnalysisEngine::Stats* statsOut) {

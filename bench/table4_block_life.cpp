@@ -15,7 +15,7 @@ BlockLifeStats run(bool campusSystem) {
   cfg.phase1Start = days(1) + hours(9);  // Monday 9am
   cfg.phase1Length = kMicrosPerDay;
   cfg.phase2Length = kMicrosPerDay;
-  BlockLifeAnalyzer analyzer(cfg);
+  BlockLifeAnalyzer analyzer;
   auto cb = [&](const TraceRecord& r) { analyzer.observe(r); };
   MicroTime start = days(1);
   MicroTime end = days(3) + hours(9);
@@ -30,7 +30,7 @@ BlockLifeStats run(bool campusSystem) {
     s.workload->run(start, end);
     s.env->finishCapture();
   }
-  analyzer.finish();
+  analyzer.finish(cfg);
   return analyzer.stats();
 }
 

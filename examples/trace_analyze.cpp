@@ -109,6 +109,7 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
       if (batchRecords == 0) batchRecords = 1;
     } else if (!arg.empty() && arg[0] == '-') {
+      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return usage(argv[0]);
     } else {
       input = arg;
@@ -131,54 +132,38 @@ int main(int argc, char** argv) {
   if (!flightPath.empty()) engine.attachFlight(flight);
 
   AnalysisEngine::Stats st;
-  const bool extentScan =
-      !recover && (sf.decodeThreads > 1 || !sf.predicate.trivial());
-  if (extentScan) {
-    // runFile takes the extent walk on indexed v2 input (zone-map
-    // pruning) and falls back to the reader — record-level filtering
-    // still applies — on text or index-less input.
-    try {
-      st = engine.runFile(input);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr,
-                   "%s: %s\n"
-                   "rerun with --recover to skip corrupt regions with "
-                   "exact loss accounting\n",
-                   input.c_str(), e.what());
-      return 3;
-    }
-  } else {
-    TraceReader reader(input, recover);
-    try {
-      st = engine.run(reader);
-    } catch (const std::exception& e) {
-      // A torn or corrupt trace read without --recover: report how far
-      // the scan got (the checkpoint accounting bounds the damage) and
-      // exit nonzero instead of dying on a bare exception.
-      const auto& rs = reader.recoverStats();
-      std::fprintf(stderr,
-                   "%s: %s\n"
-                   "scanned %llu records before the damage "
-                   "(%llu checkpoints, last checkpoint at %llu records)\n"
-                   "rerun with --recover to skip corrupt regions with exact "
-                   "loss accounting\n",
-                   input.c_str(), e.what(),
-                   static_cast<unsigned long long>(engine.stats().records),
-                   static_cast<unsigned long long>(rs.checkpoints),
-                   static_cast<unsigned long long>(rs.checkpointRecords));
-      return 3;
-    }
-    if (recover) {
-      const auto& rs = reader.recoverStats();
-      std::fprintf(stderr,
-                   "recovery: %llu records recovered, %llu skipped "
-                   "(%llu resyncs, %llu checkpoints, %llu batch cuts)\n",
-                   static_cast<unsigned long long>(rs.recovered),
-                   static_cast<unsigned long long>(rs.skipped),
-                   static_cast<unsigned long long>(rs.resyncs),
-                   static_cast<unsigned long long>(rs.checkpoints),
-                   static_cast<unsigned long long>(st.resyncCuts));
-    }
+  // The reader gets the predicate too: on indexed v2 input it prunes
+  // whole extents via the footer zone maps before any decode.
+  TraceReader reader(input, recover, sf.predicate);
+  try {
+    st = engine.run(reader);
+  } catch (const std::exception& e) {
+    // A torn or corrupt trace read without --recover: report how far
+    // the scan got (the checkpoint accounting bounds the damage) and
+    // exit nonzero instead of dying on a bare exception.
+    const auto& rs = reader.recoverStats();
+    std::fprintf(stderr,
+                 "%s: %s\n"
+                 "scanned %llu records before the damage "
+                 "(%llu checkpoints, last checkpoint at %llu records)\n"
+                 "rerun with --recover to skip corrupt regions with exact "
+                 "loss accounting\n",
+                 input.c_str(), e.what(),
+                 static_cast<unsigned long long>(engine.stats().records),
+                 static_cast<unsigned long long>(rs.checkpoints),
+                 static_cast<unsigned long long>(rs.checkpointRecords));
+    return 3;
+  }
+  if (recover) {
+    const auto& rs = reader.recoverStats();
+    std::fprintf(stderr,
+                 "recovery: %llu records recovered, %llu skipped "
+                 "(%llu resyncs, %llu checkpoints, %llu batch cuts)\n",
+                 static_cast<unsigned long long>(rs.recovered),
+                 static_cast<unsigned long long>(rs.skipped),
+                 static_cast<unsigned long long>(rs.resyncs),
+                 static_cast<unsigned long long>(rs.checkpoints),
+                 static_cast<unsigned long long>(st.resyncCuts));
   }
   sf.reportPruning(st);
   if (st.records == 0) {

@@ -63,6 +63,15 @@ std::string makeDemoTrace(bool toStderr) {
   return path;
 }
 
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--json] [--recover] [--decode-threads N] "
+               "[--from SEC] [--to SEC] [--ops a,b,...] [--uid N] "
+               "[--metrics] [trace-file]\n",
+               argv0);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -73,7 +82,7 @@ int main(int argc, char** argv) {
   std::string input;
   for (int i = 1; i < argc; ++i) {
     int consumed = sf.tryParse(argc, argv, &i);
-    if (consumed < 0) return 2;
+    if (consumed < 0) return usage(argv[0]);
     if (consumed > 0) continue;
     std::string arg = argv[i];
     if (arg == "--json") {
@@ -82,6 +91,9 @@ int main(int argc, char** argv) {
       recover = true;
     } else if (arg == "--metrics") {
       metrics = true;
+    } else if (!arg.empty() && arg[0] == '-') {
+      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+      return usage(argv[0]);
     } else {
       input = arg;
     }
@@ -100,53 +112,37 @@ int main(int argc, char** argv) {
   if (metrics) engine.attachMetrics(registry);
 
   AnalysisEngine::Stats st;
-  const bool extentScan =
-      !recover && (sf.decodeThreads > 1 || !sf.predicate.trivial());
-  if (extentScan) {
-    // runFile takes the extent walk on indexed v2 input (zone-map
-    // pruning) and falls back to the reader — record-level filtering
-    // still applies — on text or index-less input.
-    try {
-      st = engine.runFile(input);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr,
-                   "%s: %s\n"
-                   "rerun with --recover to skip corrupt regions with "
-                   "exact loss accounting\n",
-                   input.c_str(), e.what());
-      return 3;
-    }
-  } else {
-    TraceReader reader(input, recover);
-    try {
-      st = engine.run(reader);
-    } catch (const std::exception& e) {
-      // A torn or corrupt trace read without --recover: report how far
-      // the scan got (the checkpoint accounting bounds the damage) and
-      // exit nonzero instead of dying on a bare exception.
-      const auto& rs = reader.recoverStats();
-      std::fprintf(stderr,
-                   "%s: %s\n"
-                   "scanned %llu records before the damage "
-                   "(%llu checkpoints, last checkpoint at %llu records)\n"
-                   "rerun with --recover to skip corrupt regions with exact "
-                   "loss accounting\n",
-                   input.c_str(), e.what(),
-                   static_cast<unsigned long long>(engine.stats().records),
-                   static_cast<unsigned long long>(rs.checkpoints),
-                   static_cast<unsigned long long>(rs.checkpointRecords));
-      return 3;
-    }
-    if (recover) {
-      const auto& rs = reader.recoverStats();
-      std::fprintf(stderr,
-                   "recovery: %llu records recovered, %llu skipped "
-                   "(%llu resyncs, %llu checkpoints)\n",
-                   static_cast<unsigned long long>(rs.recovered),
-                   static_cast<unsigned long long>(rs.skipped),
-                   static_cast<unsigned long long>(rs.resyncs),
-                   static_cast<unsigned long long>(rs.checkpoints));
-    }
+  // The reader gets the predicate too: on indexed v2 input it prunes
+  // whole extents via the footer zone maps before any decode.
+  TraceReader reader(input, recover, sf.predicate);
+  try {
+    st = engine.run(reader);
+  } catch (const std::exception& e) {
+    // A torn or corrupt trace read without --recover: report how far
+    // the scan got (the checkpoint accounting bounds the damage) and
+    // exit nonzero instead of dying on a bare exception.
+    const auto& rs = reader.recoverStats();
+    std::fprintf(stderr,
+                 "%s: %s\n"
+                 "scanned %llu records before the damage "
+                 "(%llu checkpoints, last checkpoint at %llu records)\n"
+                 "rerun with --recover to skip corrupt regions with exact "
+                 "loss accounting\n",
+                 input.c_str(), e.what(),
+                 static_cast<unsigned long long>(engine.stats().records),
+                 static_cast<unsigned long long>(rs.checkpoints),
+                 static_cast<unsigned long long>(rs.checkpointRecords));
+    return 3;
+  }
+  if (recover) {
+    const auto& rs = reader.recoverStats();
+    std::fprintf(stderr,
+                 "recovery: %llu records recovered, %llu skipped "
+                 "(%llu resyncs, %llu checkpoints)\n",
+                 static_cast<unsigned long long>(rs.recovered),
+                 static_cast<unsigned long long>(rs.skipped),
+                 static_cast<unsigned long long>(rs.resyncs),
+                 static_cast<unsigned long long>(rs.checkpoints));
   }
   sf.reportPruning(st);
   if (st.records == 0) {

@@ -1,46 +1,41 @@
 #include "analysis/blocklife.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace nfstrace {
+namespace {
 
-BlockLifeAnalyzer::BlockLifeAnalyzer(const BlockLifeConfig& config)
-    : config_(config) {}
+constexpr std::uint32_t kMaxRun = std::numeric_limits<std::uint32_t>::max();
+
+}  // namespace
 
 void BlockLifeAnalyzer::recordBirth(FileState& st, std::size_t block,
                                     MicroTime now, bool isWrite) {
   if (block >= st.birth.size()) st.birth.resize(block + 1, kUntracked);
-  if (inPhase1(now)) {
-    st.birth[block] = now;
-    ++stats_.births;
-    if (isWrite) {
-      ++stats_.birthsWrite;
-    } else {
-      ++stats_.birthsExtension;
-    }
+  st.birth[block] = now;
+  Cause cause = isWrite ? Cause::Write : Cause::Extension;
+  if (!births_.empty() && births_.back().ts == now &&
+      births_.back().cause == cause && births_.back().blocks < kMaxRun) {
+    ++births_.back().blocks;
   } else {
-    st.birth[block] = kUntracked;
+    births_.push_back({now, 1, cause});
   }
 }
 
 void BlockLifeAnalyzer::killBlock(FileState& st, std::size_t block,
-                                  MicroTime now,
-                                  std::uint64_t* deathCounter) {
+                                  MicroTime now, Cause cause) {
   if (block >= st.birth.size()) return;
   MicroTime born = st.birth[block];
   st.birth[block] = kUntracked;
-  if (born == kUntracked) return;          // not a tracked (phase-1) birth
-  if (!beforeEnd(now)) return;             // past the end margin
-  MicroTime lifespan = now - born;
-  if (lifespan > config_.phase2Length) {
-    // Censor: remove death records for lifespans longer than phase 2 to
-    // avoid sampling bias (Roselli's rule).
-    ++stats_.endSurplus;
-    return;
+  if (born == kUntracked) return;  // existed before the trace
+  if (!deaths_.empty() && deaths_.back().born == born &&
+      deaths_.back().died == now && deaths_.back().cause == cause &&
+      deaths_.back().blocks < kMaxRun) {
+    ++deaths_.back().blocks;
+  } else {
+    deaths_.push_back({born, now, 1, cause});
   }
-  ++stats_.deaths;
-  ++*deathCounter;
-  lifetimes_.add(toSeconds(lifespan));
 }
 
 void BlockLifeAnalyzer::observe(const TraceRecord& rec) {
@@ -48,7 +43,7 @@ void BlockLifeAnalyzer::observe(const TraceRecord& rec) {
     pathrec_.observe(rec);
     return;
   }
-  std::uint32_t bs = config_.blockSize;
+  constexpr std::uint32_t bs = kNfsBlockSize;
 
   switch (rec.op) {
     case NfsOp::Write: {
@@ -78,7 +73,7 @@ void BlockLifeAnalyzer::observe(const TraceRecord& rec) {
       for (std::uint64_t b = firstBlock; b <= lastBlock; ++b) {
         if (b < preBlocks) {
           // Overwrite of a live block: old version dies, new one is born.
-          killBlock(st, b, rec.ts, &stats_.deathsOverwrite);
+          killBlock(st, b, rec.ts, Cause::Overwrite);
           recordBirth(st, b, rec.ts, /*isWrite=*/true);
         } else {
           recordBirth(st, b, rec.ts, /*isWrite=*/!gapped);
@@ -103,7 +98,7 @@ void BlockLifeAnalyzer::observe(const TraceRecord& rec) {
       std::uint64_t newBlocks = (newSize + bs - 1) / bs;
       if (newBlocks < oldBlocks) {
         for (std::uint64_t b = newBlocks; b < oldBlocks; ++b) {
-          killBlock(st, b, rec.ts, &stats_.deathsTruncate);
+          killBlock(st, b, rec.ts, Cause::Truncate);
         }
       } else if (newBlocks > oldBlocks) {
         for (std::uint64_t b = oldBlocks; b < newBlocks; ++b) {
@@ -123,7 +118,7 @@ void BlockLifeAnalyzer::observe(const TraceRecord& rec) {
         if (it != files_.end()) {
           std::uint64_t blocks = it->second.birth.size();
           for (std::uint64_t b = 0; b < blocks; ++b) {
-            killBlock(it->second, b, rec.ts, &stats_.deathsDelete);
+            killBlock(it->second, b, rec.ts, Cause::Delete);
           }
           files_.erase(it);
         }
@@ -136,12 +131,42 @@ void BlockLifeAnalyzer::observe(const TraceRecord& rec) {
   pathrec_.observe(rec);
 }
 
-void BlockLifeAnalyzer::finish() {
-  if (finished_) return;
-  finished_ = true;
-  for (auto& [fh, st] : files_) {
+void BlockLifeAnalyzer::finish(const BlockLifeConfig& phases) {
+  const MicroTime phase1End = phases.phase1Start + phases.phase1Length;
+  const MicroTime marginEnd = phase1End + phases.phase2Length;
+  auto inPhase1 = [&](MicroTime t) {
+    return t >= phases.phase1Start && t < phase1End;
+  };
+  stats_ = {};
+  lifetimes_ = {};
+  for (const Birth& b : births_) {
+    if (!inPhase1(b.ts)) continue;
+    stats_.births += b.blocks;
+    (b.cause == Cause::Write ? stats_.birthsWrite : stats_.birthsExtension) +=
+        b.blocks;
+  }
+  for (const Death& d : deaths_) {
+    // Only blocks born in phase 1 are tracked, and only until the end of
+    // the margin.
+    if (!inPhase1(d.born) || d.died >= marginEnd) continue;
+    MicroTime lifespan = d.died - d.born;
+    if (lifespan > phases.phase2Length) {
+      // Censor: remove death records for lifespans longer than phase 2
+      // to avoid sampling bias (Roselli's rule).
+      stats_.endSurplus += d.blocks;
+      continue;
+    }
+    stats_.deaths += d.blocks;
+    (d.cause == Cause::Overwrite  ? stats_.deathsOverwrite
+     : d.cause == Cause::Truncate ? stats_.deathsTruncate
+                                  : stats_.deathsDelete) += d.blocks;
+    for (std::uint32_t i = 0; i < d.blocks; ++i) {
+      lifetimes_.add(toSeconds(lifespan));
+    }
+  }
+  for (const auto& [fh, st] : files_) {
     for (MicroTime born : st.birth) {
-      if (born != kUntracked) ++stats_.endSurplus;
+      if (born != kUntracked && inPhase1(born)) ++stats_.endSurplus;
     }
   }
 }
@@ -149,9 +174,9 @@ void BlockLifeAnalyzer::finish() {
 BlockLifeStats analyzeBlockLife(const std::vector<TraceRecord>& records,
                                 const BlockLifeConfig& config,
                                 EmpiricalCdf* lifetimesOut) {
-  BlockLifeAnalyzer analyzer(config);
+  BlockLifeAnalyzer analyzer;
   for (const auto& rec : records) analyzer.observe(rec);
-  analyzer.finish();
+  analyzer.finish(config);
   if (lifetimesOut) *lifetimesOut = analyzer.lifetimes();
   return analyzer.stats();
 }

@@ -6,6 +6,14 @@
 // die.  Lifespans longer than the Phase 2 length are censored into the
 // "end surplus" to remove sampling bias.
 //
+// The phases are a parameter of finish() only, so a caller can split the
+// trace's own span, known only at its end.  observe() logs every birth
+// (time, cause) and every death of a block born during the trace (birth
+// time, death time, cause) in stream order; finish() then decides which
+// of them fall inside the phases.  Consecutive identical events share
+// one entry with a block count, so one record that births or kills a
+// run of blocks logs one event per cause, not one per block.
+//
 // Births happen when a write or truncate-up allocates a block:
 //   * Write     — the block's bytes were actually written;
 //   * Extension — the block appeared because the file grew past it without
@@ -28,11 +36,11 @@
 
 namespace nfstrace {
 
+/// Phase bounds.  Blocks are kNfsBlockSize (8 KB) units.
 struct BlockLifeConfig {
   MicroTime phase1Start = 0;
   MicroTime phase1Length = kMicrosPerDay;
   MicroTime phase2Length = kMicrosPerDay;  // end margin
-  std::uint32_t blockSize = kNfsBlockSize;
 };
 
 struct BlockLifeStats {
@@ -54,51 +62,57 @@ struct BlockLifeStats {
 
 class BlockLifeAnalyzer {
  public:
-  explicit BlockLifeAnalyzer(const BlockLifeConfig& config);
-
   /// Feed records in time order.  The analyzer maintains its own
   /// hierarchy reconstruction so REMOVE records can be resolved to the
   /// handle whose blocks die.
   void observe(const TraceRecord& rec);
 
-  /// Close the analysis: everything still alive that was born in phase 1
-  /// becomes end surplus.
-  void finish();
+  /// Close the analysis over `phases`: count the phase-1 births, the
+  /// deaths of phase-1 blocks before the end of the margin (censoring
+  /// lifespans longer than phase 2 to the end surplus), and every
+  /// phase-1 block still alive as end surplus.  May be called again with
+  /// other phases; each call replaces stats() and lifetimes().
+  void finish(const BlockLifeConfig& phases);
 
   const BlockLifeStats& stats() const { return stats_; }
   /// Lifetimes (seconds) of phase-1-born blocks that died within the
   /// margin — the Figure 3 CDF.
   EmpiricalCdf& lifetimes() { return lifetimes_; }
+  /// Birth and death events logged so far: what finish() has to decide.
+  std::size_t loggedEvents() const { return births_.size() + deaths_.size(); }
 
  private:
+  enum class Cause : std::uint8_t { Write, Extension, Overwrite, Truncate,
+                                    Delete };
+  struct Birth {
+    MicroTime ts;
+    std::uint32_t blocks;
+    Cause cause;
+  };
+  struct Death {
+    MicroTime born, died;
+    std::uint32_t blocks;
+    Cause cause;
+  };
   struct FileState {
     std::uint64_t sizeBytes = 0;
-    /// Birth time per block; kUntracked for blocks born outside phase 1.
+    /// Birth time per block; kUntracked for blocks that existed before
+    /// the trace.
     std::vector<MicroTime> birth;
   };
   static constexpr MicroTime kUntracked = -1;
 
-  void ensureSize(FileState& st, std::uint64_t newSize, MicroTime now,
-                  bool writtenNotExtended, std::uint64_t writeFromBlock);
   void killBlock(FileState& st, std::size_t block, MicroTime now,
-                 std::uint64_t* deathCounter);
+                 Cause cause);
   void recordBirth(FileState& st, std::size_t block, MicroTime now,
                    bool isWrite);
-  bool inPhase1(MicroTime t) const {
-    return t >= config_.phase1Start &&
-           t < config_.phase1Start + config_.phase1Length;
-  }
-  bool beforeEnd(MicroTime t) const {
-    return t < config_.phase1Start + config_.phase1Length +
-                   config_.phase2Length;
-  }
 
-  BlockLifeConfig config_;
+  std::vector<Birth> births_;
+  std::vector<Death> deaths_;
   BlockLifeStats stats_;
   EmpiricalCdf lifetimes_;
   PathReconstructor pathrec_;
   std::unordered_map<FileHandle, FileState, FileHandleHash> files_;
-  bool finished_ = false;
 };
 
 /// Run the analyzer over a full trace.

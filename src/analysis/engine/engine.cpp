@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <exception>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "obs/timer.hpp"
 #include "pipeline/spsc_ring.hpp"
-#include "util/crc32.hpp"
 
 namespace nfstrace {
 namespace {
@@ -28,138 +25,24 @@ constexpr std::size_t kInternHighWater = 1u << 20;
 /// seq % workers deal went pathological.
 constexpr double kMergeSkewFactor = 8.0;
 
-/// Source 1: the classic reader stream (every format, recover mode).
-/// Its batches carry no op bitmask, so no pass is ever skipped.
-struct ReaderSource {
-  static constexpr obs::Stage kDecodeStage = obs::Stage::ReaderDecode;
-
-  TraceReader& reader;
-  std::size_t batchRecords;
-
-  bool next(TraceBatch& batch, std::uint32_t& opMask) {
-    opMask = kAllOpsMask;
-    return reader.nextBatch(batch, batchRecords);
-  }
-  const StringInterner& names() const { return reader.nameInterner(); }
-  const StringInterner& handles() const { return reader.handleInterner(); }
-};
-
-/// Source 2: the footer-indexed extent walk over a (possibly chained)
-/// v2 file.  Extents whose zone maps cannot match the predicate are
-/// dropped before a byte of them is read; the rest are read, CRC-checked
-/// and loaded in file order — so interned ids match a reader scan — and
-/// handed out in batches that never straddle two extents, each tagged
-/// with its extent's footer op bitmask.  Strict only: the footer
-/// promised every extent, so damage throws (recover-mode scans take the
-/// reader).  Owns the scan's interners, so it must outlive finalize.
-class ExtentWalk {
- public:
-  static constexpr obs::Stage kDecodeStage = obs::Stage::ExtentDecode;
-
-  ExtentWalk(const std::string& path,
-             const std::vector<tracev2::ExtentInfo>& extents,
-             const ScanPredicate& pred, std::size_t batchRecords,
-             AnalysisEngine::Stats& stats)
-      : batchRecords_(std::max<std::size_t>(batchRecords, 1)) {
-    stats.extentsTotal = extents.size();
-    for (const tracev2::ExtentInfo& e : extents) {
-      if (e.records == 0) continue;
-      if (!pred.trivial() && !pred.mayMatch(e)) {
-        ++stats.extentsPruned;
-        continue;
-      }
-      extents_.push_back(e);
-    }
-    f_ = std::fopen(path.c_str(), "rb");
-    if (!f_) throw std::runtime_error("extent scan: cannot open " + path);
-  }
-  ~ExtentWalk() { std::fclose(f_); }
-  ExtentWalk(const ExtentWalk&) = delete;
-  ExtentWalk& operator=(const ExtentWalk&) = delete;
-
-  bool next(TraceBatch& batch, std::uint32_t& opMask) {
-    while (dec_.remaining() == 0) {
-      if (next_ == extents_.size()) return false;
-      load(extents_[next_++]);
-    }
-    if (batch.records.size() < batchRecords_) {
-      batch.records.resize(batchRecords_);
-      batch.fhId.resize(batchRecords_);
-      batch.fh2Id.resize(batchRecords_);
-      batch.resFhId.resize(batchRecords_);
-      batch.nameId.resize(batchRecords_);
-      batch.name2Id.resize(batchRecords_);
-    }
-    batch.nameInterner = &names_;
-    batch.handleInterner = &handles_;
-    tracev2::ExtentDecoder::BatchOut out;
-    out.recs = batch.records.data();
-    out.fh = batch.fhId.data();
-    out.fh2 = batch.fh2Id.data();
-    out.resFh = batch.resFhId.data();
-    out.name = batch.nameId.data();
-    out.name2 = batch.name2Id.data();
-    batch.n = dec_.take(out, batchRecords_);
-    batch.seq = seq_++;
-    batch.endedAtResync = false;
-    opMask = opMask_;
-    return true;
-  }
-  const StringInterner& names() const { return names_; }
-  const StringInterner& handles() const { return handles_; }
-
- private:
-  /// fread + validate one extent (header, payload, CRC) and load it.
-  void load(const tracev2::ExtentInfo& e) {
-    unsigned char hdrBuf[tracev2::kExtentHeaderBytes];
-    tracev2::ExtentHeader hdr;
-    if (std::fseek(f_, static_cast<long>(e.offset), SEEK_SET) != 0 ||
-        std::fread(hdrBuf, 1, sizeof(hdrBuf), f_) != sizeof(hdrBuf) ||
-        !tracev2::parseExtentHeader(hdrBuf, hdr) || hdr.records != e.records) {
-      throw std::runtime_error("extent scan: bad extent header");
-    }
-    auto& buf = dec_.buffer();
-    if (buf.size() < hdr.payloadBytes) buf.resize(hdr.payloadBytes);
-    if (std::fread(buf.data(), 1, hdr.payloadBytes, f_) != hdr.payloadBytes) {
-      throw std::runtime_error("extent scan: truncated extent payload");
-    }
-    if (crc32(buf.data(), hdr.payloadBytes) != hdr.payloadCrc) {
-      throw std::runtime_error("extent scan: extent payload CRC mismatch");
-    }
-    dec_.load(hdr, names_, handles_);
-    opMask_ = e.opMask;
-  }
-
-  std::size_t batchRecords_;
-  std::vector<tracev2::ExtentInfo> extents_;  // the survivors, file order
-  std::size_t next_ = 0;
-  std::FILE* f_ = nullptr;
-  tracev2::ExtentDecoder dec_;
-  std::uint32_t opMask_ = kAllOpsMask;
-  std::uint64_t seq_ = 0;
-  StringInterner names_, handles_;
-};
-
-/// source.next() under a decode span of the source's flight stage.
-template <class Source>
-bool decodeNext(Source& source, TraceBatch& batch, std::uint32_t& opMask,
-                obs::ThreadLog* flog) {
+/// reader.nextBatch() under a decode span.
+bool decodeNext(TraceReader& reader, TraceBatch& batch,
+                std::size_t batchRecords, obs::ThreadLog* flog) {
   std::uint64_t start = flog ? flog->nowNs() : 0;
-  if (!source.next(batch, opMask)) return false;
+  if (!reader.nextBatch(batch, batchRecords)) return false;
   if (flog) {
-    flog->complete(Source::kDecodeStage, start,
+    flog->complete(obs::Stage::ReaderDecode, start,
                    static_cast<std::uint32_t>(batch.n));
   }
   return true;
 }
 
-/// A pooled fan-out batch, its op bitmask, and its refcount.  The
-/// decoding thread only reuses a slot after every worker's
-/// release-decrement has landed (acquire scan), so slot reuse never
-/// races a worker still reading the batch.
+/// A pooled fan-out batch and its refcount.  The decoding thread only
+/// reuses a slot after every worker's release-decrement has landed
+/// (acquire scan), so slot reuse never races a worker still reading the
+/// batch.
 struct BatchSlot {
   TraceBatch batch;
-  std::uint32_t opMask = kAllOpsMask;
   std::atomic<std::uint32_t> refs{0};
 };
 
@@ -249,22 +132,19 @@ void AnalysisEngine::observe(std::size_t i, const TraceBatch& batch,
   pass->observe(batch, pass->mergeable() ? shard : 0);
 }
 
-template <class Source>
-void AnalysisEngine::scanInline(Source& source) {
+void AnalysisEngine::scanInline(TraceReader& reader) {
   TraceBatch batch;
-  std::uint32_t opMask = kAllOpsMask;
-  while (decodeNext(source, batch, opMask, readerFlog_)) {
+  while (decodeNext(reader, batch, config_.batchRecords, readerFlog_)) {
     if (!admit(batch)) continue;
     for (std::size_t i = 0; i < passes_.size(); ++i) {
-      if ((passes_[i]->opMask() & opMask) == 0) continue;
+      if ((passes_[i]->opMask() & batch.opMask) == 0) continue;
       observe(i, batch, 0, readerFlog_);
     }
   }
-  noteScanDone({}, source.names().size(), source.handles().size());
+  noteScanDone({}, reader);
 }
 
-template <class Source>
-void AnalysisEngine::scanFanOut(Source& source) {
+void AnalysisEngine::scanFanOut(TraceReader& reader) {
   const std::size_t workers = config_.decodeThreads;
   const std::size_t poolSize = workers * kQueueBatches + 1;
 
@@ -316,7 +196,7 @@ void AnalysisEngine::scanFanOut(Source& source) {
             AnalysisPass* pass = passes_[i];
             bool mine = pass->mergeable() ? batch.seq % workers == w
                                           : i % workers == w;
-            if (!mine || (pass->opMask() & slot->opMask) == 0) continue;
+            if (!mine || (pass->opMask() & batch.opMask) == 0) continue;
             observe(i, batch, w, flog);
           }
         } catch (...) {
@@ -354,7 +234,10 @@ void AnalysisEngine::scanFanOut(Source& source) {
       if (poolWaitStart != 0) {
         readerFlog_->complete(obs::Stage::BatchPoolWait, poolWaitStart);
       }
-      if (!decodeNext(source, slot->batch, slot->opMask, readerFlog_)) break;
+      if (!decodeNext(reader, slot->batch, config_.batchRecords,
+                      readerFlog_)) {
+        break;
+      }
       if (!admit(slot->batch)) continue;  // slot stays free
       shardRecords[slot->batch.seq % workers] += slot->batch.n;
       slot->refs.store(static_cast<std::uint32_t>(workers),
@@ -382,17 +265,17 @@ void AnalysisEngine::scanFanOut(Source& source) {
     if (!error) error = e;
   }
   if (error) std::rethrow_exception(error);
-  noteScanDone(shardRecords, source.names().size(), source.handles().size());
+  noteScanDone(shardRecords, reader);
 }
 
-template <class Source>
-const AnalysisEngine::Stats& AnalysisEngine::scan(Source& source) {
+const AnalysisEngine::Stats& AnalysisEngine::run(TraceReader& reader) {
+  stats_ = {};
   const std::size_t threads = std::max<std::size_t>(config_.decodeThreads, 1);
   for (AnalysisPass* p : passes_) p->prepare(threads);
   if (threads <= 1) {
-    scanInline(source);
+    scanInline(reader);
   } else {
-    scanFanOut(source);
+    scanFanOut(reader);
   }
   {
     obs::FlightSpan span(readerFlog_, obs::Stage::Finalize,
@@ -402,37 +285,18 @@ const AnalysisEngine::Stats& AnalysisEngine::scan(Source& source) {
   return stats_;
 }
 
-const AnalysisEngine::Stats& AnalysisEngine::run(TraceReader& reader) {
-  stats_ = {};
-  ReaderSource source{reader, config_.batchRecords};
-  return scan(source);
-}
-
 const AnalysisEngine::Stats& AnalysisEngine::runFile(const std::string& path,
                                                      bool recover) {
-  // The extent walk needs a complete, CRC-valid chained index (its
-  // extent hops trust the footer) and strict-mode semantics; anything
-  // it cannot serve falls back to the reader, which produces the
-  // byte-identical report.
-  if (!recover &&
-      (config_.decodeThreads > 1 || !config_.predicate.trivial()) &&
-      detectTraceFormat(path) == TraceWriter::Format::V2) {
-    if (auto extents = tracev2::loadChainedIndex(path)) {
-      stats_ = {};
-      ExtentWalk source(path, *extents, config_.predicate,
-                        config_.batchRecords, stats_);
-      return scan(source);
-    }
-  }
-  TraceReader reader(path, recover);
+  TraceReader reader(path, recover, config_.predicate);
   return run(reader);
 }
 
 void AnalysisEngine::noteScanDone(
-    const std::vector<std::uint64_t>& shardRecords, std::size_t internedNames,
-    std::size_t internedHandles) {
-  stats_.internedNames = internedNames;
-  stats_.internedHandles = internedHandles;
+    const std::vector<std::uint64_t>& shardRecords, const TraceReader& reader) {
+  stats_.internedNames = reader.nameInterner().size();
+  stats_.internedHandles = reader.handleInterner().size();
+  stats_.extentsTotal = reader.extentsTotal();
+  stats_.extentsPruned = reader.extentsPruned();
   internNamesG_.set(static_cast<double>(stats_.internedNames));
   internHandlesG_.set(static_cast<double>(stats_.internedHandles));
   if (stats_.internedNames + stats_.internedHandles > kInternHighWater) {

@@ -5,14 +5,12 @@
 // decodes each batch exactly once and hands it to every registered
 // AnalysisPass.
 //
-// Two batch sources:
-//   reader        TraceReader::nextBatch — any format, recover mode
-//   extent walk   the v2 footer index, extent by extent: zone-map
-//                 pruning before any payload is read, each batch tagged
-//                 with its extent's op bitmask, and no batch straddling
-//                 two extents (runFile only)
+// One batch source, TraceReader::nextBatch: any format, recover mode,
+// and — given a non-trivial predicate over indexed v2 input — zone-map
+// pruning, with each batch tagged with its extent's op bitmask (see
+// TraceReader).
 //
-// Two loops, fed by either source:
+// Two loops:
 //   inline        decodeThreads <= 1: decode and observe on the calling
 //                 thread
 //   fan-out       decodeThreads = N > 1: the calling thread decodes into
@@ -27,9 +25,9 @@
 // skipped, and finalize runs the passes on up to N threads; mergeable
 // passes fold their shards with exact (integer/min-max/union) merges.
 //
-// Determinism: batches are numbered by the source, shard assignment is
+// Determinism: batches are numbered by the reader, shard assignment is
 // seq % N, and every merge is exact — so results are byte-identical to
-// the inline loop at any thread count and from either source (pinned in
+// the inline loop at any thread count, pruned or not (pinned in
 // tests/engine_test and tests/query_test).
 #pragma once
 
@@ -55,9 +53,9 @@ class AnalysisEngine {
     /// value.  (The name predates the fan-out: it once counted
     /// extent-decode threads.)
     std::size_t decodeThreads = 1;
-    /// Pushdown filter.  Non-trivial predicates filter record-by-record
-    /// from either source, and the extent walk additionally prunes
-    /// whole extents via the v2 footer zone maps.
+    /// Pushdown filter, applied record by record to every batch.
+    /// runFile() also hands it to the reader, which then prunes whole
+    /// extents via the v2 footer zone maps.
     ScanPredicate predicate;
   };
 
@@ -69,7 +67,8 @@ class AnalysisEngine {
     std::size_t internedHandles = 0;
     std::uint64_t mergeSkewAlerts = 0;
     std::uint64_t internHighWaterAlerts = 0;
-    /// Extent walk only: footer entries seen / skipped by zone maps.
+    /// Pruned scans only: footer entries seen / skipped by zone maps
+    /// (TraceReader::extentsTotal / extentsPruned).
     std::uint64_t extentsTotal = 0;
     std::uint64_t extentsPruned = 0;
     /// Records decoded but rejected by the record-level predicate.
@@ -97,24 +96,15 @@ class AnalysisEngine {
   /// observe* -> finalize).  Reusable: each call re-prepares the passes.
   const Stats& run(TraceReader& reader);
 
-  /// Scan a trace file, picking the source: indexed v2 input with
-  /// decodeThreads > 1 or a non-trivial predicate takes the extent walk
-  /// (zone-map pruning); everything else — text, index-less or torn
-  /// v2, recover mode — takes the reader.  Reports are byte-identical
-  /// across sources and thread counts.
+  /// run() over a reader opened on `path` with config_.predicate, so
+  /// the reader prunes by zone map where it can (see TraceReader).
   const Stats& runFile(const std::string& path, bool recover = false);
 
   const Stats& stats() const { return stats_; }
 
  private:
-  /// One scan over `source` (a ReaderSource or ExtentWalk, engine.cpp):
-  /// prepare, the inline or fan-out loop, finalize.
-  template <class Source>
-  const Stats& scan(Source& source);
-  template <class Source>
-  void scanInline(Source& source);
-  template <class Source>
-  void scanFanOut(Source& source);
+  void scanInline(TraceReader& reader);
+  void scanFanOut(TraceReader& reader);
   /// Per-batch bookkeeping shared by both loops: resync and predicate
   /// accounting, then the batch/record counters.  False when the
   /// predicate filtered the batch down to nothing.
@@ -128,7 +118,7 @@ class AnalysisEngine {
                obs::ThreadLog* flog);
   void finalizeAll(std::size_t parallelism);
   void noteScanDone(const std::vector<std::uint64_t>& shardRecords,
-                    std::size_t internedNames, std::size_t internedHandles);
+                    const TraceReader& reader);
 
   Config config_;
   std::vector<AnalysisPass*> passes_;

@@ -123,17 +123,13 @@ void RunsPass::finalize() {
 }
 
 void BlockLifePass::prepare(std::size_t) {
-  compact_.clear();
-  names_ = nullptr;
-  handles_ = nullptr;
+  analyzer_ = {};
   sawAny_ = false;
   stats_ = {};
   lifetimes_ = {};
 }
 
 void BlockLifePass::observe(const TraceBatch& batch, std::size_t) {
-  names_ = batch.nameInterner;
-  handles_ = batch.handleInterner;
   for (std::size_t i = 0; i < batch.n; ++i) {
     const TraceRecord& r = batch.records[i];
     if (!sawAny_) {
@@ -143,38 +139,7 @@ void BlockLifePass::observe(const TraceBatch& batch, std::size_t) {
       firstTs_ = std::min(firstTs_, r.ts);
       lastTs_ = std::max(lastTs_, r.ts);
     }
-    CompactRecord c;
-    c.ts = r.ts;
-    c.replyTs = r.replyTs;
-    c.client = r.client;
-    c.server = r.server;
-    c.xid = r.xid;
-    c.offset = r.offset;
-    c.fileSize = r.fileSize;
-    c.fileId = r.fileId;
-    c.preSize = r.preSize;
-    c.fileMtime = r.fileMtime;
-    c.preMtime = r.preMtime;
-    c.uid = r.uid;
-    c.gid = r.gid;
-    c.count = r.count;
-    c.retCount = r.retCount;
-    c.fhId = batch.fhId[i];
-    c.fh2Id = batch.fh2Id[i];
-    c.resFhId = batch.resFhId[i];
-    c.nameId = batch.nameId[i];
-    c.name2Id = batch.name2Id[i];
-    c.op = r.op;
-    c.status = r.status;
-    c.ftype = r.ftype;
-    c.vers = r.vers;
-    c.overTcp = r.overTcp;
-    c.hasReply = r.hasReply;
-    c.eof = r.eof;
-    c.hasResFh = r.hasResFh;
-    c.hasAttrs = r.hasAttrs;
-    c.hasPre = r.hasPre;
-    compact_.push_back(c);
+    analyzer_.observe(r);
   }
 }
 
@@ -185,58 +150,14 @@ void BlockLifePass::finalize() {
   }
   // The same phase split trace_stats always used: phase 1 is the first
   // half of the trace span, phase 2 (the end margin) the second half.
-  BlockLifeConfig cfg;
-  cfg.phase1Start = firstTs_;
-  cfg.phase1Length = std::max<MicroTime>((lastTs_ - firstTs_) / 2, 1);
-  cfg.phase2Length = cfg.phase1Length;
-  BlockLifeAnalyzer analyzer(cfg);
-
-  auto fhFromId = [&](std::uint32_t id) {
-    std::string_view v = handles_->view(id);
-    return FileHandle::fromBytes(
-        {reinterpret_cast<const std::uint8_t*>(v.data()), v.size()});
-  };
-  // Replay through one reused record; the string fields keep their
-  // capacity, so the whole replay allocates nothing per record.
-  TraceRecord r;
-  for (const CompactRecord& c : compact_) {
-    r.ts = c.ts;
-    r.replyTs = c.replyTs;
-    r.client = c.client;
-    r.server = c.server;
-    r.xid = c.xid;
-    r.vers = c.vers;
-    r.overTcp = c.overTcp;
-    r.op = c.op;
-    r.uid = c.uid;
-    r.gid = c.gid;
-    r.fh = fhFromId(c.fhId);
-    r.name.assign(names_->view(c.nameId));
-    r.name2.assign(names_->view(c.name2Id));
-    r.fh2 = fhFromId(c.fh2Id);
-    r.offset = c.offset;
-    r.count = c.count;
-    r.hasReply = c.hasReply;
-    r.status = c.status;
-    r.retCount = c.retCount;
-    r.eof = c.eof;
-    r.resFh = fhFromId(c.resFhId);
-    r.hasResFh = c.hasResFh;
-    r.hasAttrs = c.hasAttrs;
-    r.ftype = c.ftype;
-    r.fileSize = c.fileSize;
-    r.fileMtime = c.fileMtime;
-    r.fileId = c.fileId;
-    r.hasPre = c.hasPre;
-    r.preSize = c.preSize;
-    r.preMtime = c.preMtime;
-    analyzer.observe(r);
-  }
-  analyzer.finish();
-  stats_ = analyzer.stats();
-  lifetimes_ = analyzer.lifetimes();
-  compact_.clear();
-  compact_.shrink_to_fit();
+  BlockLifeConfig phases;
+  phases.phase1Start = firstTs_;
+  phases.phase1Length = std::max<MicroTime>((lastTs_ - firstTs_) / 2, 1);
+  phases.phase2Length = phases.phase1Length;
+  analyzer_.finish(phases);
+  stats_ = analyzer_.stats();
+  lifetimes_ = analyzer_.lifetimes();
+  analyzer_ = {};
 }
 
 void NamesPass::prepare(std::size_t) { census_ = {}; }

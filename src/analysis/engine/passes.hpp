@@ -10,12 +10,11 @@
 //                     legacy functions pass everything else through) and
 //                     run the legacy algorithms at finalize, so results
 //                     are bit-identical to the whole-vector path;
-//   blocklife       — needs the trace's time span before it can observe
-//                     (phase boundaries), so records are deferred as
-//                     CompactRecords — every string/handle replaced by
-//                     its interned 32-bit id, ~1/3 the footprint of a
-//                     TraceRecord and zero heap per record — and
-//                     replayed at finalize;
+//   blocklife       — streams every record into the analyzer, which
+//                     logs block births and deaths; the phase split
+//                     needs the trace's span, so only the decision of
+//                     which events fall inside the phases waits for
+//                     finalize;
 //   names, pathrec  — incremental order-dependent observers.
 #pragma once
 
@@ -149,8 +148,9 @@ class RunsPass final : public AnalysisPass {
 };
 
 /// Table 4 / Figure 3: block birth/death accounting.  The phase
-/// boundaries depend on the trace's span, so records are compacted
-/// (interned ids instead of strings/handles) and replayed at finalize.
+/// boundaries depend on the trace's span, so the analyzer logs births
+/// and deaths as the records stream by and decides the phases at
+/// finalize.
 class BlockLifePass final : public AnalysisPass {
  public:
   std::string_view name() const override { return "blocklife"; }
@@ -164,32 +164,11 @@ class BlockLifePass final : public AnalysisPass {
 
   const BlockLifeStats& stats() const { return stats_; }
   const EmpiricalCdf& lifetimes() const { return lifetimes_; }
-  std::size_t deferredRecords() const { return compact_.size(); }
+  /// Block events (births plus deaths) held for finalize.
+  std::size_t deferredRecords() const { return analyzer_.loggedEvents(); }
 
  private:
-  /// A TraceRecord with every variable-length field interned: flat,
-  /// trivially copyable, no heap.
-  struct CompactRecord {
-    MicroTime ts = 0, replyTs = 0;
-    IpAddr client = 0, server = 0;
-    std::uint32_t xid = 0;
-    std::uint64_t offset = 0;
-    std::uint64_t fileSize = 0, fileId = 0, preSize = 0;
-    MicroTime fileMtime = 0, preMtime = 0;
-    std::uint32_t uid = 0, gid = 0, count = 0, retCount = 0;
-    std::uint32_t fhId = 0, fh2Id = 0, resFhId = 0, nameId = 0,
-                  name2Id = 0;
-    NfsOp op = NfsOp::Unknown;
-    NfsStat status = NfsStat::Ok;
-    FileType ftype = FileType::Regular;
-    std::uint8_t vers = 3;
-    bool overTcp = false, hasReply = false, eof = false, hasResFh = false,
-         hasAttrs = false, hasPre = false;
-  };
-
-  std::vector<CompactRecord> compact_;
-  const StringInterner* names_ = nullptr;
-  const StringInterner* handles_ = nullptr;
+  BlockLifeAnalyzer analyzer_;
   MicroTime firstTs_ = 0, lastTs_ = 0;
   bool sawAny_ = false;
   BlockLifeStats stats_;

@@ -48,7 +48,7 @@ Run buildRun(const FileHandle& fh, std::vector<Access>& acc,
                                  : RunType::Read;
 
   // Sequentiality over rounded block positions.
-  std::uint32_t bs = cfg.blockSize;
+  constexpr std::uint32_t bs = kNfsBlockSize;
   bool sequentialStrict = true;   // no jumps at all
   bool sequentialLoose = true;    // forward jumps < jumpTolerance blocks ok
   std::uint32_t consecStrict = 0, consecLoose = 0;
@@ -65,7 +65,7 @@ Run buildRun(const FileHandle& fh, std::vector<Access>& acc,
     // the previous end.
     std::uint64_t dist = curStart >= prevEnd ? curStart - prevEnd
                                              : prevEnd - curStart;
-    bool kConsec = dist <= static_cast<std::uint64_t>(cfg.kConsecutive) * bs;
+    bool kConsec = dist <= static_cast<std::uint64_t>(kSeqMetricK) * bs;
 
     if (exact) {
       ++consecStrict;
@@ -147,7 +147,7 @@ std::vector<Run> detectRuns(const std::vector<TraceRecord>& records,
         // Rule (a): previous access referenced EOF.
         if (current.back().refsEof) startNew = true;
         // Rule (b): previous access is old.
-        if (a.ts - current.back().ts > cfg.idleBreak) startNew = true;
+        if (a.ts - current.back().ts > kRunIdleBreak) startNew = true;
       }
       if (startNew) {
         runs.push_back(buildRun(fh, current, cfg));

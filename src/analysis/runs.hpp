@@ -41,16 +41,16 @@ struct Run {
   double seqMetricLoose = 0.0;   // k = 10 blocks (small jumps allowed)
 };
 
+/// Break a run when the previous access is older than this (§4.2: the
+/// 30-second rule).  Offsets and counts round to kNfsBlockSize blocks.
+inline constexpr MicroTime kRunIdleBreak = 30 * kMicrosPerSecond;
+/// k for the loose sequentiality metric, in blocks (§6.4: k = 10).
+inline constexpr std::uint32_t kSeqMetricK = 10;
+
 struct RunDetectorConfig {
-  /// Break a run when the previous access is older than this.
-  MicroTime idleBreak = 30 * kMicrosPerSecond;
-  /// Block size used for rounding offsets/counts.
-  std::uint32_t blockSize = kNfsBlockSize;
   /// Small-jump tolerance in blocks for the *classification* ("processed"
   /// mode of Table 3).  Zero reproduces the raw columns.
   std::uint32_t jumpTolerance = 10;
-  /// k for the loose sequentiality metric.
-  std::uint32_t kConsecutive = 10;
 };
 
 /// Split trace records (in list order — apply the reorder-window sort

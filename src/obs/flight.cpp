@@ -41,7 +41,6 @@ constexpr StageInfo kStages[kStageCount] = {
     {"trace.checkpoint", false, Stage::kStageCount, Stage::kStageCount},
     // Analysis engine.
     {"engine.reader_decode", false, Stage::kStageCount, Stage::kStageCount},
-    {"engine.extent_decode", false, Stage::kStageCount, Stage::kStageCount},
     {"engine.batch_pool_wait", true, Stage::ReaderDecode, Stage::PassObserve},
     {"engine.worker_batch_wait", true, Stage::PassObserve,
      Stage::ReaderDecode},

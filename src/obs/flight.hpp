@@ -72,7 +72,6 @@ enum class Stage : std::uint16_t {
   WriterCheckpoint,  ///< instant: checkpoint footer appended
   // Analysis engine (src/analysis/engine).
   ReaderDecode,    ///< reader: decoding one batch from the trace
-  ExtentDecode,    ///< extent walk: reading + decoding one batch
   BatchPoolWait,   ///< reader stalled: every pool slot still referenced
   WorkerBatchWait, ///< engine worker starved: batch ring empty
   PassObserve,     ///< worker: one pass observing one batch

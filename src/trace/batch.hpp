@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "trace/predicate.hpp"
 #include "trace/record.hpp"
 #include "util/interner.hpp"
 
@@ -36,6 +37,11 @@ struct TraceBatch {
   /// True when the batch was cut short because the reader resynchronized
   /// past a corrupt region (recover mode): a batch never straddles one.
   bool endedAtResync = false;
+  /// Ops that may occur in the batch, as an opMaskBit() union: the
+  /// footer op bitmask of the extent the records came from when the
+  /// reader prunes by zone map (a v2 batch never straddles extents), all
+  /// ops otherwise.  A pass whose opMask() misses it may skip the batch.
+  std::uint32_t opMask = kAllOpsMask;
 
   /// Interner for name/name2 strings (set by the reader; reader-owned).
   const StringInterner* nameInterner = nullptr;

@@ -621,7 +621,8 @@ void TraceWriter::flush() {
   std::fflush(f_);
 }
 
-TraceReader::TraceReader(const std::string& path, bool recover)
+TraceReader::TraceReader(const std::string& path, bool recover,
+                         const ScanPredicate& predicate)
     : recover_(recover) {
   f_ = std::fopen(path.c_str(), "rb");
   if (!f_) throw std::runtime_error("trace: cannot open for read: " + path);
@@ -657,6 +658,23 @@ TraceReader::TraceReader(const std::string& path, bool recover)
       f_ = nullptr;
       throw std::runtime_error("trace v2: " + error + ": " + path);
     }
+    // The footer promised every extent, so a pruned scan is strict only;
+    // without a clean chained index the sequential scan reads the same
+    // records.
+    if (!recover_ && !predicate.trivial()) {
+      if (auto index = tracev2::loadChainedIndex(path)) {
+        pruning_ = true;
+        extentsTotal_ = index->size();
+        for (const tracev2::ExtentInfo& e : *index) {
+          if (e.records == 0) continue;
+          if (!predicate.mayMatch(e)) {
+            ++extentsPruned_;
+            continue;
+          }
+          extents_.push_back(e);
+        }
+      }
+    }
   } else {
     std::rewind(f_);
   }
@@ -672,12 +690,6 @@ bool TraceReader::refill() {
   chunk_.resize(got);
   pos_ = 0;
   return got > 0;
-}
-
-std::optional<TraceRecord> TraceReader::next() {
-  TraceRecord rec;
-  if (!nextInto(rec)) return std::nullopt;
-  return rec;
 }
 
 bool TraceReader::nextInto(TraceRecord& rec) {
@@ -696,6 +708,7 @@ bool TraceReader::nextBatch(TraceBatch& batch, std::size_t maxRecords) {
   batch.nameInterner = &names_;
   batch.handleInterner = &handles_;
   batch.endedAtResync = false;
+  batch.opMask = kAllOpsMask;
   if (batch.records.size() < maxRecords) batch.records.resize(maxRecords);
   batch.fhId.resize(maxRecords);
   batch.fh2Id.resize(maxRecords);
@@ -736,19 +749,21 @@ bool TraceReader::nextBatchV2(TraceBatch& batch, std::size_t maxRecords) {
   // The v2 fast path: extent columns decode straight into the batch
   // arena, and the extent dictionaries were already interned at load
   // time, so there is no per-record parse and no per-record hash lookup —
-  // the decoder hands back the global ids directly.
+  // the decoder hands back the global ids directly.  A batch holds
+  // records of one extent only, so it carries that extent's op bitmask.
   while (batch.n < maxRecords) {
     if (!v2dec_ || v2dec_->remaining() == 0) {
       std::uint64_t resyncsBefore = rstats_.resyncs;
       if (!loadNextV2Extent()) break;
-      if (recover_ && rstats_.resyncs != resyncsBefore && batch.n > 0) {
-        // Crossed a corrupt region: close the batch at the boundary.
-        // The freshly loaded extent stays in the decoder and opens the
-        // next batch.
-        batch.endedAtResync = true;
+      if (batch.n > 0) {
+        // Close the batch at the extent boundary, flagging a resync past
+        // a corrupt region in between.  The freshly loaded extent stays
+        // in the decoder and opens the next batch.
+        batch.endedAtResync = rstats_.resyncs != resyncsBefore;
         break;
       }
     }
+    batch.opMask = extentOpMask_;
     tracev2::ExtentDecoder::BatchOut out;
     out.recs = batch.records.data() + batch.n;
     out.fh = batch.fhId.data() + batch.n;
@@ -778,9 +793,19 @@ bool TraceReader::nextV2Into(TraceRecord& rec) {
 
 bool TraceReader::loadNextV2Extent() {
   for (;;) {
+    // Pruned scan: seek to the next surviving extent; everything after
+    // the seek is the sequential path's code.
+    const tracev2::ExtentInfo* indexed = nullptr;
+    if (pruning_) {
+      if (nextExtent_ == extents_.size()) return false;
+      indexed = &extents_[nextExtent_++];
+      if (std::fseek(f_, static_cast<long>(indexed->offset), SEEK_SET) != 0) {
+        throw std::runtime_error("trace v2: cannot seek to indexed extent");
+      }
+    }
     unsigned char hdrBuf[tracev2::kExtentHeaderBytes];
     std::size_t got = std::fread(hdrBuf, 1, sizeof(hdrBuf), f_);
-    if (got == 0) return false;
+    if (got == 0 && !indexed) return false;
     // A footer index ends one sealed segment's record stream — but the
     // file may be several sealed segments concatenated back to back
     // (cat of the daemon's output), so try to hop the footer into the
@@ -788,7 +813,7 @@ bool TraceReader::loadNextV2Extent() {
     // file the hop fails and the stream is left positioned back at the
     // footer, so a later call (the next nextBatch after a partial last
     // batch) sees it again instead of misaligned footer bytes.
-    if (got >= sizeof(tracev2::kIndexMagic) &&
+    if (!indexed && got >= sizeof(tracev2::kIndexMagic) &&
         std::memcmp(hdrBuf, tracev2::kIndexMagic,
                     sizeof(tracev2::kIndexMagic)) == 0) {
       long footerStart = std::ftell(f_) - static_cast<long>(got);
@@ -804,6 +829,11 @@ bool TraceReader::loadNextV2Extent() {
       ++rstats_.resyncs;
       if (!scanToV2Extent(hdr)) return false;
     }
+    if (indexed && hdr.records != indexed->records) {
+      throw std::runtime_error(
+          "trace v2: extent header disagrees with the footer index");
+    }
+    extentOpMask_ = indexed ? indexed->opMask : kAllOpsMask;
     // A valid header is a checkpoint: its cumulative count charges any
     // records a skipped region ate to `skipped`, exactly.
     reconcileCheckpoint(hdr.recordsBefore);

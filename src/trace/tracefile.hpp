@@ -21,6 +21,7 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "trace/batch.hpp"
+#include "trace/predicate.hpp"
 #include "trace/record.hpp"
 #include "trace/v2.hpp"
 #include "util/interner.hpp"
@@ -174,24 +175,38 @@ class TraceReader {
   /// the next parseable boundary (text: next well-formed line; v2: next
   /// valid extent header) and keeps going, tallying RecoverStats.  A v1
   /// binary ("NFST1") trace is rejected in either mode.
-  explicit TraceReader(const std::string& path, bool recover = false);
+  ///
+  /// `predicate` prunes by zone map, and only when all of these hold:
+  /// the input is v2, the reader is strict, the chained footer index is
+  /// clean (tracev2::loadChainedIndex) and the predicate is non-trivial.
+  /// The reader then visits only the extents whose zone maps may match,
+  /// in file order, and throws if an extent's header disagrees with its
+  /// footer entry.  Every other input is read sequentially.  Pruning
+  /// drops whole extents only: filtering records is the caller's job
+  /// (AnalysisEngine::Config::predicate).
+  explicit TraceReader(const std::string& path, bool recover = false,
+                       const ScanPredicate& predicate = {});
   ~TraceReader();
   TraceReader(const TraceReader&) = delete;
   TraceReader& operator=(const TraceReader&) = delete;
 
-  /// Compatibility shim over nextInto(): one freshly constructed record.
-  std::optional<TraceRecord> next();
   /// Decode the next record into `rec`, reusing its string capacity.
   /// Returns false at EOF.
   bool nextInto(TraceRecord& rec);
   /// Decode up to `maxRecords` records into `batch` (slots reused fill to
   /// fill, paths/handles interned into 32-bit ids — see trace/batch.hpp).
-  /// Returns false when the batch came back empty (EOF).  In recover
-  /// mode a batch never straddles a corrupt region: the reader resyncs
-  /// and the next good record opens the following batch.
+  /// Returns false when the batch came back empty (EOF).  A v2 batch
+  /// never straddles two extents, so in recover mode it never straddles
+  /// a corrupt region either: the reader resyncs and the next good
+  /// extent opens the following batch.
   bool nextBatch(TraceBatch& batch,
                  std::size_t maxRecords = TraceBatch::kDefaultCapacity);
   const RecoverStats& recoverStats() const { return rstats_; }
+
+  /// Zone-map pruning: footer extents seen and skipped.  Both 0 when the
+  /// reader scans sequentially.
+  std::uint64_t extentsTotal() const { return extentsTotal_; }
+  std::uint64_t extentsPruned() const { return extentsPruned_; }
 
   /// Interners shared by every batch this reader fills.
   const StringInterner& nameInterner() const { return names_; }
@@ -212,7 +227,8 @@ class TraceReader {
   bool nextV2Into(TraceRecord& rec);
   bool nextBatchV2(TraceBatch& batch, std::size_t maxRecords);
   /// V2: read + validate the next extent header and CRC'd payload into
-  /// the decoder.  In recover mode damage is skipped with exact
+  /// the decoder — the next one in the file, or when pruning the next
+  /// surviving one.  In recover mode damage is skipped with exact
   /// accounting (the header's cumulative count is a checkpoint); returns
   /// false at EOF / footer index.
   bool loadNextV2Extent();
@@ -234,6 +250,14 @@ class TraceReader {
   std::FILE* f_ = nullptr;
   bool v2_ = false;
   std::unique_ptr<tracev2::ExtentDecoder> v2dec_;
+  // Pruned scan: the extents whose zone maps may match, in file order,
+  // and the op bitmask of the one in the decoder (all ops otherwise).
+  bool pruning_ = false;
+  std::vector<tracev2::ExtentInfo> extents_;
+  std::size_t nextExtent_ = 0;
+  std::uint32_t extentOpMask_ = kAllOpsMask;
+  std::uint64_t extentsTotal_ = 0;
+  std::uint64_t extentsPruned_ = 0;
   bool recover_ = false;
   bool inBadRun_ = false;  // inside a run of consecutive corrupt lines
   RecoverStats rstats_;

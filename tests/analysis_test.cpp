@@ -325,11 +325,11 @@ TEST(BlockLife, OverwriteDeathAndLifetime) {
   cfg.phase1Start = 0;
   cfg.phase1Length = kMicrosPerDay;
   cfg.phase2Length = kMicrosPerDay;
-  BlockLifeAnalyzer bl(cfg);
+  BlockLifeAnalyzer bl;
   // Born at t=100s, overwritten at t=700s -> lifetime 600s.
   bl.observe(writeRec(1, seconds(100), 0, 8192, 0, 8192));
   bl.observe(writeRec(1, seconds(700), 0, 8192, 8192, 8192));
-  bl.finish();
+  bl.finish(cfg);
   const auto& st = bl.stats();
   EXPECT_EQ(st.births, 2u);  // original + replacement
   EXPECT_EQ(st.birthsWrite, 2u);
@@ -342,11 +342,11 @@ TEST(BlockLife, OverwriteDeathAndLifetime) {
 
 TEST(BlockLife, ExtensionBirths) {
   BlockLifeConfig cfg;
-  BlockLifeAnalyzer bl(cfg);
+  BlockLifeAnalyzer bl;
   // File is 8 KB; write at offset 40960 leaves a 4-block gap.  The gap
   // blocks and the gapped write blocks all count as extensions.
   bl.observe(writeRec(1, seconds(10), 40960, 8192, 8192, 49152));
-  bl.finish();
+  bl.finish(cfg);
   const auto& st = bl.stats();
   EXPECT_EQ(st.births, 5u);  // blocks 1..4 (gap) + block 5 (written)
   EXPECT_EQ(st.birthsExtension, 5u);
@@ -355,16 +355,16 @@ TEST(BlockLife, ExtensionBirths) {
 
 TEST(BlockLife, AppendWithoutGapIsWriteBirth) {
   BlockLifeConfig cfg;
-  BlockLifeAnalyzer bl(cfg);
+  BlockLifeAnalyzer bl;
   bl.observe(writeRec(1, seconds(10), 8192, 8192, 8192, 16384));
-  bl.finish();
+  bl.finish(cfg);
   EXPECT_EQ(bl.stats().birthsWrite, 1u);
   EXPECT_EQ(bl.stats().birthsExtension, 0u);
 }
 
 TEST(BlockLife, TruncateDeaths) {
   BlockLifeConfig cfg;
-  BlockLifeAnalyzer bl(cfg);
+  BlockLifeAnalyzer bl;
   bl.observe(writeRec(1, seconds(10), 0, 3 * 8192, 0, 3 * 8192));
   // SETATTR shrinking to one block.
   TraceRecord tr;
@@ -376,18 +376,18 @@ TEST(BlockLife, TruncateDeaths) {
   tr.hasAttrs = true;
   tr.fileSize = 8192;
   bl.observe(tr);
-  bl.finish();
+  bl.finish(cfg);
   EXPECT_EQ(bl.stats().deathsTruncate, 2u);
 }
 
 TEST(BlockLife, DeleteDeathsViaPathResolution) {
   BlockLifeConfig cfg;
-  BlockLifeAnalyzer bl(cfg);
+  BlockLifeAnalyzer bl;
   // Create (teaches dir/name -> fh), write, remove.
   bl.observe(nameRec(NfsOp::Create, 10, "temp.dat", seconds(1), 1));
   bl.observe(writeRec(1, seconds(2), 0, 2 * 8192, 0, 2 * 8192));
   bl.observe(nameRec(NfsOp::Remove, 10, "temp.dat", seconds(30)));
-  bl.finish();
+  bl.finish(cfg);
   EXPECT_EQ(bl.stats().deathsDelete, 2u);
   EXPECT_EQ(bl.stats().endSurplus, 0u);
 }
@@ -396,10 +396,10 @@ TEST(BlockLife, Phase2RecordsOnlyDeaths) {
   BlockLifeConfig cfg;
   cfg.phase1Length = seconds(100);
   cfg.phase2Length = seconds(100);
-  BlockLifeAnalyzer bl(cfg);
+  BlockLifeAnalyzer bl;
   bl.observe(writeRec(1, seconds(50), 0, 8192, 0, 8192));    // phase-1 birth
   bl.observe(writeRec(1, seconds(150), 0, 8192, 8192, 8192));  // phase-2
-  bl.finish();
+  bl.finish(cfg);
   const auto& st = bl.stats();
   EXPECT_EQ(st.births, 1u);  // the phase-2 overwrite's birth is not counted
   EXPECT_EQ(st.deaths, 1u);  // but its death of the phase-1 block is
@@ -409,23 +409,108 @@ TEST(BlockLife, CensoredLongLifespans) {
   BlockLifeConfig cfg;
   cfg.phase1Length = seconds(100);
   cfg.phase2Length = seconds(100);
-  BlockLifeAnalyzer bl(cfg);
+  BlockLifeAnalyzer bl;
   bl.observe(writeRec(1, seconds(10), 0, 8192, 0, 8192));
   // Dies at 180 s: lifespan 170 s > phase2 (100 s) -> censored to surplus.
   bl.observe(writeRec(1, seconds(180), 0, 8192, 8192, 8192));
-  bl.finish();
+  bl.finish(cfg);
   EXPECT_EQ(bl.stats().deaths, 0u);
   EXPECT_EQ(bl.stats().endSurplus, 1u);
 }
 
 TEST(BlockLife, ZeroLengthFilesNoBlocks) {
   BlockLifeConfig cfg;
-  BlockLifeAnalyzer bl(cfg);
+  BlockLifeAnalyzer bl;
   bl.observe(nameRec(NfsOp::Create, 10, ".inbox.lock", seconds(1), 1));
   bl.observe(nameRec(NfsOp::Remove, 10, ".inbox.lock", seconds(2)));
-  bl.finish();
+  bl.finish(cfg);
   EXPECT_EQ(bl.stats().births, 0u);
   EXPECT_EQ(bl.stats().deaths, 0u);
+}
+
+TEST(BlockLife, PhaseBoundariesDecidedAtFinish) {
+  // One stream, observed before any phase is known; finish() decides.
+  // With phase 1 = [0, 100 s) and a 100 s margin ending at 200 s:
+  auto truncateTo = [](std::uint64_t fileId, MicroTime ts,
+                       std::uint64_t size) {
+    TraceRecord r;
+    r.ts = ts;
+    r.op = NfsOp::Setattr;
+    r.fh = fhOf(fileId);
+    r.hasReply = true;
+    r.status = NfsStat::Ok;
+    r.hasAttrs = true;
+    r.fileSize = size;
+    return r;
+  };
+  BlockLifeAnalyzer bl;
+  // File 1: born exactly at the end of phase 1 (not a phase-1 birth).
+  bl.observe(writeRec(1, seconds(100), 0, 8192, 0, 8192));
+  // File 2: phase-1 block dying exactly at the end of the margin (no
+  // longer tracked: neither a death nor surplus).
+  bl.observe(writeRec(2, seconds(10), 0, 8192, 0, 8192));
+  bl.observe(writeRec(2, seconds(200), 0, 8192, 8192, 8192));
+  // File 3: lifespan equal to the phase-2 length (a counted death).
+  bl.observe(writeRec(3, seconds(50), 0, 8192, 0, 8192));
+  bl.observe(writeRec(3, seconds(150), 0, 8192, 8192, 8192));
+  // File 4: lifespan 1 us longer (censored to surplus).
+  bl.observe(writeRec(4, seconds(60), 0, 8192, 0, 8192));
+  bl.observe(writeRec(4, seconds(160) + 1, 0, 8192, 8192, 8192));
+  // File 5: phase-1 block killed after the margin (neither).
+  bl.observe(writeRec(5, seconds(20), 0, 8192, 0, 8192));
+  bl.observe(truncateTo(5, seconds(250), 0));
+  // File 6: a block that existed before the trace, overwritten in
+  // phase 1: only the new block counts, and it outlives the margin.
+  bl.observe(writeRec(6, seconds(30), 0, 8192, 8192, 8192));
+  // File 7: created, written and removed inside phase 1.
+  bl.observe(nameRec(NfsOp::Create, 10, "tmp.dat", seconds(5), 7));
+  bl.observe(writeRec(7, seconds(40), 0, 8192, 0, 8192));
+  bl.observe(nameRec(NfsOp::Remove, 10, "tmp.dat", seconds(70)));
+  // Every write above births one block; files 2, 3, 4, 5 and 7 log one
+  // death each (file 6's pre-trace block is not logged).
+  EXPECT_EQ(bl.loggedEvents(), 10u + 5u);
+
+  BlockLifeConfig phases;
+  phases.phase1Start = 0;
+  phases.phase1Length = seconds(100);
+  phases.phase2Length = seconds(100);
+  bl.finish(phases);
+  {
+    const auto& st = bl.stats();
+    EXPECT_EQ(st.births, 6u);  // files 2, 3, 4, 5, 6, 7 at < 100 s
+    EXPECT_EQ(st.birthsWrite, 6u);
+    EXPECT_EQ(st.birthsExtension, 0u);
+    EXPECT_EQ(st.deaths, 2u);
+    EXPECT_EQ(st.deathsOverwrite, 1u);  // file 3
+    EXPECT_EQ(st.deathsTruncate, 0u);   // file 5 died after the margin
+    EXPECT_EQ(st.deathsDelete, 1u);     // file 7
+    EXPECT_EQ(st.endSurplus, 2u);       // file 4 censored, file 6 alive
+    EmpiricalCdf& life = bl.lifetimes();
+    ASSERT_EQ(life.size(), 2u);
+    EXPECT_DOUBLE_EQ(life.fractionAtOrBelow(29.999), 0.0);
+    EXPECT_DOUBLE_EQ(life.fractionAtOrBelow(30.0), 0.5);   // file 7
+    EXPECT_DOUBLE_EQ(life.fractionAtOrBelow(99.999), 0.5);
+    EXPECT_DOUBLE_EQ(life.fractionAtOrBelow(100.0), 1.0);  // file 3
+  }
+
+  // The same events under a 300 s phase 1 and margin: every birth is a
+  // phase-1 birth and every death falls inside the margin.
+  phases.phase1Length = seconds(300);
+  phases.phase2Length = seconds(300);
+  bl.finish(phases);
+  {
+    const auto& st = bl.stats();
+    EXPECT_EQ(st.births, 10u);
+    EXPECT_EQ(st.deaths, 5u);
+    EXPECT_EQ(st.deathsOverwrite, 3u);  // files 2, 3, 4
+    EXPECT_EQ(st.deathsTruncate, 1u);   // file 5
+    EXPECT_EQ(st.deathsDelete, 1u);     // file 7
+    EXPECT_EQ(st.endSurplus, 5u);       // live blocks of files 1-4 and 6
+    EmpiricalCdf& life = bl.lifetimes();
+    ASSERT_EQ(life.size(), 5u);
+    EXPECT_DOUBLE_EQ(life.quantile(0.0), 30.0);
+    EXPECT_DOUBLE_EQ(life.quantile(1.0), 230.0);
+  }
 }
 
 // -------------------------------------------------------------- hourly

@@ -1,6 +1,6 @@
 // Analysis-engine pins: batch decoding equivalence, intern-id stability,
 // recovery on batch boundaries, and the determinism guarantee (output
-// byte-identical to serial at any thread count, from either source).
+// byte-identical to serial at any thread count, via run() or runFile()).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -91,13 +91,13 @@ void checkBatchMatchesNext(const std::string& path) {
   TraceReader one(path);
   TraceReader batched(path);
   TraceBatch batch;
+  TraceRecord expect;
   std::size_t total = 0;
   while (batched.nextBatch(batch, 57)) {  // odd size: batches straddle
     ASSERT_GT(batch.n, 0u);
     for (std::size_t i = 0; i < batch.n; ++i) {
-      auto expect = one.next();
-      ASSERT_TRUE(expect.has_value()) << "batch reader produced extras";
-      EXPECT_EQ(formatRecord(batch.records[i]), formatRecord(*expect));
+      ASSERT_TRUE(one.nextInto(expect)) << "batch reader produced extras";
+      EXPECT_EQ(formatRecord(batch.records[i]), formatRecord(expect));
       // Interned ids decode back to exactly the record's own fields.
       const TraceRecord& r = batch.records[i];
       EXPECT_EQ(batch.nameInterner->view(batch.nameId[i]), r.name);
@@ -109,22 +109,12 @@ void checkBatchMatchesNext(const std::string& path) {
       ++total;
     }
   }
-  EXPECT_FALSE(one.next().has_value()) << "batch reader lost records";
+  EXPECT_FALSE(one.nextInto(expect)) << "batch reader lost records";
   EXPECT_GT(total, 0u);
 }
 
 TEST_F(EngineTest, BatchReaderMatchesNextText) {
   checkBatchMatchesNext(*textPath_);
-}
-
-TEST_F(EngineTest, NextShimStillWorks) {
-  TraceReader reader(*textPath_);
-  std::size_t n = 0;
-  while (auto rec = reader.next()) {
-    EXPECT_EQ(formatRecord(*rec), formatRecord((*records_)[n]));
-    ++n;
-  }
-  EXPECT_EQ(n, records_->size());
 }
 
 TEST_F(EngineTest, ReadAllMatchesRecords) {
@@ -241,8 +231,8 @@ std::string v2Copy(const std::vector<TraceRecord>& records,
 }
 
 TEST_F(EngineTest, ReportByteIdenticalAtAnyWorkerCount) {
-  // The same records as text and as v2, through run() (the reader) and
-  // runFile() (the extent walk on v2 once threads > 1), inline and
+  // The same records as text and as v2, through run() (a reader the
+  // test opens) and runFile() (a reader the engine opens), inline and
   // fanned out: one report.
   const std::string v2Path =
       v2Copy(*records_, "/tmp/engine_test_" + std::to_string(::getpid()) +
@@ -353,7 +343,7 @@ TEST_F(EngineTest, FanOutRethrowsScanErrors) {
   const std::string v2Bad = v2Copy(*records_, base + "_bad.v2");
   {
     // Flip a payload byte of extent 2: headers and footer stay valid, so
-    // runFile takes the extent walk and meets the CRC mismatch mid-scan.
+    // the strict scan meets the CRC mismatch mid-scan.
     auto index = tracev2::loadExtentIndex(v2Bad);
     ASSERT_TRUE(index.has_value());
     ASSERT_GT(index->size(), 3u);
@@ -508,6 +498,55 @@ TEST_F(EngineTest, StatsAndRerunReuse) {
     engine.run(reader);
   }
   EXPECT_EQ(renderReportText("x", analyses), first);
+}
+
+TEST(EngineStandalone, BlockLifePassHoldsBlockEventsNotRecords) {
+  // Many getattrs and a few writes: until finalize the pass holds one
+  // small event per block birth or death, not one entry per record.
+  std::string path =
+      "/tmp/engine_test_" + std::to_string(::getpid()) + "_events.trace";
+  {
+    TraceWriter w(path, TraceWriter::Format::Text);
+    auto write = [&w](MicroTime ts, NfsOp op, std::uint64_t file) {
+      TraceRecord r;
+      r.ts = ts;
+      r.op = op;
+      r.fh = FileHandle::make(2, file, 7);
+      r.hasReply = true;
+      r.status = NfsStat::Ok;
+      if (op == NfsOp::Write) {
+        r.count = r.retCount = 8192;
+        r.hasPre = true;  // files start empty; file 1's second write
+        r.preSize = 0;    // overwrites its block
+      }
+      w.write(r);
+    };
+    for (int i = 0; i < 1000; ++i) {
+      write(seconds(i), NfsOp::Getattr,
+            100 + static_cast<std::uint64_t>(i % 50));
+    }
+    write(seconds(100), NfsOp::Write, 1);
+    write(seconds(200), NfsOp::Write, 2);
+    write(seconds(300), NfsOp::Write, 3);
+    write(seconds(400), NfsOp::Write, 1);
+  }
+  TraceReader reader(path);
+  TraceBatch batch;
+  ASSERT_TRUE(reader.nextBatch(batch, 2000));
+  ASSERT_EQ(batch.n, 1004u);
+
+  BlockLifePass pass;
+  pass.prepare(1);
+  pass.observe(batch, 0);
+  // 4 births + the death of file 1's first block.
+  EXPECT_EQ(pass.deferredRecords(), 5u);
+  pass.finalize();
+  // Span 0..999 s: phase 1 is [0, 499.5 s), the margin as long again.
+  EXPECT_EQ(pass.stats().births, 4u);
+  EXPECT_EQ(pass.stats().deaths, 1u);
+  EXPECT_EQ(pass.stats().deathsOverwrite, 1u);
+  EXPECT_EQ(pass.stats().endSurplus, 3u);
+  std::remove(path.c_str());
 }
 
 TEST(EngineStandalone, EmptyTraceYieldsNoRecords) {

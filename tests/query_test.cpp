@@ -1,9 +1,10 @@
-// Query pushdown and the extent walk: the zone-map-pruned scan must
-// produce byte-identical reports to the record-filter-only oracle on
-// randomized traces and predicates, the extent walk feeding the fan-out
-// must be byte-identical to the serial reader at any thread count, and
-// concatenated sealed segments must chain (with a sequential fallback
-// when a footer is missing).
+// Query pushdown through the pruning reader: the zone-map-pruned scan
+// must produce byte-identical reports to the record-filter-only oracle
+// on randomized traces and predicates, runFile feeding the fan-out must
+// be byte-identical to the serial reader at any thread count, pruning
+// must visit exactly the surviving extents (and never read a pruned
+// one), and concatenated sealed segments must chain (with a sequential
+// fallback when a footer is missing).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -131,8 +132,8 @@ std::string reportClassic(const std::string& path,
   return renderReportText("q", analyses);
 }
 
-/// The path under test: runFile takes the extent walk when threads > 1
-/// or the predicate is non-trivial.
+/// The path under test: runFile hands the predicate to the reader,
+/// which prunes by zone map when the predicate is non-trivial.
 std::string reportExtent(const std::string& path, std::size_t threads,
                          const ScanPredicate& pred = {},
                          AnalysisEngine::Stats* statsOut = nullptr) {
@@ -222,8 +223,8 @@ TEST_F(QueryTest, TimeWindowPrunesWholeExtents) {
 }
 
 TEST_F(QueryTest, ParallelDecodeByteIdenticalAcrossThreadCounts) {
-  // The extent walk feeding the fan-out: every thread count renders the
-  // serial reader's report, unpruned and pruned alike.
+  // runFile feeding the fan-out: every thread count renders the serial
+  // reader's report, unpruned and pruned alike.
   auto recs = randomRecords(2000, 33);
   writeV2(path_, recs, /*extentRecords=*/256);
   std::string oracle = reportClassic(path_);
@@ -246,11 +247,130 @@ TEST_F(QueryTest, ParallelDecodeByteIdenticalAcrossThreadCounts) {
   EXPECT_GT(st.records, 0u);
 }
 
+/// XOR one byte of the file at `offset`.
+void flipByte(const std::string& path, std::uint64_t offset) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, static_cast<long>(offset), SEEK_SET);
+  int c = std::fgetc(f);
+  std::fseek(f, -1, SEEK_CUR);
+  std::fputc(c ^ 0x5a, f);
+  std::fclose(f);
+}
+
+/// Drain `reader` in batches of `batchRecords`; returns the records'
+/// timestamps and appends each batch's (size, opMask) to `batches`.
+std::vector<MicroTime> drain(
+    TraceReader& reader, std::size_t batchRecords,
+    std::vector<std::pair<std::size_t, std::uint32_t>>* batches = nullptr) {
+  std::vector<MicroTime> ts;
+  TraceBatch batch;
+  while (reader.nextBatch(batch, batchRecords)) {
+    if (batches) batches->emplace_back(batch.n, batch.opMask);
+    for (std::size_t i = 0; i < batch.n; ++i) {
+      ts.push_back(batch.records[i].ts);
+    }
+  }
+  return ts;
+}
+
+TEST_F(QueryTest, ReaderPrunesByZoneMap) {
+  auto recs = randomRecords(1500, 55);
+  writeV2(path_, recs, /*extentRecords=*/128);
+  auto index = tracev2::loadExtentIndex(path_);
+  ASSERT_TRUE(index.has_value());
+  ASSERT_GE(index->size(), 10u);
+  ScanPredicate pred;
+  pred.from = (*index)[3].tsMin;
+  pred.to = (*index)[5].tsMax;
+
+  // The survivors, in file order, and the records they hold.
+  std::vector<tracev2::ExtentInfo> survivors;
+  std::vector<MicroTime> expectTs;
+  std::size_t first = 0;
+  for (const auto& e : *index) {
+    if (pred.mayMatch(e)) {
+      survivors.push_back(e);
+      for (std::size_t i = first; i < first + e.records; ++i) {
+        expectTs.push_back(recs[i].ts);
+      }
+    }
+    first += e.records;
+  }
+  ASSERT_LT(survivors.size(), index->size());
+
+  for (std::size_t batchRecords : {50u, 1000u}) {
+    SCOPED_TRACE("batch " + std::to_string(batchRecords));
+    TraceReader reader(path_, false, pred);
+    EXPECT_EQ(reader.extentsTotal(), index->size());
+    EXPECT_EQ(reader.extentsPruned(), index->size() - survivors.size());
+    std::vector<std::pair<std::size_t, std::uint32_t>> batches;
+    EXPECT_EQ(drain(reader, batchRecords, &batches), expectTs);
+    // Each batch's opMask is the union of the masks of the extents its
+    // records came from (one extent: batches never straddle).
+    std::size_t extent = 0, used = 0;
+    for (const auto& [n, mask] : batches) {
+      std::uint32_t expectMask = 0;
+      for (std::size_t left = n; left > 0;) {
+        ASSERT_LT(extent, survivors.size());
+        std::size_t take = std::min(left, survivors[extent].records - used);
+        expectMask |= survivors[extent].opMask;
+        used += take;
+        left -= take;
+        if (used == survivors[extent].records) {
+          ++extent;
+          used = 0;
+        }
+      }
+      EXPECT_EQ(mask, expectMask);
+    }
+  }
+
+  // A trivial predicate reads sequentially: no index, all ops.
+  {
+    TraceReader reader(path_);
+    std::vector<std::pair<std::size_t, std::uint32_t>> batches;
+    EXPECT_EQ(drain(reader, 1000, &batches).size(), recs.size());
+    EXPECT_EQ(reader.extentsTotal(), 0u);
+    for (const auto& b : batches) EXPECT_EQ(b.second, kAllOpsMask);
+  }
+
+  // Corrupt the payload of a pruned extent: the pruned scan never reads
+  // it, while a sequential scan does and throws.
+  const tracev2::ExtentInfo& pruned = (*index)[0];
+  ASSERT_FALSE(pred.mayMatch(pruned));
+  flipByte(path_, pruned.offset + tracev2::kExtentHeaderBytes + 8);
+  {
+    TraceReader reader(path_, false, pred);
+    EXPECT_EQ(drain(reader, 1000), expectTs);
+    TraceReader sequential(path_);
+    EXPECT_THROW(drain(sequential, 1000), std::runtime_error);
+  }
+
+  // Recover mode ignores the index: it reads every extent it can,
+  // skipping the corrupt one with exact accounting.
+  {
+    TraceReader reader(path_, true, pred);
+    std::vector<std::pair<std::size_t, std::uint32_t>> batches;
+    EXPECT_EQ(drain(reader, 1000, &batches).size(),
+              recs.size() - pruned.records);
+    EXPECT_EQ(reader.extentsTotal(), 0u);
+    EXPECT_EQ(reader.recoverStats().skipped, pruned.records);
+    for (const auto& b : batches) EXPECT_EQ(b.second, kAllOpsMask);
+  }
+
+  // Corrupt the payload of a surviving extent: the pruned scan reads it
+  // and throws, as a strict scan must.
+  flipByte(path_, survivors[1].offset + tracev2::kExtentHeaderBytes + 8);
+  TraceReader reader(path_, false, pred);
+  EXPECT_THROW(drain(reader, 1000), std::runtime_error);
+}
+
 TEST_F(QueryTest, ChainedSegmentsIndexAndScanIdentically) {
   // Concatenated sealed segments — what the daemon's retention window
   // looks like as one byte stream.  The chained index must cover every
   // extent of every segment (offsets rebased), and both the sequential
-  // reader and the extent walk must see all records.
+  // reader and the index walk must see all records.
   auto all = randomRecords(1800, 77);
   std::vector<std::string> parts;
   for (int s = 0; s < 3; ++s) {
@@ -280,10 +400,16 @@ TEST_F(QueryTest, ChainedSegmentsIndexAndScanIdentically) {
   auto back = TraceReader::readAll(path_);
   ASSERT_EQ(back.size(), all.size());
   std::string oracle = reportClassic(path_);
+  // A trivial predicate reads sequentially; a window spanning the whole
+  // trace makes the reader walk the chained index, pruning nothing.
+  ScanPredicate whole;
+  whole.from = all.front().ts;
+  whole.to = all.back().ts;
   AnalysisEngine::Stats st;
-  EXPECT_EQ(reportExtent(path_, 4, {}, &st), oracle);
+  EXPECT_EQ(reportExtent(path_, 4, whole, &st), oracle);
   EXPECT_EQ(st.records, all.size());
   EXPECT_EQ(st.extentsTotal, singleExtents);
+  EXPECT_EQ(st.extentsPruned, 0u);
 }
 
 TEST_F(QueryTest, MissingFooterFallsBackToSequentialScan) {
