@@ -1,7 +1,8 @@
 // Overhead of the self-monitoring layer on the sharded pipeline.
 //
-// Replays the same lossy-mirror EECS capture as pipeline_throughput
-// through the 4-shard ParallelPipeline twice per repetition: once plain
+// Replays an EECS capture of 1.5 simulated days, cut down by a 40 Mbit/s
+// mirror port with a 64 KB buffer that drops frames in bursts, through
+// the 4-shard ParallelPipeline twice per repetition: once plain
 // and once fully instrumented (metrics registry wired into partitioner,
 // workers, sniffers, merge, and trace writer, with the snapshot thread
 // live and streaming JSON-lines).  Instrumentation whose cost you can
@@ -55,9 +56,10 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-// Same pipeline configuration as pipeline_throughput's 4-shard run, so
-// the plain timing here reproduces BENCH_pipeline.json's shard4_rps.
 constexpr int kShards = 4;
+// Replies under bursty load can take a while to show up at the tap, so
+// calls wait two hours before they count as lost; with that timeout the
+// pending table is scanned at most once per 30 simulated seconds.
 constexpr MicroTime kPendingTimeout = 7200 * kMicrosPerSecond;
 constexpr MicroTime kScanInterval = 30 * kMicrosPerSecond;
 constexpr int kReps = 7;

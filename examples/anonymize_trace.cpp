@@ -15,8 +15,10 @@
 // writer flush/retry counters, mapping-table size) and any DEGRADED
 // alert line to stderr, same as trace_analyze.
 //
-// With no arguments it generates a demo trace first.
+// An unknown flag prints the usage line and exits 2; an unreadable input
+// exits 1.  With no arguments it generates a demo trace first.
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -54,7 +56,7 @@ std::string makeDemoTrace() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bool metrics = false;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
@@ -149,4 +151,7 @@ int main(int argc, char** argv) {
     std::fwrite(table.data(), 1, table.size(), stderr);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "anonymize_trace: %s\n", e.what());
+  return 1;
 }

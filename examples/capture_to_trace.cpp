@@ -13,7 +13,10 @@
 // --flight records a per-thread span timeline of the whole run (sniffer
 // evictions, fault decisions, writer flushes/retries) to a Chrome
 // trace-event file — open it in Perfetto — and prints the stall report.
+// An unknown flag prints the usage line and exits 2; an unreadable input
+// exits 1.
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -71,9 +74,17 @@ std::string makeDemoCapture() {
   return path;
 }
 
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--chaos plan.cfg] [--format text|v2] "
+               "[--flight trace.json] [input.pcap [output.trace]]\n",
+               argv0);
+  return 2;
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   std::string chaosPath;
   std::string flightPath;
   TraceWriter::Format format = TraceWriter::Format::Text;
@@ -92,6 +103,9 @@ int main(int argc, char** argv) {
         return 1;
       }
       format = *f;
+    } else if (!arg.empty() && arg[0] == '-') {
+      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+      return usage(argv[0]);
     } else {
       positional.push_back(arg);
     }
@@ -206,4 +220,7 @@ int main(int argc, char** argv) {
         flightPath.c_str(), static_cast<unsigned long long>(rendered));
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "capture_to_trace: %s\n", e.what());
+  return 1;
 }

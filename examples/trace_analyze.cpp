@@ -1,26 +1,26 @@
 // Single-pass analysis driver: every table and figure from one scan.
 //
-//   trace_analyze [--decode-threads N] [--json] [--recover] [--batch N]
+//   trace_analyze [--decode-threads N] [--json] [--recover]
 //                 [--from SEC] [--to SEC] [--ops a,b,...] [--uid N]
 //                 [--metrics] [--flight trace.json] [trace-file]
 //
-// Where trace_stats grew up one analysis at a time (one full decode of
-// the trace per table), trace_analyze decodes each record exactly once
-// and hands the batches to all eight standard analysis passes.  With
-// --decode-threads N the batches fan out to N threads; the output is
-// byte-identical to the serial run at any thread count.
+// trace_analyze decodes each record exactly once and hands the batches
+// to all eight standard analysis passes.  With --decode-threads N the
+// batches fan out to N threads; the output is byte-identical to the
+// serial run at any thread count.
 //
 //   --decode-threads N
-//                 scan threads (default 1 = inline): one thread decodes,
-//                 N observe, and up to N finalize the passes
+//                 scan threads, 1 to 64 (default 1 = inline): one thread
+//                 decodes, N observe, and up to N finalize the passes
 //   --from/--to SEC, --ops LIST, --uid N
-//                 pushdown predicate: filters records and, on indexed
-//                 v2 input, prunes whole extents via footer zone maps
-//                 before any decode
+//                 pushdown predicate: keep records with from <= timestamp
+//                 <= to (decimal seconds, the unit the reports print), of
+//                 the named NFS ops (read,write,...), issued by uid N; on
+//                 indexed v2 input, whole extents are pruned via footer
+//                 zone maps before any decode
 //   --json        emit the report as one JSON object on stdout
 //   --recover     read a damaged trace end-to-end (resyncs land on
 //                 batch boundaries; summary goes to stderr)
-//   --batch N     records per batch (default 4096)
 //   --metrics     print the engine's self-monitoring snapshot (batch and
 //                 record counters, intern-table sizes, per-pass observe
 //                 timings) and any DEGRADED alert line to stderr
@@ -29,27 +29,39 @@
 //                 trace-event file F (open in Perfetto) and print the
 //                 stall-attribution report to stderr
 //
+// An unknown flag or a malformed flag value prints the usage line and
+// exits 2; an unreadable input exits 1; damage met during the scan
+// exits 3.
 // With no input argument it generates a demo trace first.
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
+#include <optional>
 #include <string>
 
 #include "analysis/engine/engine.hpp"
 #include "analysis/engine/passes.hpp"
 #include "analysis/engine/report.hpp"
+#include "nfs/proc.hpp"
 #include "obs/exporter.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
+#include "trace/predicate.hpp"
 #include "trace/tracefile.hpp"
 #include "workload/campus.hpp"
 #include "workload/sim.hpp"
 
-#include "scan_flags.hpp"
-
 using namespace nfstrace;
 
 namespace {
+
+/// Upper bound of --decode-threads: every scan thread is an OS thread
+/// that busy-yields while it waits for batches.
+constexpr std::uint64_t kMaxDecodeThreads = 64;
 
 std::string makeDemoTrace() {
   std::string path = "/tmp/trace_analyze_demo.trace";
@@ -73,28 +85,82 @@ std::string makeDemoTrace() {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--decode-threads N] [--json] "
-               "[--recover] [--batch N] [--from SEC] [--to SEC] "
-               "[--ops a,b,...] [--uid N] [--metrics] "
-               "[--flight trace.json] [trace-file]\n",
+               "usage: %s [--decode-threads N] [--json] [--recover] "
+               "[--from SEC] [--to SEC] [--ops a,b,...] [--uid N] "
+               "[--metrics] [--flight trace.json] [trace-file]\n",
                argv0);
   return 2;
 }
 
+/// A complete unsigned decimal in [lo, hi]; nullopt (with a message
+/// naming the flag) for anything else, signs and blanks included.
+std::optional<std::uint64_t> parseCount(const std::string& flag,
+                                        const char* v, std::uint64_t lo,
+                                        std::uint64_t hi) {
+  const char* end = v + std::strlen(v);
+  std::uint64_t n = 0;
+  auto [p, ec] = std::from_chars(v, end, n);
+  if (ec != std::errc() || p != end || n < lo || n > hi) {
+    std::fprintf(stderr,
+                 "%s: bad value \"%s\" (want a whole number %llu..%llu)\n",
+                 flag.c_str(), v, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+    return std::nullopt;
+  }
+  return n;
+}
+
+/// Decimal seconds as MicroTime; nullopt (with a message) if malformed.
+std::optional<MicroTime> parseSeconds(const std::string& flag,
+                                      const char* v) {
+  char* end = nullptr;
+  double sec = std::strtod(v, &end);
+  if (end == v || *end != '\0') {
+    std::fprintf(stderr, "%s: bad seconds value \"%s\"\n", flag.c_str(), v);
+    return std::nullopt;
+  }
+  return static_cast<MicroTime>(std::llround(sec * 1e6));
+}
+
+/// One "a,b,c" op list as a mask; nullopt (with a message) on an
+/// unknown name or an empty list.
+std::optional<std::uint32_t> parseOpsList(const std::string& list) {
+  std::uint32_t m = 0;
+  std::size_t pos = 0;
+  for (;;) {
+    std::size_t comma = list.find(',', pos);
+    std::string name = comma == std::string::npos
+                           ? list.substr(pos)
+                           : list.substr(pos, comma - pos);
+    if (!name.empty()) {
+      NfsOp op = nfsOpFromName(name);
+      if (op == NfsOp::Unknown && name != "unknown") {
+        std::fprintf(stderr, "--ops: unknown NFS op \"%s\"\n", name.c_str());
+        return std::nullopt;
+      }
+      m |= opMaskBit(op);
+    }
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  if (m == 0) {
+    std::fprintf(stderr, "--ops: empty op list\n");
+    return std::nullopt;
+  }
+  return m;
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bool json = false;
   bool recover = false;
   bool metrics = false;
   std::string flightPath;
-  std::size_t batchRecords = TraceBatch::kDefaultCapacity;
-  ScanFlags sf;
+  std::size_t decodeThreads = 1;
+  ScanPredicate predicate;
   std::string input;
   for (int i = 1; i < argc; ++i) {
-    int consumed = sf.tryParse(argc, argv, &i);
-    if (consumed < 0) return usage(argv[0]);
-    if (consumed > 0) continue;
     std::string arg = argv[i];
     if (arg == "--json") {
       json = true;
@@ -102,12 +168,37 @@ int main(int argc, char** argv) {
       recover = true;
     } else if (arg == "--metrics") {
       metrics = true;
-    } else if (arg == "--flight" && i + 1 < argc) {
-      flightPath = argv[++i];
-    } else if (arg == "--batch" && i + 1 < argc) {
-      batchRecords =
-          static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (batchRecords == 0) batchRecords = 1;
+    } else if (arg == "--flight" || arg == "--decode-threads" ||
+               arg == "--from" || arg == "--to" || arg == "--ops" ||
+               arg == "--uid") {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
+        return usage(argv[0]);
+      }
+      const char* v = argv[++i];
+      if (arg == "--flight") {
+        flightPath = v;
+      } else if (arg == "--decode-threads") {
+        auto n = parseCount(arg, v, 1, kMaxDecodeThreads);
+        if (!n) return usage(argv[0]);
+        decodeThreads = static_cast<std::size_t>(*n);
+      } else if (arg == "--uid") {
+        auto n = parseCount(arg, v, 0, UINT32_MAX);
+        if (!n) return usage(argv[0]);
+        predicate.uid = static_cast<std::uint32_t>(*n);
+      } else if (arg == "--ops") {
+        auto mask = parseOpsList(v);
+        if (!mask) return usage(argv[0]);
+        predicate.ops = *mask;
+      } else {
+        auto t = parseSeconds(arg, v);
+        if (!t) return usage(argv[0]);
+        if (arg == "--from") {
+          predicate.from = *t;
+        } else {
+          predicate.to = *t;
+        }
+      }
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return usage(argv[0]);
@@ -122,9 +213,8 @@ int main(int argc, char** argv) {
   obs::Registry registry;
   StandardAnalyses analyses;
   AnalysisEngine::Config cfg;
-  cfg.batchRecords = batchRecords;
-  cfg.decodeThreads = sf.decodeThreads;
-  cfg.predicate = sf.predicate;
+  cfg.decodeThreads = decodeThreads;
+  cfg.predicate = predicate;
   AnalysisEngine engine(cfg);
   engine.addPasses(analyses.all());
   engine.attachMetrics(registry);
@@ -134,7 +224,7 @@ int main(int argc, char** argv) {
   AnalysisEngine::Stats st;
   // The reader gets the predicate too: on indexed v2 input it prunes
   // whole extents via the footer zone maps before any decode.
-  TraceReader reader(input, recover, sf.predicate);
+  TraceReader reader(input, recover, predicate);
   try {
     st = engine.run(reader);
   } catch (const std::exception& e) {
@@ -165,10 +255,18 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(rs.checkpoints),
                  static_cast<unsigned long long>(st.resyncCuts));
   }
-  sf.reportPruning(st);
+  if (!predicate.trivial()) {
+    std::fprintf(stderr,
+                 "predicate: pruned %llu of %llu extents via zone maps, "
+                 "filtered %llu decoded records, kept %llu\n",
+                 static_cast<unsigned long long>(st.extentsPruned),
+                 static_cast<unsigned long long>(st.extentsTotal),
+                 static_cast<unsigned long long>(st.recordsFiltered),
+                 static_cast<unsigned long long>(st.records));
+  }
   if (st.records == 0) {
     std::fprintf(stderr, "%s: no records%s\n", input.c_str(),
-                 sf.predicate.trivial() ? "" : " matched the predicate");
+                 predicate.trivial() ? "" : " matched the predicate");
     return 1;
   }
 
@@ -198,4 +296,7 @@ int main(int argc, char** argv) {
         flightPath.c_str(), static_cast<unsigned long long>(rendered));
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "trace_analyze: %s\n", e.what());
+  return 1;
 }

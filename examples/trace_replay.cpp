@@ -6,7 +6,10 @@
 // advocates: let file servers optimize from the workload they observe.
 //
 //   trace_replay [trace-file]
+//
+// An unreadable input exits 1.
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <unordered_map>
 
@@ -78,7 +81,7 @@ ReplayResult replay(const std::vector<TraceRecord>& records,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   std::string input = argc > 1 ? argv[1] : makeDemoTrace();
   auto records = TraceReader::readAll(input);
   auto s = summarize(records);
@@ -113,4 +116,7 @@ int main(int argc, char** argv) {
       "the capture; on a trace with none, the two policies tie.\n",
       -(-gain));
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "trace_replay: %s\n", e.what());
+  return 1;
 }

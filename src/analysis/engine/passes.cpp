@@ -148,8 +148,8 @@ void BlockLifePass::finalize() {
     stats_ = {};
     return;
   }
-  // The same phase split trace_stats always used: phase 1 is the first
-  // half of the trace span, phase 2 (the end margin) the second half.
+  // The report's phase split over the trace's own span: phase 1 is the
+  // first half, phase 2 (the end margin) the second half.
   BlockLifeConfig phases;
   phases.phase1Start = firstTs_;
   phases.phase1Length = std::max<MicroTime>((lastTs_ - firstTs_) / 2, 1);

@@ -1,6 +1,7 @@
 // Rendering for the standard analysis bundle: one human-readable text
-// report (the tables trace_stats always printed, plus hourly load,
-// reorder sweep, and hierarchy coverage) and one machine-readable JSON
+// report (operation mix, data volumes, runs, block lifetimes and name
+// census, plus hourly load, reorder sweep, and hierarchy coverage) and
+// one machine-readable JSON
 // object.  Both are pure functions of the finalized passes, so rendered
 // output doubles as the byte-identity oracle for the engine's
 // determinism guarantees (serial vs N workers).

@@ -1,7 +1,7 @@
 // Minimal streaming JSON writer: comma placement and string escaping
 // handled by a container stack, output appended to one growable string.
 // Used by the snapshot exporter's JSON-lines stream and by tools that
-// emit machine-readable summaries (trace_stats --json).
+// emit machine-readable summaries (trace_analyze --json).
 #pragma once
 
 #include <cstdint>

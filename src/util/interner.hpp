@@ -12,7 +12,8 @@
 // of stable storage, and lookup goes through an open-addressing table of
 // (tag, id) slots — one hash, a couple of probes, and at most one byte
 // compare per intern() hit, with zero allocation.  Each reader owns its
-// own interner, so a sharded engine gets per-worker arenas for free.
+// own interner: in a fan-out scan the one decoding thread interns for
+// every observer thread, which only reads published ids.
 //
 // Concurrency contract (single-writer / many-reader): only one thread may
 // call intern(); view()/size() may be called from other threads for ids

@@ -13,6 +13,7 @@
 #include "pipeline/pipeline.hpp"
 #include "pipeline/spsc_ring.hpp"
 #include "trace/tracefile.hpp"
+#include "workload/eecs.hpp"
 #include "workload/sim.hpp"
 
 namespace nfstrace {
@@ -203,17 +204,49 @@ std::vector<CapturedPacket> simulatedCapture() {
   return collector.frames;
 }
 
-TEST(PipelineDeterminism, ShardedOutputMatchesSerialBytes) {
-  auto frames = simulatedCapture();
-  ASSERT_GT(frames.size(), 100u);
+/// A short EECS capture (UDP; NFSv2 and v3 hosts) replayed through a
+/// span port too narrow for its bursts, 40 Mbit/s behind a 64 KB buffer.
+/// Frames drop as on the paper's CAMPUS mirror (§4.1.4), leaving replies
+/// whose calls were lost and calls that never see a reply.  The drops
+/// come from buffer overflow, not an RNG, so every run drops the same.
+std::vector<CapturedPacket> lossyEecsCapture(std::uint64_t* dropped) {
+  SimEnvironment::Config cfg;
+  cfg.fsConfig.fsid = 1;
+  cfg.clientHosts = 8;
+  cfg.hostVersions = {3, 3, 3, 3, 3, 3, 2, 2};
+  cfg.useTcp = false;
+  cfg.mtu = kStandardMtu;
+  cfg.seed = 4004;
+  SimEnvironment env(cfg, [](const TraceRecord&) {});
+  FrameCollector collector;
+  MirrorPort::Config mc;
+  mc.bandwidthBitsPerSec = 40e6;
+  mc.bufferBytes = 64 * 1024;
+  MirrorPort mirror(mc, collector);
+  env.addTapSink(&mirror);
+  EecsConfig wl;
+  wl.users = 6;
+  wl.seed = 4005;
+  EecsWorkload workload(wl, env);
+  MicroTime start = days(1) + hours(10);
+  workload.setup(start);
+  workload.run(start, start + minutes(20));
+  env.finishCapture();
+  *dropped = mirror.dropped();
+  return collector.frames;
+}
 
+/// Every shard count must render the serial run's bytes and count the
+/// same frames, calls, replies and losses.  Returns the serial stats.
+Sniffer::Stats expectShardsMatchSerial(
+    const std::vector<CapturedPacket>& frames) {
   Sniffer::Config cfg;
   Sniffer::Stats serialStats;
   auto serial = runSerial(frames, cfg, &serialStats);
-  ASSERT_FALSE(serial.empty());
+  EXPECT_FALSE(serial.empty());
   std::string serialBytes = renderAll(serial);
 
-  for (int shards : {1, 2, 3, 4}) {
+  for (int shards : {1, 2, 3, 4, 8}) {
     Sniffer::Stats stats;
     auto merged = runSharded(frames, shards, cfg, &stats);
     EXPECT_EQ(renderAll(merged), serialBytes) << "shards=" << shards;
@@ -222,8 +255,28 @@ TEST(PipelineDeterminism, ShardedOutputMatchesSerialBytes) {
     EXPECT_EQ(stats.rpcReplies, serialStats.rpcReplies);
     EXPECT_EQ(stats.orphanReplies, serialStats.orphanReplies);
     EXPECT_EQ(stats.expiredCalls, serialStats.expiredCalls);
+    EXPECT_EQ(stats.flushedCalls, serialStats.flushedCalls);
     EXPECT_EQ(stats.nonNfsCalls, serialStats.nonNfsCalls);
   }
+  return serialStats;
+}
+
+TEST(PipelineDeterminism, ShardedOutputMatchesSerialBytes) {
+  auto frames = simulatedCapture();
+  ASSERT_GT(frames.size(), 100u);
+  {
+    SCOPED_TRACE("lossless TCP capture");
+    expectShardsMatchSerial(frames);
+  }
+
+  std::uint64_t dropped = 0;
+  auto lossy = lossyEecsCapture(&dropped);
+  ASSERT_GT(lossy.size(), 100u);
+  EXPECT_GT(dropped, 0u) << "the mirror port dropped no frames";
+  SCOPED_TRACE("lossy mirror-port EECS capture");
+  Sniffer::Stats st = expectShardsMatchSerial(lossy);
+  EXPECT_GT(st.orphanReplies + st.expiredCalls + st.flushedCalls, 0u)
+      << "no orphan reply or reply-less call: the input is not lossy";
 }
 
 TEST(PipelineDeterminism, CopyingFramePathMatchesToo) {
