@@ -189,7 +189,7 @@ void check(bool ok, const char* what) {
 
 /// Write `recs` to a fresh v2 trace and run the standard 8-pass engine
 /// report over it — the oracle phase G compares daemon streams with.
-std::string engineReportOver(const std::vector<TraceRecord>& recs,
+std::string reportOver(const std::vector<TraceRecord>& recs,
                              const std::string& tmpPath) {
   {
     TraceWriter::Options o;
@@ -576,10 +576,8 @@ int main(int argc, char** argv) {
     daemon::TraceDaemon::Config dc;
     dc.dir = dir;
     dc.prefix = "day";
-    dc.format = TraceWriter::Format::V2;
     dc.rotateRecords = gRotate;
     dc.v2ExtentRecords = gExtent;
-    dc.checkpointEveryRecords = gExtent;
     // Ride out the injected disk faults inside the retry budget: byte
     // identity requires zero sheds (the shedding path is daemon_test's
     // territory).
@@ -699,9 +697,9 @@ int main(int argc, char** argv) {
   check(renderAll(ctrlStream) == renderAll(gRecs),
         "uninterrupted control stream matches the input stream");
   std::string gCtrlReport =
-      engineReportOver(ctrlStream, "bench_chaos_g_ctrl.trace");
+      reportOver(ctrlStream, "bench_chaos_g_ctrl.trace");
   std::string gKillReport =
-      engineReportOver(gStream, "bench_chaos_g_kill.trace");
+      reportOver(gStream, "bench_chaos_g_kill.trace");
   bool gEngineIdentical = !gKillReport.empty() && gKillReport == gCtrlReport;
   check(gEngineIdentical,
         "engine 8-pass report byte-identical to the uninterrupted run");

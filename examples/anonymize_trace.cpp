@@ -87,50 +87,53 @@ int main(int argc, char** argv) try {
   // The anonymized trace keeps the input's format: a site anonymizing a
   // v2 archive for publication gets a v2 archive back.
   TraceWriter::Format format = detectTraceFormat(input);
-  auto records = TraceReader::readAll(input);
-  std::printf("read %llu records from %s (%s format)\n",
-              static_cast<unsigned long long>(records.size()), input.c_str(),
-              traceFormatName(format));
+  TraceReader reader(input);
 
   // The default configuration keeps the names the paper kept (CVS,
   // .inbox, .pinerc, lock components) and root/daemon UIDs; a policy
   // file overrides it.
   Anonymizer::Config cfg;
-  if (positional.size() > 3) {
-    cfg = Anonymizer::Config::fromFile(positional[3]);
-    std::printf("loaded anonymization policy from %s\n",
-                positional[3].c_str());
-  }
+  if (positional.size() > 3) cfg = Anonymizer::Config::fromFile(positional[3]);
   Anonymizer anon{cfg};
   TraceWriter writer(output, format);
   if (metrics) writer.attachMetrics(registry);
-  std::vector<TraceRecord> anonymized;
-  anonymized.reserve(records.size());
-  for (const auto& rec : records) {
-    anonymized.push_back(anon.anonymize(rec));
-    writer.write(anonymized.back());
+
+  // One record at a time: anonymize, write, and fold both sides into the
+  // running summaries; keep the first named record as the example pair.
+  TraceRecord rec;
+  TraceSummary s1, s2;
+  std::string before, after;
+  while (reader.nextInto(rec)) {
+    TraceRecord out = anon.anonymize(rec);
+    writer.write(out);
     recordsC.inc();
+    summaryObserve(s1, rec);
+    summaryObserve(s2, out);
+    if (before.empty() && !rec.name.empty() && rec.name != ".inbox.lock") {
+      before = formatRecord(rec);
+      after = formatRecord(out);
+    }
   }
   writer.flush();
   anon.saveMap(mapFile);
   mappingsG.set(static_cast<double>(anon.mappedNames()));
 
+  std::printf("read %llu records from %s (%s format)\n",
+              static_cast<unsigned long long>(s1.totalOps), input.c_str(),
+              traceFormatName(format));
+  if (positional.size() > 3) {
+    std::printf("loaded anonymization policy from %s\n",
+                positional[3].c_str());
+  }
   std::printf("wrote %s and mapping table %s (%zu name mappings)\n",
               output.c_str(), mapFile.c_str(), anon.mappedNames());
 
   // Show a before/after pair.
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (!records[i].name.empty() && records[i].name != ".inbox.lock") {
-      std::printf("\nbefore: %s\nafter:  %s\n",
-                  formatRecord(records[i]).c_str(),
-                  formatRecord(anonymized[i]).c_str());
-      break;
-    }
+  if (!before.empty()) {
+    std::printf("\nbefore: %s\nafter:  %s\n", before.c_str(), after.c_str());
   }
 
   // What survives: every analysis.  What doesn't: identities.
-  auto s1 = summarize(records);
-  auto s2 = summarize(anonymized);
   std::printf(
       "\nanalysis invariance: totalOps %llu == %llu, bytesRead %llu == %llu\n",
       static_cast<unsigned long long>(s1.totalOps),

@@ -123,33 +123,32 @@ int main(int argc, char** argv) try {
 
   obs::FlightRecorder flight;
 
-  std::vector<TraceRecord> records;
-  Sniffer::Config scfg;
-  if (!flightPath.empty()) scfg.flight = &flight;
-  Sniffer sniffer(scfg,
-                  [&](const TraceRecord& rec) { records.push_back(rec); });
-  FaultySink faulty(plan, sniffer);  // quiet plan = pass-through
-  if (!flightPath.empty()) faulty.attachFlight(flight);
-  {
-    PcapReader reader(input);
-    while (auto pkt = reader.next()) faulty.onFrame(*pkt);
-  }
-  faulty.flush();
-  sniffer.flush();
-  const Sniffer::Stats& stats = sniffer.stats();
-
+  // Each record is written as the sniffer emits it; only the first few
+  // are kept, for the printout.
+  PcapReader reader(input);
   IoFaultInjector ioFaults(plan);
   TraceWriter::Options wopts;
   wopts.format = format;
   if (!chaosPath.empty()) wopts.faults = &ioFaults;
-  TraceWriter::IoStats ioStats;
-  {
-    TraceWriter writer(output, wopts);
-    if (!flightPath.empty()) writer.attachFlight(flight);
-    for (const auto& rec : records) writer.write(rec);
-    writer.flush();
-    ioStats = writer.ioStats();
-  }
+  TraceWriter writer(output, wopts);
+  if (!flightPath.empty()) writer.attachFlight(flight);
+  std::vector<TraceRecord> firstRecords;
+  Sniffer::Config scfg;
+  if (!flightPath.empty()) scfg.flight = &flight;
+  Sniffer sniffer(scfg, [&](const TraceRecord& rec) {
+    writer.write(rec);
+    if (firstRecords.size() < 5) firstRecords.push_back(rec);
+  });
+  FaultySink faulty(plan, sniffer);  // quiet plan = pass-through
+  if (!flightPath.empty()) faulty.attachFlight(flight);
+  while (auto pkt = reader.next()) faulty.onFrame(*pkt);
+  faulty.flush();
+  sniffer.flush();
+  writer.flush();
+  const Sniffer::Stats& stats = sniffer.stats();
+  const TraceWriter::IoStats ioStats = writer.ioStats();  // before the seal
+  const std::uint64_t records = writer.recordsWritten();
+  writer.finalize();
 
   // The paper's §4.1.4 capture-loss estimate: a reply whose call was
   // never captured means the call frame was dropped at the tap, so
@@ -177,7 +176,7 @@ int main(int argc, char** argv) try {
       static_cast<unsigned long long>(stats.orphanReplies),
       static_cast<unsigned long long>(stats.expiredCalls + stats.flushedCalls),
       100.0 * lossEstimate,
-      static_cast<unsigned long long>(records.size()));
+      static_cast<unsigned long long>(records));
 
   if (!chaosPath.empty()) {
     const FaultySink::Stats& fs = faulty.stats();
@@ -199,11 +198,10 @@ int main(int argc, char** argv) try {
         static_cast<unsigned long long>(ioStats.checkpoints));
   }
 
-  if (!records.empty()) {
+  if (!firstRecords.empty()) {
     std::printf("\nfirst records:\n");
-    for (std::size_t i = 0; i < std::min<std::size_t>(5, records.size());
-         ++i) {
-      std::printf("  %s\n", formatRecord(records[i]).c_str());
+    for (const TraceRecord& rec : firstRecords) {
+      std::printf("  %s\n", formatRecord(rec).c_str());
     }
   }
 

@@ -1,16 +1,18 @@
 // nfstraced: the unattended continuous-capture daemon (§4.1) — capture,
-// checkpoint-aligned rotation, crash recovery, retention, supervision.
+// extent-aligned rotation, crash recovery, retention, supervision.
 //
-//   nfstraced [--config configs/daemon.cfg] [--dir DIR] [--prefix P]
-//             [--format text|v2] [--rotate-records N]
-//             [--rotate-bytes N] [--retain-segments N] [--retain-bytes N]
-//             [--compact-after-s S] [--records N] [--sim-hours H]
-//             [--chaos plan.cfg] [--supervise N] [--status]
-//             [--prom FILE] [--jsonl FILE] [--recover-only]
+//   nfstraced [--config FILE] [--KEY VALUE]... [--status] [--recover-only]
+//
+// Every setting has one name, its key in configs/daemon.cfg (which lists
+// them all); on the command line a key's '_' is spelt '-', so
+// `--rotate-records 5000` sets rotate_records.  Config files and flags
+// apply in command-line order and the last value wins.  An unknown key
+// or flag, or a malformed or out-of-range value, prints the usage line,
+// names the key and exits 2.
 //
 // The record source is the deterministic EECS workload simulation (the
 // repo's stand-in for a mirror port), streamed straight into the daemon:
-// capture -> sniffer -> TraceDaemon -> rotating sealed segments + a
+// capture -> sniffer -> TraceDaemon -> rotating sealed v2 segments + a
 // crash-consistent manifest.  Because the simulation is a pure function
 // of its seed, a restarted daemon resumes the stream exactly at the
 // manifest's position — re-run nfstraced after killing it and the
@@ -30,19 +32,22 @@
 //
 // Signals: SIGTERM/SIGINT drain gracefully (seal the active segment,
 // save the manifest); SIGHUP rotates now.
+#include <algorithm>
+#include <climits>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "daemon/daemon.hpp"
 #include "daemon/supervisor.hpp"
 #include "fault/fault.hpp"
 #include "obs/exporter.hpp"
 #include "obs/metrics.hpp"
-#include "trace/tracefile.hpp"
 #include "util/config.hpp"
 #include "workload/eecs.hpp"
 #include "workload/sim.hpp"
@@ -57,95 +62,85 @@ volatile std::sig_atomic_t gRotate = 0;  // SIGHUP
 void onDrain(int) { gDrain = 1; }
 void onRotate(int) { gRotate = 1; }
 
-struct Options {
-  std::string dir = "/tmp/nfstraced";
-  std::string prefix = "eecs";
-  TraceWriter::Format format = TraceWriter::Format::V2;
-  std::uint64_t rotateRecords = 20'000;
-  std::uint64_t rotateBytes = 0;
-  std::size_t retainSegments = 0;
-  std::uint64_t retainBytes = 0;
-  std::int64_t retainAgeSec = 0;
-  std::int64_t compactAfterSec = -1;
-  std::uint64_t checkpointEvery = 4096;
-  std::uint64_t v2ExtentRecords = 8192;
-  int maxRetries = 8;
-  std::uint64_t reopenAfterSheds = 256;
+/// Keys that take no value on the command line: `--status` sets
+/// status = true.
+constexpr std::string_view kSwitches[] = {"status", "recover_only"};
+
+/// Bounds sim_hours so the simulated window's end fits in a MicroTime.
+constexpr double kMaxSimHours = 1e6;
+
+/// What one nfstraced run needs, filled once by readSettings().
+struct Settings {
+  daemon::TraceDaemon::Config daemon;
+  obs::SnapshotExporter::Config exporter;
+  EecsConfig workload;
+  std::optional<FaultPlan> chaos;
   std::uint64_t maxRecords = 0;  // 0 = run the whole simulated window
-  double simHours = 2.0;
-  int simUsers = 24;
-  std::uint64_t seed = 4004;
-  std::string chaosPath;
-  int supervise = -1;  // <0 = unsupervised
-  bool status = false;
-  std::string promPath;
-  std::string jsonlPath;
+  double simHours = 0;
+  std::optional<int> supervise;  // restart budget; unset = unsupervised
   bool recoverOnly = false;
 };
 
-/// The one place a format name becomes a TraceWriter::Format, for the
-/// config key and the flag alike: an unknown name (the retired v1
-/// "binary" included) is an error, never a silent default.
-TraceWriter::Format parseFormat(const std::string& name) {
-  auto f = traceFormatFromName(name);
-  if (!f) {
-    throw std::runtime_error("unknown trace format \"" + name +
-                             "\" (text, v2)");
+/// Config files and flags in command-line order: `--config FILE` adds
+/// FILE's lines, `--KEY VALUE` one more line (a switch takes no value).
+ConfigFile collectSettings(int argc, char** argv) {
+  ConfigFile settings;
+  for (int i = 1; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (arg.size() <= 2 || arg.compare(0, 2, "--") != 0) {
+      throw std::runtime_error("unexpected argument \"" + arg + "\"");
+    }
+    std::string key = arg.substr(2);
+    std::replace(key.begin(), key.end(), '-', '_');
+    if (std::find(std::begin(kSwitches), std::end(kSwitches), key) !=
+        std::end(kSwitches)) {
+      settings.add(key, "true");
+      continue;
+    }
+    if (i + 1 >= argc) throw std::runtime_error("missing value for " + arg);
+    std::string value = argv[++i];
+    if (key != "config") {
+      settings.add(key, value);
+      continue;
+    }
+    ConfigFile file = ConfigFile::load(value);
+    for (const std::string& k : file.keys()) {
+      for (const std::string& v : file.getAll(k)) settings.add(k, v);
+    }
   }
-  return *f;
+  return settings;
 }
 
-void applyConfigFile(Options& o, const std::string& path) {
-  ConfigFile cfg = ConfigFile::load(path);
-  o.dir = cfg.get("dir", o.dir);
-  o.prefix = cfg.get("prefix", o.prefix);
-  if (auto f = cfg.get("format")) o.format = parseFormat(*f);
-  o.rotateRecords = static_cast<std::uint64_t>(
-      cfg.getInt("rotate_records", static_cast<std::int64_t>(o.rotateRecords)));
-  o.rotateBytes = static_cast<std::uint64_t>(
-      cfg.getInt("rotate_bytes", static_cast<std::int64_t>(o.rotateBytes)));
-  o.retainSegments = static_cast<std::size_t>(cfg.getInt(
-      "retain_segments", static_cast<std::int64_t>(o.retainSegments)));
-  o.retainBytes = static_cast<std::uint64_t>(
-      cfg.getInt("retain_bytes", static_cast<std::int64_t>(o.retainBytes)));
-  o.retainAgeSec = cfg.getInt("retain_age_s", o.retainAgeSec);
-  o.compactAfterSec = cfg.getInt("compact_after_s", o.compactAfterSec);
-  o.checkpointEvery = static_cast<std::uint64_t>(cfg.getInt(
-      "checkpoint_every", static_cast<std::int64_t>(o.checkpointEvery)));
-  o.v2ExtentRecords = static_cast<std::uint64_t>(cfg.getInt(
-      "v2_extent_records", static_cast<std::int64_t>(o.v2ExtentRecords)));
-  o.maxRetries = static_cast<int>(cfg.getInt("max_retries", o.maxRetries));
-  o.reopenAfterSheds = static_cast<std::uint64_t>(cfg.getInt(
-      "reopen_after_sheds", static_cast<std::int64_t>(o.reopenAfterSheds)));
-  o.maxRecords = static_cast<std::uint64_t>(
-      cfg.getInt("max_records", static_cast<std::int64_t>(o.maxRecords)));
-  o.simHours = cfg.getDouble("sim_hours", o.simHours);
-  o.simUsers = static_cast<int>(cfg.getInt("sim_users", o.simUsers));
-  o.seed = static_cast<std::uint64_t>(
-      cfg.getInt("seed", static_cast<std::int64_t>(o.seed)));
-  o.chaosPath = cfg.get("chaos", o.chaosPath);
-}
-
-daemon::TraceDaemon::Config daemonConfig(const Options& o,
-                                         IoFaultInjector* faults,
-                                         obs::Registry* metrics) {
-  daemon::TraceDaemon::Config dc;
-  dc.dir = o.dir;
-  dc.prefix = o.prefix;
-  dc.format = o.format;
-  dc.rotateRecords = o.rotateRecords;
-  dc.rotateBytes = o.rotateBytes;
-  dc.checkpointEveryRecords = o.checkpointEvery;
-  dc.v2ExtentRecords = o.v2ExtentRecords;
-  dc.maxRetries = o.maxRetries;
-  dc.reopenAfterSheds = o.reopenAfterSheds;
-  dc.faults = faults;
-  dc.retention.maxSegments = o.retainSegments;
-  dc.retention.maxTotalBytes = o.retainBytes;
-  dc.retention.maxAgeSec = o.retainAgeSec;
-  dc.retention.compactAfterSec = o.compactAfterSec;
-  dc.metrics = metrics;
-  return dc;
+/// The one reader of nfstraced's settings; defaults are the tool's.
+Settings readSettings(const ConfigFile& c) {
+  Settings s;
+  daemon::TraceDaemon::Config& d = s.daemon;
+  d.dir = c.get("dir", "/tmp/nfstraced");
+  d.prefix = c.get("prefix", "eecs");
+  d.rotateRecords = c.getUnsigned("rotate_records", 20'000);
+  d.rotateBytes = c.getUnsigned("rotate_bytes", 0);
+  d.retention.maxSegments = c.getUnsigned("retain_segments", 0);
+  d.retention.maxTotalBytes = c.getUnsigned("retain_bytes", 0);
+  d.retention.maxAgeSec =
+      static_cast<std::int64_t>(c.getUnsigned("retain_age_s", 0, INT64_MAX));
+  s.maxRecords = c.getUnsigned("max_records", 0);
+  s.simHours = c.getDouble("sim_hours", 2.0, 0.0, kMaxSimHours);
+  s.workload.users =
+      static_cast<int>(c.getUnsigned("sim_users", 24, INT_MAX));
+  s.workload.seed = c.getUnsigned("seed", 4004);
+  if (auto plan = c.get("chaos")) s.chaos = FaultPlan::load(*plan);
+  if (c.has("supervise")) {
+    s.supervise = static_cast<int>(c.getUnsigned("supervise", 0, INT_MAX));
+  }
+  bool status = c.getBool("status", false);
+  s.exporter.intervalUs = status ? kMicrosPerSecond : 0;
+  s.exporter.statusStream = status ? stderr : nullptr;
+  s.exporter.promPath = c.get("prom", "");
+  s.exporter.jsonlPath = c.get("jsonl", "");
+  s.exporter.alertCounters = obs::defaultAlertCounters();
+  s.recoverOnly = c.getBool("recover_only", false);
+  c.rejectUnknownKeys();
+  return s;
 }
 
 void printBooks(const daemon::TraceDaemon& d) {
@@ -166,14 +161,13 @@ void printBooks(const daemon::TraceDaemon& d) {
 /// One daemon incarnation: recover, resume the simulated capture at the
 /// manifest's stream position, drain on SIGTERM.  Returns the process
 /// exit code (0 = clean drain, 1 = books unbalanced at exit).
-int runOnce(const Options& o) {
-  FaultPlan plan;
-  if (!o.chaosPath.empty()) plan = FaultPlan::load(o.chaosPath);
-  IoFaultInjector ioFaults(plan);
-
+int runOnce(const Settings& s) {
+  IoFaultInjector ioFaults(s.chaos.value_or(FaultPlan{}));
   obs::Registry registry;
-  daemon::TraceDaemon daemon(
-      daemonConfig(o, o.chaosPath.empty() ? nullptr : &ioFaults, &registry));
+  daemon::TraceDaemon::Config dc = s.daemon;
+  dc.faults = s.chaos ? &ioFaults : nullptr;
+  dc.metrics = &registry;
+  daemon::TraceDaemon daemon(std::move(dc));
 
   const auto& rec = daemon.recovery();
   if (rec.tornSegments || rec.adoptedSegments || rec.rebuiltFromScan) {
@@ -186,19 +180,13 @@ int runOnce(const Options& o) {
                  static_cast<unsigned long long>(rec.adoptedSegments),
                  rec.rebuiltFromScan ? " (manifest rebuilt from scan)" : "");
   }
-  if (o.recoverOnly) {
+  if (s.recoverOnly) {
     printBooks(daemon);
     daemon.stop();
     return daemon.books().balanced() ? 0 : 1;
   }
 
-  obs::SnapshotExporter::Config ec;
-  ec.intervalUs = o.status ? kMicrosPerSecond : 0;
-  ec.statusStream = o.status ? stderr : nullptr;
-  ec.promPath = o.promPath;
-  ec.jsonlPath = o.jsonlPath;
-  ec.alertCounters = obs::defaultAlertCounters();
-  obs::SnapshotExporter exporter(registry, ec);
+  obs::SnapshotExporter exporter(registry, s.exporter);
 
   std::signal(SIGTERM, onDrain);
   std::signal(SIGINT, onDrain);
@@ -211,19 +199,16 @@ int runOnce(const Options& o) {
   SimEnvironment::Config sc;
   sc.fsConfig.fsid = 7;
   sc.clientHosts = 4;
-  sc.seed = o.seed;
+  sc.seed = s.workload.seed;
   SimEnvironment env(sc, [&](const TraceRecord& r) {
-    if (o.maxRecords > 0 && index >= o.maxRecords) return;
+    if (s.maxRecords > 0 && index >= s.maxRecords) return;
     if (index++ < resume) return;  // already sealed by a past incarnation
     daemon.submit(r);
   });
-  EecsConfig wc;
-  wc.users = o.simUsers;
-  wc.seed = o.seed;
-  EecsWorkload workload(wc, env);
+  EecsWorkload workload(s.workload, env);
 
   MicroTime start = days(1) + hours(9);
-  MicroTime end = start + seconds(o.simHours * 3600.0);
+  MicroTime end = start + seconds(s.simHours * 3600.0);
   workload.setup(start);
   // Run in one-simulated-minute slices so signals are honoured promptly.
   for (MicroTime t = start; t < end && !gDrain; t += minutes(1)) {
@@ -232,7 +217,7 @@ int runOnce(const Options& o) {
       gRotate = 0;
       daemon.rotateNow();
     }
-    if (o.maxRecords > 0 && index >= o.maxRecords) break;
+    if (s.maxRecords > 0 && index >= s.maxRecords) break;
   }
   env.finishCapture();
   daemon.stop();
@@ -246,76 +231,34 @@ int runOnce(const Options& o) {
 }
 
 int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--config FILE] [--dir DIR] [--prefix P] [--format F]\n"
-      "          [--rotate-records N] [--rotate-bytes N]\n"
-      "          [--retain-segments N] [--retain-bytes N]\n"
-      "          [--compact-after-s S]\n"
-      "          [--records N] [--sim-hours H]\n"
-      "          [--chaos plan.cfg] [--supervise N] [--status]\n"
-      "          [--prom FILE] [--jsonl FILE] [--recover-only]\n",
-      argv0);
+  std::fprintf(stderr,
+               "usage: %s [--config FILE] [--KEY VALUE]... [--status] "
+               "[--recover-only]\n"
+               "       KEY: any key of configs/daemon.cfg, '-' for '_' "
+               "(--rotate-records 5000)\n",
+               argv0);
   return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options o;
+  Settings s;
   try {
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      auto next = [&]() -> std::string {
-        if (i + 1 >= argc) throw std::runtime_error("missing value: " + arg);
-        return argv[++i];
-      };
-      if (arg == "--config") {
-        applyConfigFile(o, next());
-      } else if (arg == "--dir") {
-        o.dir = next();
-      } else if (arg == "--prefix") {
-        o.prefix = next();
-      } else if (arg == "--format") {
-        o.format = parseFormat(next());
-      } else if (arg == "--rotate-records") {
-        o.rotateRecords = std::strtoull(next().c_str(), nullptr, 10);
-      } else if (arg == "--rotate-bytes") {
-        o.rotateBytes = std::strtoull(next().c_str(), nullptr, 10);
-      } else if (arg == "--retain-segments") {
-        o.retainSegments = std::strtoull(next().c_str(), nullptr, 10);
-      } else if (arg == "--retain-bytes") {
-        o.retainBytes = std::strtoull(next().c_str(), nullptr, 10);
-      } else if (arg == "--compact-after-s") {
-        o.compactAfterSec = std::strtoll(next().c_str(), nullptr, 10);
-      } else if (arg == "--records") {
-        o.maxRecords = std::strtoull(next().c_str(), nullptr, 10);
-      } else if (arg == "--sim-hours") {
-        o.simHours = std::strtod(next().c_str(), nullptr);
-      } else if (arg == "--chaos") {
-        o.chaosPath = next();
-      } else if (arg == "--supervise") {
-        o.supervise = static_cast<int>(std::strtol(next().c_str(), nullptr, 10));
-      } else if (arg == "--status") {
-        o.status = true;
-      } else if (arg == "--prom") {
-        o.promPath = next();
-      } else if (arg == "--jsonl") {
-        o.jsonlPath = next();
-      } else if (arg == "--recover-only") {
-        o.recoverOnly = true;
-      } else {
-        return usage(argv[0]);
-      }
-    }
-
-    if (o.supervise < 0) return runOnce(o);
+    s = readSettings(collectSettings(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "nfstraced: %s\n", e.what());
+    return usage(argv[0]);
+  }
+  try {
+    if (!s.supervise) return runOnce(s);
 
     daemon::Supervisor::Config sc;
-    sc.manifestPath = daemon::TraceDaemon::manifestPathFor(o.dir, o.prefix);
-    sc.maxRestarts = o.supervise;
+    sc.manifestPath =
+        daemon::TraceDaemon::manifestPathFor(s.daemon.dir, s.daemon.prefix);
+    sc.maxRestarts = *s.supervise;
     daemon::Supervisor::Result r =
-        daemon::Supervisor::run(sc, [&](int) { return runOnce(o); });
+        daemon::Supervisor::run(sc, [&](int) { return runOnce(s); });
     std::fprintf(stderr,
                  "supervisor: %d incarnation(s), %d restart(s), books %s\n",
                  r.incarnations, r.restarts,

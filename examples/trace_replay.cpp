@@ -51,46 +51,60 @@ struct ReplayResult {
   std::uint64_t demandReads = 0;
 };
 
-ReplayResult replay(const std::vector<TraceRecord>& records,
-                    ReadAheadPolicy policy) {
-  ReadAheadEngine::Config cfg;
-  cfg.policy = policy;
-  ReadAheadEngine engine(cfg);
-  DiskModel disk;
-  FileHandleHash hasher;
-  ReplayResult out;
-  for (const auto& rec : records) {
-    if (rec.op != NfsOp::Read || rec.fh.len == 0) continue;
-    std::uint64_t key = hasher(rec.fh);
+/// One read-ahead policy's replay: its engine and disk see every READ.
+class Replay {
+ public:
+  explicit Replay(ReadAheadPolicy policy)
+      : engine_(ReadAheadEngine::Config{.policy = policy}) {}
+
+  void observe(const TraceRecord& rec) {
+    if (rec.op != NfsOp::Read || rec.fh.len == 0) return;
+    std::uint64_t key = hasher_(rec.fh);
     std::uint64_t firstBlock = rec.offset / kNfsBlockSize;
     std::uint32_t count = rec.hasReply && rec.retCount ? rec.retCount
                                                        : rec.count;
     std::uint64_t lastBlock =
         count ? (rec.offset + count - 1) / kNfsBlockSize : firstBlock;
     for (std::uint64_t b = firstBlock; b <= lastBlock; ++b) {
-      std::uint32_t ra = engine.onRead(key, b, 1);
-      disk.read(key, b, ra);
-      ++out.demandReads;
+      std::uint32_t ra = engine_.onRead(key, b, 1);
+      disk_.read(key, b, ra);
+      ++demandReads_;
     }
   }
-  out.serviceUs = disk.totalServiceUs();
-  out.seeks = disk.seeks();
-  out.cacheHits = disk.cacheHits();
-  return out;
-}
+
+  ReplayResult result() const {
+    return {disk_.totalServiceUs(), disk_.seeks(), disk_.cacheHits(),
+            demandReads_};
+  }
+
+ private:
+  ReadAheadEngine engine_;
+  DiskModel disk_;
+  FileHandleHash hasher_;
+  std::uint64_t demandReads_ = 0;
+};
 
 }  // namespace
 
 int main(int argc, char** argv) try {
   std::string input = argc > 1 ? argv[1] : makeDemoTrace();
-  auto records = TraceReader::readAll(input);
-  auto s = summarize(records);
+  // One pass replays both policies side by side.
+  TraceReader reader(input);
+  TraceRecord rec;
+  TraceSummary s;
+  Replay strictReplay(ReadAheadPolicy::StrictSequential);
+  Replay metricReplay(ReadAheadPolicy::SequentialityMetric);
+  while (reader.nextInto(rec)) {
+    summaryObserve(s, rec);
+    strictReplay.observe(rec);
+    metricReplay.observe(rec);
+  }
   std::printf("%s: %llu records, %llu read ops\n\n", input.c_str(),
               static_cast<unsigned long long>(s.totalOps),
               static_cast<unsigned long long>(s.readOps));
 
-  auto strict = replay(records, ReadAheadPolicy::StrictSequential);
-  auto metric = replay(records, ReadAheadPolicy::SequentialityMetric);
+  ReplayResult strict = strictReplay.result();
+  ReplayResult metric = metricReplay.result();
 
   TextTable t({"Read-ahead policy", "disk service (ms)", "seeks",
                "cache hits", "demand block reads"});

@@ -173,38 +173,56 @@ void AnalysisEngine::scanFanOut(TraceReader& reader) {
   std::vector<std::exception_ptr> workerErrors(workers);
   std::vector<std::thread> threads;
   threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([this, w, workers, &rings, &workerFlogs,
-                          &workerErrors] {
-      SpscRing<BatchSlot*>& ring = *rings[w];
-      obs::ThreadLog* flog = workerFlogs[w];
-      for (;;) {
-        BatchSlot* slot = nullptr;
-        std::uint64_t starveStart = 0;  // batch-ring-empty episode
-        while (!ring.tryPop(slot)) {
-          if (flog && starveStart == 0) starveStart = flog->nowNs();
-          std::this_thread::yield();
-        }
-        if (starveStart != 0) {
-          flog->complete(obs::Stage::WorkerBatchWait, starveStart);
-        }
-        if (!slot) break;  // EOF sentinel
-        const TraceBatch& batch = slot->batch;
-        try {
-          for (std::size_t i = 0; i < passes_.size() && !workerErrors[w];
-               ++i) {
-            AnalysisPass* pass = passes_[i];
-            bool mine = pass->mergeable() ? batch.seq % workers == w
-                                          : i % workers == w;
-            if (!mine || (pass->opMask() & batch.opMask) == 0) continue;
-            observe(i, batch, w, flog);
-          }
-        } catch (...) {
-          workerErrors[w] = std::current_exception();
-        }
-        slot->refs.fetch_sub(1, std::memory_order_release);
+  // Sends each started worker its EOF sentinel and joins it.
+  auto stopWorkers = [&] {
+    for (std::size_t w = 0; w < threads.size(); ++w) {
+      BatchSlot* sentinel = nullptr;
+      while (!rings[w]->tryPush(sentinel)) {
+        std::this_thread::yield();
+        sentinel = nullptr;
       }
-    });
+    }
+    for (auto& t : threads) t.join();
+  };
+  try {
+    for (std::size_t w = 0; w < workers; ++w) {
+      threads.emplace_back([this, w, workers, &rings, &workerFlogs,
+                            &workerErrors] {
+        SpscRing<BatchSlot*>& ring = *rings[w];
+        obs::ThreadLog* flog = workerFlogs[w];
+        for (;;) {
+          BatchSlot* slot = nullptr;
+          std::uint64_t starveStart = 0;  // batch-ring-empty episode
+          while (!ring.tryPop(slot)) {
+            if (flog && starveStart == 0) starveStart = flog->nowNs();
+            std::this_thread::yield();
+          }
+          if (starveStart != 0) {
+            flog->complete(obs::Stage::WorkerBatchWait, starveStart);
+          }
+          if (!slot) break;  // EOF sentinel
+          const TraceBatch& batch = slot->batch;
+          try {
+            for (std::size_t i = 0; i < passes_.size() && !workerErrors[w];
+                 ++i) {
+              AnalysisPass* pass = passes_[i];
+              bool mine = pass->mergeable() ? batch.seq % workers == w
+                                            : i % workers == w;
+              if (!mine || (pass->opMask() & batch.opMask) == 0) continue;
+              observe(i, batch, w, flog);
+            }
+          } catch (...) {
+            workerErrors[w] = std::current_exception();
+          }
+          slot->refs.fetch_sub(1, std::memory_order_release);
+        }
+      });
+    }
+  } catch (...) {
+    // A thread that failed to start (std::system_error): the ones
+    // already running wait for a batch, so stop them before rethrowing.
+    stopWorkers();
+    throw;
   }
 
   // Decode loop: fill a free pooled slot, then hand the same pointer to
@@ -253,14 +271,7 @@ void AnalysisEngine::scanFanOut(TraceReader& reader) {
   } catch (...) {
     error = std::current_exception();
   }
-  for (std::size_t w = 0; w < workers; ++w) {
-    BatchSlot* sentinel = nullptr;
-    while (!rings[w]->tryPush(sentinel)) {
-      std::this_thread::yield();
-      sentinel = nullptr;
-    }
-  }
-  for (auto& t : threads) t.join();
+  stopWorkers();
   for (const std::exception_ptr& e : workerErrors) {
     if (!error) error = e;
   }
@@ -333,7 +344,14 @@ void AnalysisEngine::finalizeAll(std::size_t parallelism) {
   std::size_t n = std::min(workers, passes_.size());
   std::vector<std::thread> threads;
   threads.reserve(n - 1);
-  for (std::size_t i = 1; i < n; ++i) threads.emplace_back(drain);
+  try {
+    for (std::size_t i = 1; i < n; ++i) threads.emplace_back(drain);
+  } catch (...) {
+    // A thread that failed to start: join the running ones before the
+    // exception destroys them.
+    for (auto& t : threads) t.join();
+    throw;
+  }
   drain();
   for (auto& t : threads) t.join();
 }

@@ -113,11 +113,6 @@ void RunsPass::finalize() {
   swappedFraction_ = sorted.swappedFraction();
   runs_ = detectRuns(sorted.records);
   patterns_ = summarizeRunPatterns(runs_);
-  bytesBySize_ = bytesByFileSize(runs_);
-  readSeq_ = sequentialityBySize(runs_, /*writesOnly=*/false,
-                                 /*readsOnly=*/true);
-  writeSeq_ = sequentialityBySize(runs_, /*writesOnly=*/true,
-                                  /*readsOnly=*/false);
   accesses_.clear();
   accesses_.shrink_to_fit();
 }

@@ -115,8 +115,7 @@ class ReorderPass final : public AnalysisPass {
   std::vector<std::pair<MicroTime, double>> sweep_;
 };
 
-/// Table 3 / Figures 2 and 5: reorder-sorted run detection, pattern
-/// classification, and the size-bucketed aggregates.
+/// Table 3: reorder-sorted run detection and pattern classification.
 class RunsPass final : public AnalysisPass {
  public:
   explicit RunsPass(MicroTime reorderWindowUs = 10'000);
@@ -133,9 +132,6 @@ class RunsPass final : public AnalysisPass {
   const std::vector<Run>& runs() const { return runs_; }
   const RunPatternSummary& patterns() const { return patterns_; }
   double reorderSwappedFraction() const { return swappedFraction_; }
-  const SizeBucketedBytes& bytesBySize() const { return bytesBySize_; }
-  const SeqMetricBySize& readSeqBySize() const { return readSeq_; }
-  const SeqMetricBySize& writeSeqBySize() const { return writeSeq_; }
 
  private:
   MicroTime reorderWindowUs_;
@@ -143,8 +139,6 @@ class RunsPass final : public AnalysisPass {
   std::vector<Run> runs_;
   RunPatternSummary patterns_;
   double swappedFraction_ = 0.0;
-  SizeBucketedBytes bytesBySize_;
-  SeqMetricBySize readSeq_, writeSeq_;
 };
 
 /// Table 4 / Figure 3: block birth/death accounting.  The phase

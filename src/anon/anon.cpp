@@ -38,6 +38,7 @@ Anonymizer::Config Anonymizer::Config::fromConfig(const ConfigFile& file) {
       file.getBool("anonymize_handles", cfg.anonymizeHandles);
   cfg.seed = static_cast<std::uint64_t>(file.getInt(
       "seed", static_cast<std::int64_t>(cfg.seed)));
+  file.rejectUnknownKeys();
   return cfg;
 }
 

@@ -53,7 +53,7 @@ class Anonymizer {
     /// paper describes (§2).  Recognized keys: keep_name (repeatable),
     /// keep_suffix (repeatable), keep_uid / keep_gid (repeatable),
     /// omit_identities, anonymize_handles, seed.  Unset keys keep the
-    /// defaults above.
+    /// defaults above; an unknown key throws.
     static Config fromFile(const std::string& path);
     static Config fromConfig(const class ConfigFile& file);
   };

@@ -6,9 +6,6 @@
 #include <filesystem>
 #include <stdexcept>
 
-#include "analysis/engine/engine.hpp"
-#include "analysis/engine/passes.hpp"
-#include "analysis/engine/report.hpp"
 #include "util/atomicfile.hpp"
 
 namespace nfstrace::daemon {
@@ -18,6 +15,8 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::uint64_t kUnknown = ~0ull;
+/// Every segment the daemon writes, active or salvaged.
+constexpr TraceWriter::Format kFormat = TraceWriter::Format::V2;
 
 std::string segmentBasename(const std::string& prefix, std::uint64_t seq,
                             const char* ext) {
@@ -75,8 +74,6 @@ TraceDaemon::TraceDaemon(Config config) : cfg_(std::move(config)) {
     shedC_ = cfg_.metrics->counterHandle("daemon.records_shed", 0);
     recoveredSegC_ = cfg_.metrics->counterHandle("daemon.segments_recovered", 0);
     retiredSegC_ = cfg_.metrics->counterHandle("daemon.segments_retired", 0);
-    compactionsC_ = cfg_.metrics->counterHandle("daemon.compactions", 0);
-    compactFailC_ = cfg_.metrics->counterHandle("daemon.compact_failures", 0);
   }
   if (cfg_.flight) flog_ = cfg_.flight->attachThread("daemon");
   recoverDirectory();
@@ -152,10 +149,9 @@ void TraceDaemon::recoverDirectory() {
     } else if (parseSegmentName(name, cfg_.prefix, ".part", seq)) {
       parts.push_back(seq);
     } else if (parseSegmentName(name, cfg_.prefix, ".recov", seq) ||
-               parseSegmentName(name, cfg_.prefix, ".trace.compact", seq) ||
                name == cfg_.prefix + ".manifest.tmp") {
-      // Interrupted salvage/compaction/save: the protocol re-creates
-      // these from scratch, so leftovers are just noise.
+      // Interrupted salvage/save: the protocol re-creates these from
+      // scratch, so leftovers are just noise.
       removeQuiet(entry.path().string());
       ++recovery_.staleFilesRemoved;
     }
@@ -254,15 +250,8 @@ void TraceDaemon::recoverPart(std::uint64_t seq, std::uint64_t submittedToPart,
 
   std::uint64_t bytes = 0;
   if (recovered > 0) {
-    TraceWriter::Options wopts;
-    wopts.format = cfg_.format;
-    wopts.checkpointEveryRecords = cfg_.checkpointEveryRecords;
-    wopts.v2ExtentRecords = cfg_.v2ExtentRecords;
-    wopts.maxRetries = cfg_.maxRetries;
-    wopts.backoffInitialUs = cfg_.backoffInitialUs;
-    wopts.backoffMaxUs = cfg_.backoffMaxUs;
-    wopts.faults = useFaults ? cfg_.faults : nullptr;
-    TraceWriter writer(recov, wopts);
+    TraceWriter writer(recov,
+                       writerOptions(useFaults ? cfg_.faults : nullptr));
     for (const TraceRecord& rec : records) writer.write(rec);
     writer.finalize(cfg_.fsyncOnSeal);
     bytes = fileBytes(recov);
@@ -293,7 +282,7 @@ void TraceDaemon::recoverPart(std::uint64_t seq, std::uint64_t submittedToPart,
     SegmentInfo seg;
     seg.seq = seq;
     seg.file = segmentBasename(cfg_.prefix, seq, ".trace");
-    seg.format = traceFormatName(cfg_.format);
+    seg.format = traceFormatName(kFormat);
     seg.records = recovered;
     seg.bytes = bytes;
     seg.first = manifest_.streamPos();
@@ -315,17 +304,22 @@ void TraceDaemon::recoverPart(std::uint64_t seq, std::uint64_t submittedToPart,
 // ---------------------------------------------------------------------------
 // Capture loop: submit / rotate / degrade.
 
-void TraceDaemon::openActive() {
-  activeSeq_ = manifest_.nextSeq;
+TraceWriter::Options TraceDaemon::writerOptions(
+    IoFaultInjector* faults) const {
   TraceWriter::Options wopts;
-  wopts.format = cfg_.format;
-  wopts.checkpointEveryRecords = cfg_.checkpointEveryRecords;
+  wopts.format = kFormat;
   wopts.v2ExtentRecords = cfg_.v2ExtentRecords;
   wopts.maxRetries = cfg_.maxRetries;
   wopts.backoffInitialUs = cfg_.backoffInitialUs;
   wopts.backoffMaxUs = cfg_.backoffMaxUs;
-  wopts.faults = cfg_.faults;
-  writer_ = std::make_unique<TraceWriter>(partPath(activeSeq_), wopts);
+  wopts.faults = faults;
+  return wopts;
+}
+
+void TraceDaemon::openActive() {
+  activeSeq_ = manifest_.nextSeq;
+  writer_ = std::make_unique<TraceWriter>(partPath(activeSeq_),
+                                          writerOptions(cfg_.faults));
   if (cfg_.metrics) writer_->attachMetrics(*cfg_.metrics);
   activeRecords_ = 0;
   activeOpened_ = std::chrono::steady_clock::now();
@@ -387,9 +381,9 @@ void TraceDaemon::sealActive() {
     removeQuiet(partPath(activeSeq_));
     return;
   }
-  // Checkpoint-aligned seal: tail extent / final checkpoint + footer,
-  // flush, fsync — finalize() throws if any step fails, which is the
-  // signal to degrade rather than journal an unsealed segment.
+  // Extent-aligned seal: tail extent + footer index, flush, fsync —
+  // finalize() throws if any step fails, which is the signal to degrade
+  // rather than journal an unsealed segment.
   writer_->finalize(cfg_.fsyncOnSeal);
   std::uint64_t records = writer_->recordsWritten();
   std::uint64_t bytes = writer_->bytesWritten();
@@ -399,7 +393,7 @@ void TraceDaemon::sealActive() {
   SegmentInfo seg;
   seg.seq = activeSeq_;
   seg.file = segmentBasename(cfg_.prefix, activeSeq_, ".trace");
-  seg.format = traceFormatName(cfg_.format);
+  seg.format = traceFormatName(kFormat);
   seg.records = records;
   seg.bytes = bytes;
   seg.first = manifest_.streamPos();
@@ -496,17 +490,9 @@ void TraceDaemon::stop() {
 }
 
 // ---------------------------------------------------------------------------
-// Retention & compaction.
+// Retention.
 
 void TraceDaemon::maintain() {
-  applyRetention();
-  if (cfg_.retention.compactAfterSec >= 0) {
-    obs::FlightSpan span(flog_, obs::Stage::DaemonCompact);
-    compactOneSegment();
-  }
-}
-
-void TraceDaemon::applyRetention() {
   const Retention& r = cfg_.retention;
   bool changed = false;
   auto overBudget = [&]() -> bool {
@@ -535,71 +521,6 @@ void TraceDaemon::applyRetention() {
     changed = true;
   }
   if (changed) manifest_.save(manifestPath_);
-}
-
-std::string TraceDaemon::engineReport(const std::string& path,
-                                      std::uint64_t& recordsOut) const {
-  StandardAnalyses analyses;
-  AnalysisEngine engine;
-  engine.addPasses(analyses.all());
-  recordsOut = engine.runFile(path).records;
-  // The input label must match on both sides of the comparison, so the
-  // report is rendered with a neutral one.
-  return renderReportText("segment", analyses);
-}
-
-bool TraceDaemon::compactOneSegment() {
-  SegmentInfo* victim = nullptr;
-  for (SegmentInfo& s : manifest_.segments) {
-    if (s.format == "v2") continue;
-    if (now() - s.sealedUnix < cfg_.retention.compactAfterSec) continue;
-    if (std::find(failedCompactSeqs_.begin(), failedCompactSeqs_.end(),
-                  s.seq) != failedCompactSeqs_.end()) {
-      continue;
-    }
-    victim = &s;
-    break;
-  }
-  if (!victim) return false;
-
-  std::string src = cfg_.dir + "/" + victim->file;
-  std::string tmp = src + ".compact";
-  try {
-    std::uint64_t srcRecords = 0;
-    std::string srcReport = engineReport(src, srcRecords);
-    {
-      TraceWriter::Options wopts;
-      wopts.format = TraceWriter::Format::V2;
-      wopts.v2ExtentRecords = cfg_.v2ExtentRecords;
-      wopts.maxRetries = cfg_.maxRetries;
-      wopts.backoffInitialUs = cfg_.backoffInitialUs;
-      wopts.backoffMaxUs = cfg_.backoffMaxUs;
-      wopts.faults = cfg_.faults;
-      TraceWriter writer(tmp, wopts);
-      TraceReader reader(src);
-      TraceRecord rec;
-      while (reader.nextInto(rec)) writer.write(rec);
-      writer.finalize(cfg_.fsyncOnSeal);
-    }
-    // Verification gate: the original is only replaced once the standard
-    // 8-pass report over the compacted copy is byte-identical.
-    std::uint64_t outRecords = 0;
-    std::string outReport = engineReport(tmp, outRecords);
-    if (outRecords != srcRecords || outReport != srcReport) {
-      throw std::runtime_error("daemon: compaction verification mismatch");
-    }
-    renameDurable(tmp, src);  // same name: the magic self-describes
-  } catch (...) {
-    removeQuiet(tmp);
-    failedCompactSeqs_.push_back(victim->seq);
-    compactFailC_.inc();
-    return false;
-  }
-  victim->format = "v2";
-  victim->bytes = fileBytes(src);
-  manifest_.save(manifestPath_);
-  compactionsC_.inc();
-  return true;
 }
 
 }  // namespace nfstrace::daemon

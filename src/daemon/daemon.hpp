@@ -9,16 +9,16 @@
 //
 //   captured == sealed + recovered + lost          (Books::balanced)
 //
-// Rotation is checkpoint-aligned: the active `<prefix>-NNNNNN.part`
-// segment is finalized (v2: tail extent + footer index; text: final
-// checkpoint), flushed, fsync'd, renamed to `<prefix>-NNNNNN.trace`
-// (rename is atomic), and only then journaled in the manifest, which is
-// itself replaced atomically.  The crash matrix (see DESIGN.md):
+// Segments are columnar v2.  Rotation is extent-aligned: the active
+// `<prefix>-NNNNNN.part` segment is finalized (tail extent + footer
+// index), flushed, fsync'd, renamed to `<prefix>-NNNNNN.trace` (rename
+// is atomic), and only then journaled in the manifest, which is itself
+// replaced atomically.  The crash matrix (see DESIGN.md):
 //
 //   crash before rename      -> torn .part; startup recovery salvages
-//                               whole extents/checkpoint runs, seals
-//                               them as the segment, folds the evidenced
-//                               remainder into `lost`
+//                               whole extents, seals them as the
+//                               segment, folds the evidenced remainder
+//                               into `lost`
 //   after rename, pre-journal-> sealed segment not in manifest; startup
 //                               adopts it (scan + count) into the books
 //   mid-manifest             -> impossible to observe: saves are
@@ -39,11 +39,13 @@
 // (daemon.records_shed, a DEGRADED alert), and periodically probes the
 // disk by recovering the abandoned segment and reopening a fresh one.
 //
-// Retention runs incrementally after each rotation: oldest segments are
-// retired when count/bytes/age budgets are exceeded (the books are NOT
-// rewound — retirement is policy, not loss), and text segments past a
-// configurable age are compacted to columnar v2, verified byte-identical
-// via the standard 8-pass engine report before the original is unlinked.
+// Retention runs after each rotation: oldest segments are retired when
+// count/bytes/age budgets are exceeded (the books are NOT rewound —
+// retirement is policy, not loss).
+//
+// A sealed text segment or torn text part left by an older nfstraced is
+// still adopted or salvaged at startup (TraceReader reads both formats);
+// salvage rewrites it as v2.
 #pragma once
 
 #include <chrono>
@@ -67,10 +69,6 @@ struct Retention {
   std::size_t maxSegments = 0;      ///< keep at most this many segments
   std::uint64_t maxTotalBytes = 0;  ///< total sealed bytes budget
   std::int64_t maxAgeSec = 0;       ///< retire segments sealed longer ago
-  /// Compact non-v2 segments to columnar v2 once they are this old (in
-  /// seconds; < 0 disables compaction).  0 compacts as soon as the
-  /// segment seals — the "cold tier starts immediately" setting.
-  std::int64_t compactAfterSec = -1;
 };
 
 class TraceDaemon {
@@ -78,7 +76,6 @@ class TraceDaemon {
   struct Config {
     std::string dir;              ///< segment + manifest directory
     std::string prefix = "trace"; ///< segment file prefix
-    TraceWriter::Format format = TraceWriter::Format::V2;
 
     // Rotation thresholds (0 disables each; rotateNow() always works).
     std::uint64_t rotateRecords = 0;  ///< seal after N records
@@ -86,13 +83,12 @@ class TraceDaemon {
     MicroTime rotateIntervalUs = 0;   ///< seal after elapsed wall time
 
     // Writer durability knobs, passed through to TraceWriter::Options.
-    std::uint64_t checkpointEveryRecords = 4096;
     std::uint64_t v2ExtentRecords = 8192;
     int maxRetries = 8;
     MicroTime backoffInitialUs = 50;
     MicroTime backoffMaxUs = 10'000;
     /// Deterministic disk-fault hook shared by every writer the daemon
-    /// opens (active segments, recovery, compaction); not owned.
+    /// opens (active segments, degraded-mode salvage); not owned.
     IoFaultInjector* faults = nullptr;
 
     /// fsync each segment before renaming it sealed.  On by default —
@@ -101,8 +97,8 @@ class TraceDaemon {
     bool fsyncOnSeal = true;
 
     Retention retention;
-    /// Run retention + one compaction step automatically after each
-    /// rotation (maintain() can always be called explicitly).
+    /// Apply retention automatically after each rotation (maintain()
+    /// can always be called explicitly).
     bool autoMaintain = true;
 
     /// Degraded mode: after this many consecutive shed records, probe
@@ -152,9 +148,8 @@ class TraceDaemon {
   /// calls it too (swallowing errors).
   void stop();
 
-  /// One incremental maintenance step: apply retention, then compact at
-  /// most one eligible segment (bounded work, so the capture loop can
-  /// interleave it like a background task).
+  /// Apply the retention budgets: retire the oldest sealed segments
+  /// until the count/bytes/age budgets hold.
   void maintain();
 
   const Manifest& manifest() const { return manifest_; }
@@ -202,6 +197,9 @@ class TraceDaemon {
   std::uint64_t countSegmentRecords(const std::string& path,
                                     std::string& formatOut) const;
 
+  /// Options for every segment writer: v2 with the configured knobs;
+  /// `faults` routes writes through the injector.
+  TraceWriter::Options writerOptions(IoFaultInjector* faults) const;
   void openActive();
   /// Seal the active part as a segment and journal it; throws on disk
   /// failure (caller degrades).
@@ -211,16 +209,6 @@ class TraceDaemon {
   void shedOne();
   /// Degraded-mode probe: try to salvage the abandoned part and reopen.
   void probeDisk();
-
-  void applyRetention();
-  /// Compact at most one eligible non-v2 segment to v2, verified
-  /// byte-identical via the standard engine report before the original
-  /// is replaced.  Returns true when a segment was compacted.
-  bool compactOneSegment();
-  /// Standard 8-pass engine report over one trace file (the compaction
-  /// verification oracle).  Also returns the record count.
-  std::string engineReport(const std::string& path,
-                           std::uint64_t& recordsOut) const;
 
   Config cfg_;
   std::string manifestPath_;
@@ -237,16 +225,11 @@ class TraceDaemon {
   bool stopped_ = false;
   std::uint64_t shedTotal_ = 0;
   std::uint64_t shedSinceProbe_ = 0;
-  /// Segments whose compaction failed verification this run (skipped on
-  /// later maintain() calls instead of retrying forever).
-  std::vector<std::uint64_t> failedCompactSeqs_;
 
   obs::CounterHandle rotationsC_;
   obs::CounterHandle shedC_;
   obs::CounterHandle recoveredSegC_;
   obs::CounterHandle retiredSegC_;
-  obs::CounterHandle compactionsC_;
-  obs::CounterHandle compactFailC_;
   obs::ThreadLog* flog_ = nullptr;
 };
 

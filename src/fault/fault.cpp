@@ -11,11 +11,7 @@ constexpr std::uint64_t kWireSalt = 0x57495245u;  // "WIRE"
 constexpr std::uint64_t kIoSalt = 0x494f4f50u;    // "IOOP"
 
 double rateOf(const ConfigFile& cfg, const std::string& key) {
-  double v = cfg.getDouble(key, 0.0);
-  if (v < 0.0 || v > 1.0) {
-    throw std::runtime_error("fault: " + key + " must be in [0, 1]");
-  }
-  return v;
+  return cfg.getDouble(key, 0.0, 0.0, 1.0);
 }
 
 }  // namespace
@@ -42,6 +38,7 @@ FaultPlan FaultPlan::fromConfig(const ConfigFile& cfg) {
   p.ioEnospcRate = rateOf(cfg, "io_enospc_rate");
   p.ioEnospcStreak =
       static_cast<std::uint32_t>(cfg.getInt("io_enospc_streak", 2));
+  cfg.rejectUnknownKeys();
   if (p.burstMin == 0 || p.burstMax < p.burstMin) {
     throw std::runtime_error("fault: need 1 <= burst_min <= burst_max");
   }

@@ -64,7 +64,7 @@ struct FaultPlan {
   /// Keys: seed, drop_rate, burst_rate, burst_min, burst_max,
   /// truncate_rate, bitflip_rate, dup_rate, reorder_rate,
   /// io_short_write_rate, io_eio_rate, io_enospc_rate, io_enospc_streak.
-  /// Unknown keys are ignored; rates outside [0,1] throw.
+  /// Unknown keys and rates outside [0,1] throw.
   static FaultPlan fromConfig(const ConfigFile& cfg);
   static FaultPlan load(const std::string& path);
 };

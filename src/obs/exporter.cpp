@@ -24,7 +24,6 @@ std::vector<std::string> defaultAlertCounters() {
       "engine.intern_high_water",
       "daemon.records_shed",
       "daemon.segments_recovered",
-      "daemon.compact_failures",
   };
 }
 

@@ -54,7 +54,6 @@ constexpr StageInfo kStages[kStageCount] = {
     // Daemon.
     {"daemon.rotate", false, Stage::kStageCount, Stage::kStageCount},
     {"daemon.recover", false, Stage::kStageCount, Stage::kStageCount},
-    {"daemon.compact", false, Stage::kStageCount, Stage::kStageCount},
     {"daemon.records_shed", false, Stage::kStageCount, Stage::kStageCount},
 };
 

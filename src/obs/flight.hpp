@@ -84,7 +84,6 @@ enum class Stage : std::uint16_t {
   // Continuous-capture daemon (src/daemon).
   DaemonRotate,   ///< sealing + renaming the active segment
   DaemonRecover,  ///< startup recovery of a torn active segment
-  DaemonCompact,  ///< background text -> v2 segment compaction
   DaemonShed,     ///< instant: record shed while the trace disk is down
   kStageCount
 };

@@ -1,5 +1,7 @@
 #include "util/config.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -49,16 +51,22 @@ ConfigFile ConfigFile::parse(const std::string& text) {
       throw std::runtime_error("config: empty key on line " +
                                std::to_string(lineNo));
     }
-    cfg.values_[key].push_back(value);
+    cfg.add(key, value);
   }
   return cfg;
 }
 
+void ConfigFile::add(const std::string& key, const std::string& value) {
+  values_[key].push_back(value);
+}
+
 bool ConfigFile::has(const std::string& key) const {
+  asked_.insert(key);
   return values_.count(key) > 0;
 }
 
 std::optional<std::string> ConfigFile::get(const std::string& key) const {
+  asked_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return std::nullopt;
   return it->second.back();
@@ -71,6 +79,7 @@ std::string ConfigFile::get(const std::string& key,
 }
 
 std::vector<std::string> ConfigFile::getAll(const std::string& key) const {
+  asked_.insert(key);
   auto it = values_.find(key);
   return it == values_.end() ? std::vector<std::string>{} : it->second;
 }
@@ -89,17 +98,39 @@ std::int64_t ConfigFile::getInt(const std::string& key,
   }
 }
 
-double ConfigFile::getDouble(const std::string& key, double fallback) const {
+std::uint64_t ConfigFile::getUnsigned(const std::string& key,
+                                      std::uint64_t fallback,
+                                      std::uint64_t max) const {
   auto v = get(key);
   if (!v) return fallback;
+  // from_chars takes no '+', no whitespace and, for an unsigned type, no
+  // '-'; it reports overflow instead of wrapping.
+  std::uint64_t out = 0;
+  const char* end = v->data() + v->size();
+  auto [ptr, ec] = std::from_chars(v->data(), end, out);
+  if (v->empty() || ec != std::errc{} || ptr != end || out > max) {
+    throw std::runtime_error("config: bad whole number for " + key + ": " +
+                             *v + " (0.." + std::to_string(max) + ")");
+  }
+  return out;
+}
+
+double ConfigFile::getDouble(const std::string& key, double fallback,
+                             double lo, double hi) const {
+  auto v = get(key);
+  if (!v) return fallback;
+  double out = 0;
   try {
     std::size_t used = 0;
-    auto out = std::stod(*v, &used);
+    out = std::stod(*v, &used);
     if (used != v->size()) throw std::invalid_argument(*v);
-    return out;
   } catch (const std::exception&) {
     throw std::runtime_error("config: bad number for " + key + ": " + *v);
   }
+  if (!std::isfinite(out) || out < lo || out > hi) {
+    throw std::runtime_error("config: " + key + " out of range: " + *v);
+  }
+  return out;
 }
 
 bool ConfigFile::getBool(const std::string& key, bool fallback) const {
@@ -113,6 +144,14 @@ bool ConfigFile::getBool(const std::string& key, bool fallback) const {
     return false;
   }
   throw std::runtime_error("config: bad boolean for " + key + ": " + *v);
+}
+
+void ConfigFile::rejectUnknownKeys() const {
+  for (const auto& [key, values] : values_) {
+    if (!asked_.count(key)) {
+      throw std::runtime_error("config: unknown key \"" + key + "\"");
+    }
+  }
 }
 
 std::vector<std::string> ConfigFile::keys() const {

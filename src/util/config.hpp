@@ -9,11 +9,17 @@
 //   keep_name = .inbox
 //   keep_suffix = .lock
 //   seed = 12345
+//
+// A reader asks for the keys it knows and then calls rejectUnknownKeys(),
+// so a misspelt or retired key is an error that names it rather than a
+// line that is silently ignored.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -27,6 +33,10 @@ class ConfigFile {
   /// Parse from a string (for tests and embedded defaults).
   static ConfigFile parse(const std::string& text);
 
+  /// Append a value for `key`, as if it were the file's last line (a
+  /// command-line flag overriding the file).
+  void add(const std::string& key, const std::string& value);
+
   bool has(const std::string& key) const;
   /// Last value wins for scalars; nullopt if absent.
   std::optional<std::string> get(const std::string& key) const;
@@ -34,16 +44,31 @@ class ConfigFile {
   /// All values for a repeated key, in file order.
   std::vector<std::string> getAll(const std::string& key) const;
 
-  /// Typed accessors; throw std::runtime_error on unparseable values.
+  /// Typed accessors; throw std::runtime_error naming the key on an
+  /// unparseable or out-of-range value.
   std::int64_t getInt(const std::string& key, std::int64_t fallback) const;
-  double getDouble(const std::string& key, double fallback) const;
+  /// A whole unsigned decimal (digits only: no sign, no fraction) that
+  /// is at most `max`.
+  std::uint64_t getUnsigned(
+      const std::string& key, std::uint64_t fallback,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
+  /// A finite number in [lo, hi].
+  double getDouble(const std::string& key, double fallback,
+                   double lo = -std::numeric_limits<double>::max(),
+                   double hi = std::numeric_limits<double>::max()) const;
   bool getBool(const std::string& key, bool fallback) const;
+
+  /// Throws std::runtime_error naming the first key (in sorted order)
+  /// that no accessor above has asked for.
+  void rejectUnknownKeys() const;
 
   /// Keys present in the file (sorted, unique).
   std::vector<std::string> keys() const;
 
  private:
   std::map<std::string, std::vector<std::string>> values_;
+  /// Keys a reader has asked for, present or not (rejectUnknownKeys).
+  mutable std::set<std::string> asked_;
 };
 
 }  // namespace nfstrace

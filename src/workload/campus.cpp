@@ -29,6 +29,7 @@ CampusConfig CampusConfig::fromFile(const std::string& path) {
       "expunge_minutes", toSeconds(cfg.expungeInterval) / 60.0));
   cfg.seed = static_cast<std::uint64_t>(
       file.getInt("seed", static_cast<std::int64_t>(cfg.seed)));
+  file.rejectUnknownKeys();
   return cfg;
 }
 

@@ -45,7 +45,7 @@ struct CampusConfig {
   /// Load rates from a key=value file (users, deliveries_per_user_hour,
   /// pop_checks_per_user_hour, sessions_per_user_hour, mailbox_median_kb,
   /// message_median_bytes, session_mean_minutes, expunge_minutes, seed);
-  /// unset keys keep the defaults above.
+  /// unset keys keep the defaults above, and an unknown key throws.
   static CampusConfig fromFile(const std::string& path);
 };
 

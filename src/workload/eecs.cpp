@@ -29,6 +29,7 @@ EecsConfig EecsConfig::fromFile(const std::string& path) {
       file.getInt("files_per_project", cfg.filesPerProject));
   cfg.seed = static_cast<std::uint64_t>(
       file.getInt("seed", static_cast<std::int64_t>(cfg.seed)));
+  file.rejectUnknownKeys();
   return cfg;
 }
 

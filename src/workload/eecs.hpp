@@ -38,7 +38,8 @@ struct EecsConfig {
   /// Load rates from a key=value file (users, revalidations_per_user_hour,
   /// edits_per_user_hour, builds_per_user_hour, browse_per_user_hour,
   /// applet_per_user_hour, log_bursts_per_user_hour, cron_per_user_night,
-  /// files_per_project, seed); unset keys keep the defaults above.
+  /// files_per_project, seed); unset keys keep the defaults above, and an
+  /// unknown key throws.
   static EecsConfig fromFile(const std::string& path);
 };
 

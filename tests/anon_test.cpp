@@ -254,5 +254,15 @@ TEST(Anon, ConfigFromPolicyFile) {
   EXPECT_NE(anon.anonymizeComponent("CVS"), "CVS");
 }
 
+TEST(Anon, PolicyRejectsUnknownKeyNamingIt) {
+  try {
+    Anonymizer::Config::fromConfig(ConfigFile::parse("keep_nmae = CVS\n"));
+    ADD_FAILURE() << "keep_nmae accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("keep_nmae"), std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace nfstrace

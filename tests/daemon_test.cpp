@@ -88,15 +88,13 @@ class DaemonTest : public ::testing::Test {
   void SetUp() override { fs::remove_all(dir_); }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// Small, fast defaults: v2 with short extents, no fsync (these tests
-  /// crash on purpose hundreds of times).
+  /// Small, fast defaults: short extents, no fsync (these tests crash on
+  /// purpose hundreds of times).
   TraceDaemon::Config base() const {
     TraceDaemon::Config cfg;
     cfg.dir = dir_;
     cfg.prefix = "seg";
-    cfg.format = TraceWriter::Format::V2;
     cfg.v2ExtentRecords = 8;
-    cfg.checkpointEveryRecords = 8;
     cfg.fsyncOnSeal = false;
     cfg.backoffInitialUs = 1;
     cfg.backoffMaxUs = 2;
@@ -373,6 +371,40 @@ TEST_F(DaemonTest, AdoptsSealedSegmentMissingFromManifest) {
   expectExactStream(sealedRecords(d), 125);
 }
 
+TEST_F(DaemonTest, AdoptsTextSegmentAndSalvagesTextPartAsV2) {
+  // The directory an older, text-writing nfstraced left behind: one
+  // sealed segment it never journaled and one active part.
+  fs::create_directories(dir_);
+  {
+    TraceWriter sealed(dir_ + "/seg-000001.trace", TraceWriter::Format::Text);
+    for (std::uint32_t i = 0; i < 50; ++i) sealed.write(record(i));
+    sealed.finalize(false);
+    TraceWriter part(dir_ + "/seg-000002.part", TraceWriter::Format::Text);
+    for (std::uint32_t i = 50; i < 80; ++i) part.write(record(i));
+    part.finalize(false);
+  }
+
+  TraceDaemon d(base());
+  EXPECT_EQ(d.recovery().adoptedSegments, 1u);
+  EXPECT_EQ(d.recovery().tornSegments, 1u);
+  EXPECT_EQ(d.books().sealed, 50u);
+  EXPECT_EQ(d.books().recovered, 30u);
+  EXPECT_EQ(d.books().lost, 0u);
+  for (std::uint32_t i = 80; i < 100; ++i) d.submit(record(i));
+  d.stop();
+
+  const auto& segs = d.manifest().segments;
+  ASSERT_EQ(segs.size(), 3u);
+  EXPECT_EQ(segs[0].format, "text") << "adopted as it lies on disk";
+  for (std::size_t i = 1; i < segs.size(); ++i) {
+    EXPECT_EQ(segs[i].format, "v2") << "segment " << segs[i].seq;
+    EXPECT_EQ(detectTraceFormat(dir_ + "/" + segs[i].file),
+              TraceWriter::Format::V2);
+  }
+  EXPECT_TRUE(d.books().balanced());
+  expectExactStream(sealedRecords(d), 100);
+}
+
 TEST_F(DaemonTest, RemovesStaleTemporariesWithoutDoubleCounting) {
   auto cfg = base();
   cfg.rotateRecords = 50;
@@ -383,20 +415,18 @@ TEST_F(DaemonTest, RemovesStaleTemporariesWithoutDoubleCounting) {
   }
   // A part left beside its already-sealed twin (crash between rename and
   // unlink is impossible — rename IS the unlink — but a confused restart
-  // or copy can leave one), plus interrupted salvage/compaction temps.
+  // or copy can leave one), plus an interrupted salvage temp.
   writeFileBytes(dir_ + "/seg-000001.part", "torn garbage");
   writeFileBytes(dir_ + "/seg-000001.recov", "half a salvage");
-  writeFileBytes(dir_ + "/seg-000001.trace.compact", "half a compaction");
 
   TraceDaemon d(cfg);
-  EXPECT_GE(d.recovery().staleFilesRemoved, 3u);
+  EXPECT_GE(d.recovery().staleFilesRemoved, 2u);
   EXPECT_TRUE(d.books().balanced());
   EXPECT_EQ(d.books().sealed, 50u);
   EXPECT_EQ(d.books().recovered, 0u) << "stale part must not be salvaged";
   EXPECT_EQ(d.streamPos(), 50u);
   EXPECT_FALSE(fs::exists(dir_ + "/seg-000001.part"));
   EXPECT_FALSE(fs::exists(dir_ + "/seg-000001.recov"));
-  EXPECT_FALSE(fs::exists(dir_ + "/seg-000001.trace.compact"));
   d.stop();
 }
 
@@ -477,7 +507,7 @@ TEST_F(DaemonTest, TransientEnospcEpisodeRecoversAndKeepsCapturing) {
 }
 
 // ---------------------------------------------------------------------------
-// Retention and compaction.
+// Retention.
 
 TEST_F(DaemonTest, RetentionRetiresOldestWithoutRewindingTheStream) {
   std::int64_t clock = 1'000'000;
@@ -514,30 +544,6 @@ TEST_F(DaemonTest, RetentionRetiresOldestWithoutRewindingTheStream) {
   d2.stop();
 }
 
-TEST_F(DaemonTest, CompactionRewritesV1SegmentsToV2Verified) {
-  auto cfg = base();
-  cfg.format = TraceWriter::Format::Text;
-  cfg.rotateRecords = 100;
-  cfg.retention.compactAfterSec = 0;  // cold tier starts immediately
-  TraceDaemon d(cfg);
-  for (std::uint32_t i = 0; i < 250; ++i) d.submit(record(i));
-  d.stop();
-
-  ASSERT_EQ(d.manifest().segments.size(), 3u);
-  for (const SegmentInfo& s : d.manifest().segments) {
-    EXPECT_EQ(s.format, "v2") << "segment " << s.seq;
-    EXPECT_EQ(detectTraceFormat(dir_ + "/" + s.file), TraceWriter::Format::V2);
-  }
-  EXPECT_TRUE(d.books().balanced());
-  EXPECT_EQ(d.books().sealed, 250u);
-  // Compaction preserved the stream exactly (that is what the engine
-  // report verification is for).
-  expectExactStream(sealedRecords(d), 250);
-  for (const auto& e : fs::directory_iterator(dir_)) {
-    EXPECT_EQ(e.path().string().find(".compact"), std::string::npos);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Supervised SIGKILL storm: the end-to-end crash-recovery contract.
 
@@ -556,9 +562,7 @@ TEST_F(DaemonTest, SupervisorRidesThroughSigkillsWithExactResume) {
     TraceDaemon::Config cfg;
     cfg.dir = dir;
     cfg.prefix = "seg";
-    cfg.format = TraceWriter::Format::V2;
     cfg.v2ExtentRecords = 8;
-    cfg.checkpointEveryRecords = 8;
     cfg.fsyncOnSeal = false;
     cfg.rotateRecords = 60;
     TraceDaemon d(cfg);

@@ -116,6 +116,17 @@ TEST(FaultPlanConfig, RejectsBadValues) {
                std::runtime_error);
 }
 
+TEST(FaultPlanConfig, RejectsUnknownKeyNamingIt) {
+  // A misspelt rate must not silently leave its fault off.
+  try {
+    FaultPlan::fromConfig(ConfigFile::parse("drop_rat = 0.2\n"));
+    ADD_FAILURE() << "drop_rat accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("drop_rat"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(FaultySinkTest, QuietPlanPassesEverythingThrough) {
   auto frames = junkFrames(200, 1);
   CollectSink sink;

@@ -4,14 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "analysis/blocklife.hpp"
 #include "analysis/reorder.hpp"
 #include "analysis/runs.hpp"
 #include "analysis/summary.hpp"
 #include "anon/anon.hpp"
+#include "fault/fault.hpp"
 #include "trace/tracefile.hpp"
 #include "workload/campus.hpp"
+#include "workload/eecs.hpp"
 #include "workload/sim.hpp"
 
 namespace nfstrace {
@@ -167,6 +170,31 @@ TEST_F(CampusIntegration, ReorderWindowReducesApparentRandomness) {
   auto rawSummary = summarizeRunPatterns(rawRuns);
   auto sortedSummary = summarizeRunPatterns(sortedRuns);
   EXPECT_LE(sortedSummary.readRandom, rawSummary.readRandom);
+}
+
+TEST(ShippedConfigs, EachLoadsThroughItsReader) {
+  // Readers reject keys they do not know, so a stale key in a shipped
+  // config fails here rather than being ignored at run time.
+  for (const auto& e :
+       std::filesystem::directory_iterator(NFSTRACE_CONFIGS_DIR)) {
+    std::string name = e.path().filename().string();
+    std::string path = e.path().string();
+    SCOPED_TRACE(name);
+    if (name == "campus.cfg") {
+      EXPECT_NO_THROW(CampusConfig::fromFile(path));
+    } else if (name == "eecs.cfg") {
+      EXPECT_NO_THROW(EecsConfig::fromFile(path));
+    } else if (name == "chaos.cfg") {
+      EXPECT_NO_THROW(FaultPlan::load(path));
+    } else if (name == "anon-policy.cfg") {
+      EXPECT_NO_THROW(Anonymizer::Config::fromFile(path));
+    } else if (name == "daemon.cfg") {
+      // nfstraced's reader: the nfstraced_rejects_bad_settings ctest runs
+      // nfstraced --config on it.
+    } else {
+      ADD_FAILURE() << "no reader loads configs/" << name;
+    }
+  }
 }
 
 }  // namespace

@@ -400,6 +400,46 @@ TEST(Config, MissingFileThrows) {
   EXPECT_THROW(ConfigFile::load("/no/such/config.cfg"), std::runtime_error);
 }
 
+TEST(Config, RejectsKeysNoReaderAskedFor) {
+  auto cfg = ConfigFile::parse("users = 4\nkeep = a\nrate_typo = 1\n");
+  cfg.getInt("users", 0);
+  cfg.getAll("keep");
+  cfg.getDouble("rate", 0.0);  // asked for, absent: not an error
+  try {
+    cfg.rejectUnknownKeys();
+    ADD_FAILURE() << "a key no reader asked for was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("rate_typo"), std::string::npos)
+        << e.what();
+  }
+  cfg.has("rate_typo");
+  EXPECT_NO_THROW(cfg.rejectUnknownKeys());
+}
+
+TEST(Config, UnsignedTakesOnlyAWholeDecimalInRange) {
+  auto cfg = ConfigFile::parse(
+      "ok = 25\nmax = 18446744073709551615\nneg = -5\nplus = +5\n"
+      "word = abc\nfrac = 2.5\nover = 18446744073709551616\n"
+      "empty =\nbig = 11\n");
+  EXPECT_EQ(cfg.getUnsigned("ok", 0), 25u);
+  EXPECT_EQ(cfg.getUnsigned("max", 0), ~0ull);
+  EXPECT_EQ(cfg.getUnsigned("missing", 7), 7u);
+  EXPECT_EQ(cfg.getUnsigned("big", 0, 11), 11u);
+  for (const char* key : {"neg", "plus", "word", "frac", "over", "empty"}) {
+    EXPECT_THROW(cfg.getUnsigned(key, 0), std::runtime_error) << key;
+  }
+  EXPECT_THROW(cfg.getUnsigned("big", 0, 10), std::runtime_error);
+}
+
+TEST(Config, DoubleRangeRejectsOutsideAndNonFinite) {
+  auto cfg = ConfigFile::parse("h = 2.5\nneg = -1\nnan = nan\ninf = inf\n");
+  EXPECT_DOUBLE_EQ(cfg.getDouble("h", 0.0, 0.0, 10.0), 2.5);
+  EXPECT_THROW(cfg.getDouble("h", 0.0, 0.0, 2.0), std::runtime_error);
+  EXPECT_THROW(cfg.getDouble("neg", 0.0, 0.0, 10.0), std::runtime_error);
+  EXPECT_THROW(cfg.getDouble("nan", 0.0), std::runtime_error);
+  EXPECT_THROW(cfg.getDouble("inf", 0.0), std::runtime_error);
+}
+
 TEST(Config, KeysListed) {
   auto cfg = ConfigFile::parse("b = 1\na = 2\n");
   auto keys = cfg.keys();

@@ -234,5 +234,27 @@ TEST(WorkloadConfig, EecsFromFile) {
   std::remove(path.c_str());
 }
 
+TEST(WorkloadConfig, RejectsUnknownKeysNamingThem) {
+  std::string path = "/tmp/workload_unknown_key_test.cfg";
+  auto expectRejected = [&](const char* text, const char* key, auto load) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(text, f);
+    std::fclose(f);
+    try {
+      load(path);
+      ADD_FAILURE() << key << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  };
+  expectRejected("users = 5\nuser = 9\n", "user",
+                 [](const std::string& p) { CampusConfig::fromFile(p); });
+  expectRejected("builds_per_user_hr = 1\n", "builds_per_user_hr",
+                 [](const std::string& p) { EecsConfig::fromFile(p); });
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace nfstrace
