@@ -55,6 +55,7 @@ AnalysisEngine::AnalysisEngine(const Config& config) : config_(config) {}
 void AnalysisEngine::addPass(AnalysisPass* pass) {
   passes_.push_back(pass);
   passHist_.push_back(nullptr);
+  passFinalizeHist_.push_back(nullptr);
 }
 
 void AnalysisEngine::addPasses(const std::vector<AnalysisPass*>& passes) {
@@ -70,16 +71,26 @@ void AnalysisEngine::attachMetrics(obs::Registry& registry) {
   internNamesG_ = registry.gaugeHandle("engine.intern_names");
   internHandlesG_ = registry.gaugeHandle("engine.intern_handles");
   for (std::size_t i = 0; i < passes_.size(); ++i) {
-    std::string name = "engine.pass.";
-    name += passes_[i]->name();
-    name += ".observe_ns";
-    passHist_[i] = &registry.histogram(name);
+    std::string base = "engine.pass.";
+    base += passes_[i]->name();
+    passHist_[i] = &registry.histogram(base + ".observe_ns");
+    passFinalizeHist_[i] = &registry.histogram(base + ".finalize_ns");
   }
 }
 
 void AnalysisEngine::attachFlight(obs::FlightRecorder& flight) {
   flight_ = &flight;
   readerFlog_ = flight.attachThread("engine.reader");
+  workerFlogs_.clear();
+}
+
+obs::ThreadLog* AnalysisEngine::workerFlog(std::size_t w) {
+  if (!flight_) return nullptr;
+  while (workerFlogs_.size() <= w) {
+    workerFlogs_.push_back(flight_->attachThread(
+        "engine.worker" + std::to_string(workerFlogs_.size())));
+  }
+  return workerFlogs_[w];
 }
 
 std::size_t AnalysisEngine::applyPredicate(TraceBatch& batch) const {
@@ -161,12 +172,7 @@ void AnalysisEngine::scanFanOut(TraceReader& reader) {
 
   std::vector<std::uint64_t> shardRecords(workers, 0);
   std::vector<obs::ThreadLog*> workerFlogs(workers, nullptr);
-  if (flight_) {
-    for (std::size_t w = 0; w < workers; ++w) {
-      workerFlogs[w] =
-          flight_->attachThread("engine.worker" + std::to_string(w));
-    }
-  }
+  for (std::size_t w = 0; w < workers; ++w) workerFlogs[w] = workerFlog(w);
   // A throwing observe() parks its worker's exception here; the worker
   // keeps releasing slots (so the decoder never stalls) until the
   // sentinel, and the scan rethrows after the join.
@@ -325,34 +331,50 @@ void AnalysisEngine::noteScanDone(
   }
 }
 
+void AnalysisEngine::finalizePass(std::size_t i, std::size_t slot,
+                                  obs::ThreadLog* flog) {
+  obs::TimerSpan span(passFinalizeHist_[i]
+                          ? obs::HistogramHandle(*passFinalizeHist_[i], slot)
+                          : obs::HistogramHandle());
+  obs::FlightSpan fspan(flog, obs::Stage::PassFinalize,
+                        static_cast<std::uint32_t>(i));
+  passes_[i]->finalize();
+}
+
 void AnalysisEngine::finalizeAll(std::size_t parallelism) {
-  std::size_t workers = std::max<std::size_t>(parallelism, 1);
-  if (workers <= 1 || passes_.size() <= 1) {
-    for (AnalysisPass* p : passes_) p->finalize();
+  const std::size_t n =
+      std::min(std::max<std::size_t>(parallelism, 1), passes_.size());
+  if (n <= 1) {
+    for (std::size_t i = 0; i < passes_.size(); ++i) {
+      finalizePass(i, 0, readerFlog_);
+    }
     return;
   }
   // Passes are independent after the scan; finalize them concurrently
-  // (work-stealing over an atomic index).
+  // (work-stealing over an atomic index).  Thread t > 0 records on worker
+  // track t - 1, idle since the scan's join; the calling thread on the
+  // reader's.
+  std::vector<obs::ThreadLog*> flogs(n, readerFlog_);
+  for (std::size_t t = 1; t < n; ++t) flogs[t] = workerFlog(t - 1);
   std::atomic<std::size_t> next{0};
-  auto drain = [this, &next] {
+  auto drain = [this, &next, &flogs](std::size_t t) {
     for (;;) {
       std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= passes_.size()) break;
-      passes_[i]->finalize();
+      finalizePass(i, t, flogs[t]);
     }
   };
-  std::size_t n = std::min(workers, passes_.size());
   std::vector<std::thread> threads;
   threads.reserve(n - 1);
   try {
-    for (std::size_t i = 1; i < n; ++i) threads.emplace_back(drain);
+    for (std::size_t t = 1; t < n; ++t) threads.emplace_back(drain, t);
   } catch (...) {
     // A thread that failed to start: join the running ones before the
     // exception destroys them.
     for (auto& t : threads) t.join();
     throw;
   }
-  drain();
+  drain(0);
   for (auto& t : threads) t.join();
 }
 

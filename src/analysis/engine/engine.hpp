@@ -83,13 +83,14 @@ class AnalysisEngine {
   void addPasses(const std::vector<AnalysisPass*>& passes);
 
   /// Bind self-monitoring: batch/record counters, intern-table gauges,
-  /// per-pass observe-ns histograms, and the two alert counters.  Call
-  /// after the passes are registered.
+  /// per-pass observe-ns and finalize-ns histograms
+  /// (engine.pass.<name>.observe_ns / .finalize_ns), and the two alert
+  /// counters.  Call after the passes are registered.
   void attachMetrics(obs::Registry& registry);
 
-  /// Bind a flight recorder: decode/pass-observe spans, pool- and
-  /// ring-wait stall episodes, and recovery-cut instants land on
-  /// "engine.reader" / "engine.worker<w>" tracks.
+  /// Bind a flight recorder: decode, pass-observe and pass-finalize
+  /// spans, pool- and ring-wait stall episodes, and recovery-cut
+  /// instants land on "engine.reader" / "engine.worker<w>" tracks.
   void attachFlight(obs::FlightRecorder& flight);
 
   /// Drive every pass over the reader's stream in one scan (prepare ->
@@ -116,7 +117,14 @@ class AnalysisEngine {
   /// flight span on `flog`.
   void observe(std::size_t i, const TraceBatch& batch, std::size_t shard,
                obs::ThreadLog* flog);
+  /// finalize() of pass i, timed into its histogram (slot `slot`) and a
+  /// flight span on `flog`.
+  void finalizePass(std::size_t i, std::size_t slot, obs::ThreadLog* flog);
   void finalizeAll(std::size_t parallelism);
+  /// The flight track of worker w ("engine.worker<w>"), attached on first
+  /// use and kept across runs; null without a flight recorder.  Call
+  /// before the threads that use it start.
+  obs::ThreadLog* workerFlog(std::size_t w);
   void noteScanDone(const std::vector<std::uint64_t>& shardRecords,
                     const TraceReader& reader);
 
@@ -130,9 +138,12 @@ class AnalysisEngine {
   obs::CounterHandle internHighC_;
   obs::GaugeHandle internNamesG_;
   obs::GaugeHandle internHandlesG_;
-  std::vector<obs::Histogram*> passHist_;  // parallel to passes_
+  // Parallel to passes_.
+  std::vector<obs::Histogram*> passHist_;
+  std::vector<obs::Histogram*> passFinalizeHist_;
   obs::FlightRecorder* flight_ = nullptr;
   obs::ThreadLog* readerFlog_ = nullptr;
+  std::vector<obs::ThreadLog*> workerFlogs_;
 };
 
 }  // namespace nfstrace

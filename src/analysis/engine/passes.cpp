@@ -3,16 +3,6 @@
 #include <algorithm>
 
 namespace nfstrace {
-namespace {
-
-/// The only records the reorder/runs analyses derive anything from
-/// (everything else passes through their legacy implementations
-/// untouched, so buffering just these reproduces their results exactly).
-bool isDataAccess(const TraceRecord& rec) {
-  return (rec.op == NfsOp::Read || rec.op == NfsOp::Write) && rec.fh.len > 0;
-}
-
-}  // namespace
 
 // ----------------------------------------------------------- mergeable
 
@@ -69,52 +59,75 @@ ReorderPass::ReorderPass(std::vector<MicroTime> sweepWindows)
     : sweepWindows_(std::move(sweepWindows)) {}
 
 void ReorderPass::prepare(std::size_t) {
-  accesses_.clear();
+  keys_.clear();
   sweep_.clear();
 }
 
 void ReorderPass::observe(const TraceBatch& batch, std::size_t) {
+  // The reader interns the empty handle as id 0 only, so a data access's
+  // handle id names its file.
   for (std::size_t i = 0; i < batch.n; ++i) {
-    if (isDataAccess(batch.records[i])) {
-      accesses_.push_back(batch.records[i]);
+    const TraceRecord& r = batch.records[i];
+    if (isDataAccess(r)) {
+      keys_.push_back(
+          {r.ts, r.offset, reorderGroup(batch.fhId[i], r.op == NfsOp::Write)});
     }
   }
 }
 
 void ReorderPass::finalize() {
-  sweep_ = sweepReorderWindows(accesses_, sweepWindows_);
-  accesses_.clear();
-  accesses_.shrink_to_fit();
+  ReorderKernel kernel(keys_);
+  keys_ = {};
+  sweep_.clear();
+  for (MicroTime w : sweepWindows_) {
+    sweep_.emplace_back(
+        w, swappedFraction(kernel.run(w), kernel.accessesTotal()));
+  }
 }
 
 RunsPass::RunsPass(MicroTime reorderWindowUs)
     : reorderWindowUs_(reorderWindowUs) {}
 
 void RunsPass::prepare(std::size_t) {
-  accesses_.clear();
+  rows_.clear();
+  handles_.clear();
   runs_.clear();
 }
 
 void RunsPass::observe(const TraceBatch& batch, std::size_t) {
   for (std::size_t i = 0; i < batch.n; ++i) {
-    if (isDataAccess(batch.records[i])) {
-      accesses_.push_back(batch.records[i]);
-    }
+    const TraceRecord& r = batch.records[i];
+    if (!isDataAccess(r)) continue;
+    const std::uint32_t id = batch.fhId[i];
+    if (id >= handles_.size()) handles_.resize(std::size_t{id} + 1);
+    if (handles_[id].len == 0) handles_[id] = r.fh;
+    rows_.push_back(accessRow(r, id));
   }
 }
 
 void RunsPass::finalize() {
-  // Identical to the legacy whole-trace path: stable-sorting and
-  // window-rotating the data-access subsequence yields the same relative
-  // order those records have after sorting the full trace (stable sort
-  // preserves subsequence order; non-accesses never move relative to
-  // them in any way detectRuns can see, since it skips them).
-  auto sorted = sortWithReorderWindow(accesses_, reorderWindowUs_);
-  swappedFraction_ = sorted.swappedFraction();
-  runs_ = detectRuns(sorted.records);
+  // Identical to the whole-trace functions: stable-sorting and
+  // window-sorting the data-access subsequence yields the same relative
+  // order those accesses have after sorting the full trace (the stable
+  // sort preserves subsequence order, and run detection skips every
+  // other record).
+  std::vector<std::uint32_t> order;
+  std::uint64_t swapped = 0, total = 0;
+  {
+    std::vector<ReorderKey> keys;
+    keys.reserve(rows_.size());
+    for (const AccessRow& a : rows_) {
+      keys.push_back({a.ts, a.offset, reorderGroup(a.file, a.isWrite)});
+    }
+    ReorderKernel kernel(keys);
+    swapped = kernel.run(reorderWindowUs_, &order);
+    total = kernel.accessesTotal();
+  }
+  swappedFraction_ = swappedFraction(swapped, total);
+  runs_ = detectRuns(rows_, order, handles_);
   patterns_ = summarizeRunPatterns(runs_);
-  accesses_.clear();
-  accesses_.shrink_to_fit();
+  rows_ = {};
+  handles_ = {};
 }
 
 void BlockLifePass::prepare(std::size_t) {

@@ -5,11 +5,13 @@
 //   summary, hourly, users — pure integer accumulation.
 //
 // Sequential (single state, sees every batch in stream order):
-//   reorder, runs   — buffer only the READ/WRITE data accesses (the only
-//                     records those analyses derive anything from; the
-//                     legacy functions pass everything else through) and
-//                     run the legacy algorithms at finalize, so results
-//                     are bit-identical to the whole-vector path;
+//   reorder, runs   — buffer one compact row per READ/WRITE data access
+//                     (the only records those analyses derive anything
+//                     from), keyed by the reader's interned handle id:
+//                     reorder a 24-byte ReorderKey, runs a 40-byte
+//                     AccessRow.  At finalize each runs the reorder kernel
+//                     (reorder.hpp) over what it buffered, so results are
+//                     bit-identical to the whole-vector functions;
 //   blocklife       — streams every record into the analyzer, which
 //                     logs block births and deaths; the phase split
 //                     needs the trace's span, so only the decision of
@@ -104,6 +106,7 @@ class ReorderPass final : public AnalysisPass {
   }
   void prepare(std::size_t shards) override;
   void observe(const TraceBatch& batch, std::size_t shard) override;
+  /// One kernel over the buffered keys, run once per sweep window.
   void finalize() override;
   const std::vector<std::pair<MicroTime, double>>& sweep() const {
     return sweep_;
@@ -111,7 +114,7 @@ class ReorderPass final : public AnalysisPass {
 
  private:
   std::vector<MicroTime> sweepWindows_;
-  std::vector<TraceRecord> accesses_;
+  std::vector<ReorderKey> keys_;
   std::vector<std::pair<MicroTime, double>> sweep_;
 };
 
@@ -127,6 +130,8 @@ class RunsPass final : public AnalysisPass {
   }
   void prepare(std::size_t shards) override;
   void observe(const TraceBatch& batch, std::size_t shard) override;
+  /// Runs its own kernel at the pass's window rather than sharing
+  /// ReorderPass's: passes finalize concurrently at decodeThreads > 1.
   void finalize() override;
 
   const std::vector<Run>& runs() const { return runs_; }
@@ -135,7 +140,9 @@ class RunsPass final : public AnalysisPass {
 
  private:
   MicroTime reorderWindowUs_;
-  std::vector<TraceRecord> accesses_;
+  std::vector<AccessRow> rows_;
+  /// The handle behind each interned handle id seen in rows_ (Run::fh).
+  std::vector<FileHandle> handles_;
   std::vector<Run> runs_;
   RunPatternSummary patterns_;
   double swappedFraction_ = 0.0;

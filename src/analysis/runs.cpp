@@ -2,23 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <numeric>
+#include <span>
+
+#include "analysis/reorder.hpp"
 
 namespace nfstrace {
 namespace {
-
-struct Access {
-  MicroTime ts;
-  bool isWrite;
-  std::uint64_t offset;
-  std::uint32_t count;
-  bool refsEof;
-  std::uint64_t fileSize;
-};
-
-struct RunBuilder {
-  std::vector<Access> accesses;
-};
 
 std::uint64_t roundDown(std::uint64_t v, std::uint32_t bs) {
   return v / bs * bs;
@@ -27,7 +17,7 @@ std::uint64_t roundUp(std::uint64_t v, std::uint32_t bs) {
   return (v + bs - 1) / bs * bs;
 }
 
-Run buildRun(const FileHandle& fh, std::vector<Access>& acc,
+Run buildRun(const FileHandle& fh, std::span<const AccessRow> acc,
              const RunDetectorConfig& cfg) {
   Run run;
   run.fh = fh;
@@ -35,6 +25,8 @@ Run buildRun(const FileHandle& fh, std::vector<Access>& acc,
   run.end = acc.back().ts;
   run.accesses = static_cast<std::uint32_t>(acc.size());
 
+  // The best-known file size over the run, so early accesses use the
+  // size revealed by later replies.
   bool hasRead = false, hasWrite = false;
   std::uint64_t maxSize = 0;
   for (const auto& a : acc) {
@@ -111,56 +103,70 @@ Run buildRun(const FileHandle& fh, std::vector<Access>& acc,
 
 }  // namespace
 
-std::vector<Run> detectRuns(const std::vector<TraceRecord>& records,
+AccessRow accessRow(const TraceRecord& rec, std::uint32_t file) {
+  AccessRow a;
+  a.ts = rec.ts;
+  a.offset = rec.offset;
+  a.count = rec.hasReply && rec.retCount ? rec.retCount : rec.count;
+  a.fileSize = rec.hasAttrs ? rec.fileSize : 0;
+  a.file = file;
+  a.isWrite = rec.op == NfsOp::Write;
+  // Rule (a), applied literally to every access as the paper states:
+  // reads use the reply's EOF flag (or reaching the reported size);
+  // extending writes land exactly at the new EOF, so append bursts
+  // fragment into singleton runs — which is precisely why the paper's
+  // EECS write runs are dominated by small sequential singletons while
+  // whole-small-file writes classify as 'entire' singletons.
+  a.refsEof = rec.eof || (a.fileSize > 0 && a.offset + a.count >= a.fileSize);
+  return a;
+}
+
+std::vector<Run> detectRuns(const std::vector<AccessRow>& rows,
+                            const std::vector<std::uint32_t>& order,
+                            const std::vector<FileHandle>& handles,
                             const RunDetectorConfig& cfg) {
-  // Gather per-file access lists in list order.
-  std::unordered_map<FileHandle, RunBuilder, FileHandleHash> perFile;
-  for (const auto& rec : records) {
-    if (rec.op != NfsOp::Read && rec.op != NfsOp::Write) continue;
-    if (rec.fh.len == 0) continue;
-    Access a;
-    a.ts = rec.ts;
-    a.isWrite = rec.op == NfsOp::Write;
-    a.offset = rec.offset;
-    a.count = rec.hasReply && rec.retCount ? rec.retCount : rec.count;
-    a.fileSize = rec.hasAttrs ? rec.fileSize : 0;
-    // Rule (a), applied literally to every access as the paper states:
-    // reads use the reply's EOF flag (or reaching the reported size);
-    // extending writes land exactly at the new EOF, so append bursts
-    // fragment into singleton runs — which is precisely why the paper's
-    // EECS write runs are dominated by small sequential singletons while
-    // whole-small-file writes classify as 'entire' singletons.
-    a.refsEof = rec.eof ||
-                (a.fileSize > 0 && a.offset + a.count >= a.fileSize);
-    perFile[rec.fh].accesses.push_back(a);
+  // Each file's accesses in `order`, contiguous: a counting sort by file.
+  std::vector<std::size_t> start(handles.size() + 1, 0);
+  for (std::uint32_t k : order) ++start[rows[k].file + 1];
+  for (std::size_t f = 1; f < start.size(); ++f) start[f] += start[f - 1];
+  std::vector<AccessRow> byFile(order.size());
+  {
+    std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+    for (std::uint32_t k : order) byFile[fill[rows[k].file]++] = rows[k];
   }
 
   std::vector<Run> runs;
-  for (auto& [fh, builder] : perFile) {
-    std::vector<Access> current;
-    // Propagate the best-known file size forward so early accesses of a
-    // run know the size revealed by later replies.
-    for (std::size_t i = 0; i < builder.accesses.size(); ++i) {
-      const Access& a = builder.accesses[i];
-      bool startNew = false;
-      if (!current.empty()) {
-        // Rule (a): previous access referenced EOF.
-        if (current.back().refsEof) startNew = true;
-        // Rule (b): previous access is old.
-        if (a.ts - current.back().ts > kRunIdleBreak) startNew = true;
+  for (std::size_t f = 0; f + 1 < start.size(); ++f) {
+    std::span<const AccessRow> acc(byFile.data() + start[f],
+                                   start[f + 1] - start[f]);
+    std::size_t begin = 0;
+    for (std::size_t i = 1; i <= acc.size(); ++i) {
+      // Rule (a): the previous access referenced EOF.  Rule (b): the
+      // previous access is old.
+      if (i == acc.size() || acc[i - 1].refsEof ||
+          acc[i].ts - acc[i - 1].ts > kRunIdleBreak) {
+        runs.push_back(buildRun(handles[f], acc.subspan(begin, i - begin),
+                                cfg));
+        begin = i;
       }
-      if (startNew) {
-        runs.push_back(buildRun(fh, current, cfg));
-        current.clear();
-      }
-      current.push_back(a);
     }
-    if (!current.empty()) runs.push_back(buildRun(fh, current, cfg));
   }
 
-  std::sort(runs.begin(), runs.end(),
-            [](const Run& a, const Run& b) { return a.start < b.start; });
+  std::stable_sort(runs.begin(), runs.end(),
+                   [](const Run& a, const Run& b) { return a.start < b.start; });
   return runs;
+}
+
+std::vector<Run> detectRuns(const std::vector<TraceRecord>& records,
+                            const RunDetectorConfig& cfg) {
+  HandleIds ids;
+  std::vector<AccessRow> rows;
+  for (const TraceRecord& rec : records) {
+    if (isDataAccess(rec)) rows.push_back(accessRow(rec, ids.id(rec.fh)));
+  }
+  std::vector<std::uint32_t> order(rows.size());
+  std::iota(order.begin(), order.end(), 0u);
+  return detectRuns(rows, order, ids.handles(), cfg);
 }
 
 RunPatternSummary summarizeRunPatterns(const std::vector<Run>& runs) {

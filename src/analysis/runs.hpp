@@ -53,6 +53,29 @@ struct RunDetectorConfig {
   std::uint32_t jumpTolerance = 10;
 };
 
+/// One data access as run detection sees it (40 bytes).
+struct AccessRow {
+  MicroTime ts = 0;
+  std::uint64_t offset = 0;
+  std::uint64_t fileSize = 0;  // from the reply's attributes, 0 without
+  std::uint32_t count = 0;     // the reply's count when it has one
+  std::uint32_t file = 0;      // dense file id: index into the handles
+  bool isWrite = false;
+  bool refsEof = false;        // rule (a) of the run split
+};
+static_assert(sizeof(AccessRow) == 40);
+
+/// The row of a data access (isDataAccess) with file id `file`.
+AccessRow accessRow(const TraceRecord& rec, std::uint32_t file);
+
+/// Split rows, taken in `order` (indices into `rows`: apply the
+/// reorder-window sort first), into runs.  `handles[row.file]` fills
+/// Run::fh, so every row's file must index it.
+std::vector<Run> detectRuns(const std::vector<AccessRow>& rows,
+                            const std::vector<std::uint32_t>& order,
+                            const std::vector<FileHandle>& handles,
+                            const RunDetectorConfig& config = {});
+
 /// Split trace records (in list order — apply the reorder-window sort
 /// first) into runs.
 std::vector<Run> detectRuns(const std::vector<TraceRecord>& records,

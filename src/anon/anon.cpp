@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 #include "util/strings.hpp"
@@ -21,23 +22,23 @@ Anonymizer::Config Anonymizer::Config::fromConfig(const ConfigFile& file) {
   Config cfg;
   if (file.has("keep_name")) cfg.keepNames = file.getAll("keep_name");
   if (file.has("keep_suffix")) cfg.keepSuffixes = file.getAll("keep_suffix");
+  constexpr auto kU32Max = std::numeric_limits<std::uint32_t>::max();
   if (file.has("keep_uid")) {
     cfg.keepUids.clear();
-    for (const auto& v : file.getAll("keep_uid")) {
-      cfg.keepUids.push_back(static_cast<std::uint32_t>(std::stoul(v)));
+    for (std::uint64_t v : file.getAllUnsigned("keep_uid", kU32Max)) {
+      cfg.keepUids.push_back(static_cast<std::uint32_t>(v));
     }
   }
   if (file.has("keep_gid")) {
     cfg.keepGids.clear();
-    for (const auto& v : file.getAll("keep_gid")) {
-      cfg.keepGids.push_back(static_cast<std::uint32_t>(std::stoul(v)));
+    for (std::uint64_t v : file.getAllUnsigned("keep_gid", kU32Max)) {
+      cfg.keepGids.push_back(static_cast<std::uint32_t>(v));
     }
   }
   cfg.omitIdentities = file.getBool("omit_identities", cfg.omitIdentities);
   cfg.anonymizeHandles =
       file.getBool("anonymize_handles", cfg.anonymizeHandles);
-  cfg.seed = static_cast<std::uint64_t>(file.getInt(
-      "seed", static_cast<std::int64_t>(cfg.seed)));
+  cfg.seed = file.getUnsigned("seed", cfg.seed);
   file.rejectUnknownKeys();
   return cfg;
 }

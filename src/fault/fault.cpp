@@ -1,5 +1,6 @@
 #include "fault/fault.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 namespace nfstrace {
@@ -24,11 +25,14 @@ bool FaultPlan::quiet() const {
 
 FaultPlan FaultPlan::fromConfig(const ConfigFile& cfg) {
   FaultPlan p;
-  p.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+  constexpr auto kU32Max = std::numeric_limits<std::uint32_t>::max();
+  p.seed = cfg.getUnsigned("seed", 1);
   p.dropRate = rateOf(cfg, "drop_rate");
   p.burstRate = rateOf(cfg, "burst_rate");
-  p.burstMin = static_cast<std::uint32_t>(cfg.getInt("burst_min", 4));
-  p.burstMax = static_cast<std::uint32_t>(cfg.getInt("burst_max", 64));
+  p.burstMin = static_cast<std::uint32_t>(
+      cfg.getUnsigned("burst_min", 4, kU32Max));
+  p.burstMax = static_cast<std::uint32_t>(
+      cfg.getUnsigned("burst_max", 64, kU32Max));
   p.truncateRate = rateOf(cfg, "truncate_rate");
   p.bitflipRate = rateOf(cfg, "bitflip_rate");
   p.dupRate = rateOf(cfg, "dup_rate");
@@ -36,8 +40,8 @@ FaultPlan FaultPlan::fromConfig(const ConfigFile& cfg) {
   p.ioShortWriteRate = rateOf(cfg, "io_short_write_rate");
   p.ioEioRate = rateOf(cfg, "io_eio_rate");
   p.ioEnospcRate = rateOf(cfg, "io_enospc_rate");
-  p.ioEnospcStreak =
-      static_cast<std::uint32_t>(cfg.getInt("io_enospc_streak", 2));
+  p.ioEnospcStreak = static_cast<std::uint32_t>(
+      cfg.getUnsigned("io_enospc_streak", 2, kU32Max));
   cfg.rejectUnknownKeys();
   if (p.burstMin == 0 || p.burstMax < p.burstMin) {
     throw std::runtime_error("fault: need 1 <= burst_min <= burst_max");

@@ -46,6 +46,7 @@ constexpr StageInfo kStages[kStageCount] = {
      Stage::ReaderDecode},
     {"engine.pass_observe", false, Stage::kStageCount, Stage::kStageCount},
     {"engine.finalize", false, Stage::kStageCount, Stage::kStageCount},
+    {"engine.pass_finalize", false, Stage::kStageCount, Stage::kStageCount},
     // Degradation / fault decisions.
     {"fault.drop", false, Stage::kStageCount, Stage::kStageCount},
     {"fault.corrupt", false, Stage::kStageCount, Stage::kStageCount},

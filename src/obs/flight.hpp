@@ -76,6 +76,7 @@ enum class Stage : std::uint16_t {
   WorkerBatchWait, ///< engine worker starved: batch ring empty
   PassObserve,     ///< worker: one pass observing one batch
   Finalize,        ///< finalize/merge phase across passes
+  PassFinalize,    ///< finalize thread: one pass's finalize
   // Degradation & fault-plan decisions.
   FaultDrop,     ///< instant: fault plan dropped a frame (arg = index)
   FaultCorrupt,  ///< instant: fault plan truncated/bit-flipped a frame

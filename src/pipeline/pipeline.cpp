@@ -70,21 +70,40 @@ ParallelPipeline::ParallelPipeline(Config config, RecordCallback sink)
     }
   }
   bindMetrics();  // bind worker handles before any worker thread starts
-  for (auto& sh : shards_) {
-    Shard* raw = sh.get();
-    raw->thread = std::thread([this, raw] { workerLoop(*raw); });
+  try {
+    for (auto& sh : shards_) {
+      Shard* raw = sh.get();
+      raw->thread = std::thread([this, raw] { workerLoop(*raw); });
+    }
+    merger_ = std::thread([this] { mergeLoop(); });
+  } catch (...) {
+    // A thread that failed to start (std::system_error): the workers
+    // already running wait for frames, so send each its End and join it
+    // (no frame was fed, so its flush emits nothing for the merge) before
+    // the unwinding destroys them.
+    for (auto& sh : shards_) {
+      if (!sh->thread.joinable()) continue;
+      Msg end;
+      end.kind = Msg::Kind::End;
+      pushToShard(*sh, std::move(end));
+      sh->thread.join();
+    }
+    unregisterGaugeFns();
+    throw;
   }
-  merger_ = std::thread([this] { mergeLoop(); });
 }
 
 ParallelPipeline::~ParallelPipeline() {
   finish();
+  unregisterGaugeFns();
+}
+
+void ParallelPipeline::unregisterGaugeFns() {
   // The ring-depth gauge fns capture pointers into shards_; pull them
   // out of the registry before the rings are destroyed.
-  if (config_.metrics) {
-    for (const auto& name : gaugeFnNames_) {
-      config_.metrics->unregisterGaugeFn(name);
-    }
+  if (!config_.metrics) return;
+  for (const auto& name : gaugeFnNames_) {
+    config_.metrics->unregisterGaugeFn(name);
   }
 }
 

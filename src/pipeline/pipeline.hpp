@@ -183,6 +183,7 @@ class ParallelPipeline : public FrameSink {
   void stageFlush(int shard);
   void workerLoop(Shard& sh);
   void mergeLoop();
+  void unregisterGaugeFns();
 
   Config config_;
   RecordCallback sink_;

@@ -102,15 +102,29 @@ std::uint64_t ConfigFile::getUnsigned(const std::string& key,
                                       std::uint64_t fallback,
                                       std::uint64_t max) const {
   auto v = get(key);
-  if (!v) return fallback;
+  return v ? parseUnsigned(key, *v, max) : fallback;
+}
+
+std::vector<std::uint64_t> ConfigFile::getAllUnsigned(
+    const std::string& key, std::uint64_t max) const {
+  std::vector<std::uint64_t> out;
+  for (const std::string& v : getAll(key)) {
+    out.push_back(parseUnsigned(key, v, max));
+  }
+  return out;
+}
+
+std::uint64_t ConfigFile::parseUnsigned(const std::string& key,
+                                        const std::string& v,
+                                        std::uint64_t max) {
   // from_chars takes no '+', no whitespace and, for an unsigned type, no
   // '-'; it reports overflow instead of wrapping.
   std::uint64_t out = 0;
-  const char* end = v->data() + v->size();
-  auto [ptr, ec] = std::from_chars(v->data(), end, out);
-  if (v->empty() || ec != std::errc{} || ptr != end || out > max) {
+  const char* end = v.data() + v.size();
+  auto [ptr, ec] = std::from_chars(v.data(), end, out);
+  if (v.empty() || ec != std::errc{} || ptr != end || out > max) {
     throw std::runtime_error("config: bad whole number for " + key + ": " +
-                             *v + " (0.." + std::to_string(max) + ")");
+                             v + " (0.." + std::to_string(max) + ")");
   }
   return out;
 }

@@ -52,6 +52,10 @@ class ConfigFile {
   std::uint64_t getUnsigned(
       const std::string& key, std::uint64_t fallback,
       std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
+  /// Every value of a repeated key, each checked as getUnsigned does.
+  std::vector<std::uint64_t> getAllUnsigned(
+      const std::string& key,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
   /// A finite number in [lo, hi].
   double getDouble(const std::string& key, double fallback,
                    double lo = -std::numeric_limits<double>::max(),
@@ -66,6 +70,10 @@ class ConfigFile {
   std::vector<std::string> keys() const;
 
  private:
+  static std::uint64_t parseUnsigned(const std::string& key,
+                                     const std::string& value,
+                                     std::uint64_t max);
+
   std::map<std::string, std::vector<std::string>> values_;
   /// Keys a reader has asked for, present or not (rejectUnknownKeys).
   mutable std::set<std::string> asked_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/config.hpp"
 
@@ -10,7 +11,11 @@ namespace nfstrace {
 CampusConfig CampusConfig::fromFile(const std::string& path) {
   ConfigFile file = ConfigFile::load(path);
   CampusConfig cfg;
-  cfg.users = static_cast<int>(file.getInt("users", cfg.users));
+  constexpr auto kIntMax =
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+  cfg.users = static_cast<int>(
+      file.getUnsigned("users", static_cast<std::uint64_t>(cfg.users),
+                       kIntMax));
   cfg.deliveriesPerUserPeakHourly = file.getDouble(
       "deliveries_per_user_hour", cfg.deliveriesPerUserPeakHourly);
   cfg.popChecksPerUserPeakHourly = file.getDouble(
@@ -27,8 +32,7 @@ CampusConfig CampusConfig::fromFile(const std::string& path) {
       toSeconds(cfg.sessionMeanLength) / 60.0));
   cfg.expungeInterval = minutes(file.getDouble(
       "expunge_minutes", toSeconds(cfg.expungeInterval) / 60.0));
-  cfg.seed = static_cast<std::uint64_t>(
-      file.getInt("seed", static_cast<std::int64_t>(cfg.seed)));
+  cfg.seed = file.getUnsigned("seed", cfg.seed);
   file.rejectUnknownKeys();
   return cfg;
 }

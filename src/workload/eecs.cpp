@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/config.hpp"
 
@@ -10,7 +11,11 @@ namespace nfstrace {
 EecsConfig EecsConfig::fromFile(const std::string& path) {
   ConfigFile file = ConfigFile::load(path);
   EecsConfig cfg;
-  cfg.users = static_cast<int>(file.getInt("users", cfg.users));
+  constexpr auto kIntMax =
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+  cfg.users = static_cast<int>(
+      file.getUnsigned("users", static_cast<std::uint64_t>(cfg.users),
+                       kIntMax));
   cfg.revalidationBurstsPeakHourly = file.getDouble(
       "revalidations_per_user_hour", cfg.revalidationBurstsPeakHourly);
   cfg.editSavesPeakHourly =
@@ -25,10 +30,10 @@ EecsConfig EecsConfig::fromFile(const std::string& path) {
       file.getDouble("log_bursts_per_user_hour", cfg.logBurstsPeakHourly);
   cfg.cronJobsPerNightPerUser =
       file.getDouble("cron_per_user_night", cfg.cronJobsPerNightPerUser);
-  cfg.filesPerProject = static_cast<int>(
-      file.getInt("files_per_project", cfg.filesPerProject));
-  cfg.seed = static_cast<std::uint64_t>(
-      file.getInt("seed", static_cast<std::int64_t>(cfg.seed)));
+  cfg.filesPerProject = static_cast<int>(file.getUnsigned(
+      "files_per_project", static_cast<std::uint64_t>(cfg.filesPerProject),
+      kIntMax));
+  cfg.seed = file.getUnsigned("seed", cfg.seed);
   file.rejectUnknownKeys();
   return cfg;
 }

@@ -264,5 +264,30 @@ TEST(Anon, PolicyRejectsUnknownKeyNamingIt) {
   }
 }
 
+TEST(Anon, PolicyRejectsNegativeOrNonNumericIdsNamingTheKey) {
+  // Each value of a repeated key is checked: -1 once wrapped to
+  // 4294967295 and a value past 32 bits was truncated.
+  const std::pair<const char*, const char*> cases[] = {
+      {"keep_uid = -1\n", "keep_uid"},
+      {"keep_uid = 0\nkeep_uid = 4294967296\n", "keep_uid"},
+      {"keep_gid = 0\nkeep_gid = abc\n", "keep_gid"},
+      {"keep_gid = -1\nkeep_gid = 1\n", "keep_gid"},
+      {"seed = -1\n", "seed"},
+  };
+  for (const auto& [text, key] : cases) {
+    try {
+      Anonymizer::Config::fromConfig(ConfigFile::parse(text));
+      ADD_FAILURE() << text << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  auto cfg = Anonymizer::Config::fromConfig(
+      ConfigFile::parse("keep_uid = 4294967295\nkeep_gid = 7\n"));
+  EXPECT_EQ(cfg.keepUids, std::vector<std::uint32_t>{4294967295u});
+  EXPECT_EQ(cfg.keepGids, std::vector<std::uint32_t>{7u});
+}
+
 }  // namespace
 }  // namespace nfstrace

@@ -500,6 +500,39 @@ TEST_F(EngineTest, StatsAndRerunReuse) {
   EXPECT_EQ(renderReportText("x", analyses), first);
 }
 
+TEST_F(EngineTest, EachPassFinalizeIsTimedAtOneThreadAndFour) {
+  // One engine.pass.<p>.finalize_ns sample and one pass-finalize span per
+  // pass, on the inline path and on the threaded one.
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    StandardAnalyses analyses;
+    AnalysisEngine::Config cfg;
+    cfg.decodeThreads = threads;
+    AnalysisEngine engine(cfg);
+    engine.addPasses(analyses.all());
+    obs::Registry registry;
+    engine.attachMetrics(registry);
+    obs::FlightRecorder flight;
+    engine.attachFlight(flight);
+    TraceReader reader(*textPath_);
+    engine.run(reader);
+
+    std::map<std::string, std::uint64_t> counts;
+    for (const auto& [name, h] : registry.scrape().histograms) {
+      counts[name] = h.count;
+    }
+    for (AnalysisPass* p : analyses.all()) {
+      std::string base = "engine.pass." + std::string(p->name());
+      EXPECT_EQ(counts[base + ".finalize_ns"], 1u) << base;
+      EXPECT_GT(counts[base + ".observe_ns"], 0u) << base;
+    }
+    std::vector<obs::StageTally> tallies = flight.stageTallies();
+    EXPECT_EQ(
+        tallies[static_cast<std::size_t>(obs::Stage::PassFinalize)].spans,
+        analyses.all().size());
+  }
+}
+
 TEST(EngineStandalone, BlockLifePassHoldsBlockEventsNotRecords) {
   // Many getattrs and a few writes: until finalize the pass holds one
   // small event per block birth or death, not one entry per record.

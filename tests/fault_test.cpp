@@ -127,6 +127,29 @@ TEST(FaultPlanConfig, RejectsUnknownKeyNamingIt) {
   }
 }
 
+TEST(FaultPlanConfig, RejectsNegativeOrNonNumericCountsNamingTheKey) {
+  // io_enospc_streak = -1 once became a 4294967295-attempt ENOSPC episode.
+  for (const char* key :
+       {"seed", "burst_min", "burst_max", "io_enospc_streak"}) {
+    for (const char* value : {"-1", "lots", "4294967296"}) {
+      if (std::string(key) == "seed" && std::string(value) == "4294967296") {
+        continue;  // a 64-bit seed
+      }
+      std::string text = std::string(key) + " = " + value + "\n";
+      try {
+        FaultPlan::fromConfig(ConfigFile::parse(text));
+        ADD_FAILURE() << text << " accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  FaultPlan maxSeed =
+      FaultPlan::fromConfig(ConfigFile::parse("seed = 18446744073709551615"));
+  EXPECT_EQ(maxSeed.seed, ~std::uint64_t{0});
+}
+
 TEST(FaultySinkTest, QuietPlanPassesEverythingThrough) {
   auto frames = junkFrames(200, 1);
   CollectSink sink;

@@ -256,5 +256,36 @@ TEST(WorkloadConfig, RejectsUnknownKeysNamingThem) {
   std::remove(path.c_str());
 }
 
+TEST(WorkloadConfig, RejectsNegativeOrNonNumericCountsNamingTheKey) {
+  // A negative count once reached setup() as a huge vector size, and a
+  // negative seed wrapped to 2^64 - 1.
+  std::string path = "/tmp/workload_bad_count_test.cfg";
+  auto expectRejected = [&](const char* text, const char* key, auto load) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(text, f);
+    std::fclose(f);
+    try {
+      load(path);
+      ADD_FAILURE() << text << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  };
+  auto campus = [](const std::string& p) { CampusConfig::fromFile(p); };
+  auto eecs = [](const std::string& p) { EecsConfig::fromFile(p); };
+  expectRejected("users = -5\n", "users", campus);
+  expectRejected("users = many\n", "users", campus);
+  expectRejected("users = 2147483648\n", "users", campus);
+  expectRejected("seed = -1\n", "seed", campus);
+  expectRejected("users = -1\n", "users", eecs);
+  expectRejected("files_per_project = -3\n", "files_per_project", eecs);
+  expectRejected("files_per_project = 1e3\n", "files_per_project", eecs);
+  expectRejected("seed = -1\n", "seed", eecs);
+  expectRejected("seed = abc\n", "seed", eecs);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace nfstrace
