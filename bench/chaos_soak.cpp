@@ -4,7 +4,8 @@
 // The paper's tracer survived months on a live mirror port: burst loss,
 // malformed traffic, and full trace disks were routine, not exceptional.
 // This soak replays that life deterministically (configs/chaos.cfg rates,
-// fixed seed) across five phases:
+// fixed seed) across six phases, lettered A-C and E-G (the letters are
+// stable names that BENCH_chaos.json's keys and the docs use):
 //
 //   A  clean control    — serial and sharded runs byte-identical, no loss
 //   B  wire chaos       — FaultySink + MirrorPort in front of the sniffer
@@ -13,18 +14,15 @@
 //                         §4.1.4 loss estimate that tracks injected loss
 //   C  bounded tables   — tiny pending/flow bounds under chaos: evictions
 //                         happen, peaks never exceed the bounds
-//   D  disk chaos       — trace writer under injected EIO/short writes is
-//                         byte-identical to a clean write; deterministic
-//                         corruption is then recovered with exact
-//                         record accounting via checkpoints
 //   E  overload shed    — tiny rings + shedding: finish() returns and
 //                         framesSeen + framesShed == framesDispatched
-//   F  v2 disk chaos    — the columnar v2 writer under the same injected
-//                         IO faults is byte-identical to a clean write; a
-//                         CRC-corrupted extent is skipped with exact
-//                         record accounting and the analysis engine's
-//                         report over the damaged file is byte-identical
-//                         at any worker count
+//   F  disk chaos       — the trace writer under injected EIO/short
+//                         writes is byte-identical to a clean write;
+//                         three CRC-corrupted extents are skipped with
+//                         exact record accounting, and the analysis
+//                         engine's report over the damaged file is
+//                         byte-identical at any worker count, with its
+//                         resync cuts raising a DEGRADED alert
 //   G  kill/restart     — the continuous-capture daemon, SIGKILLed ≥3
 //                         times (twice genuinely mid-rotation, in the
 //                         rename-sealed-but-unjournaled window) under the
@@ -192,9 +190,7 @@ void check(bool ok, const char* what) {
 std::string reportOver(const std::vector<TraceRecord>& recs,
                              const std::string& tmpPath) {
   {
-    TraceWriter::Options o;
-    o.format = TraceWriter::Format::V2;
-    TraceWriter w(tmpPath, o);
+    TraceWriter w(tmpPath);
     for (const auto& r : recs) w.write(r);
   }
   StandardAnalyses analyses;
@@ -323,15 +319,43 @@ int main(int argc, char** argv) {
   check(bs.tcpFlowsPeak <= 2, "flow table stayed within its bound");
   check(boundedRecords > 0, "bounded sniffer still produced records");
 
-  // Phase D: disk chaos.  The writer must ride out transient faults with
+  // Phase E: overload shedding.  Rings far too small for the burst: the
+  // producer must shed rather than deadlock, and the books must balance.
+  std::printf("\nphase E: overload shedding on tiny rings\n");
+  ParallelPipeline::Config shedCfg;
+  shedCfg.shards = kShards;
+  shedCfg.sniffer = soakSnifferConfig();
+  shedCfg.frameRingCapacity = 8;
+  shedCfg.shedAfterStalls = 1;
+  std::uint64_t shedRecords = 0;
+  std::uint64_t shed = 0, dispatched = 0, seen = 0;
+  {
+    ParallelPipeline pipe(shedCfg,
+                          [&](const TraceRecord&) { ++shedRecords; });
+    for (const auto& f : frames) pipe.feed(&f);
+    pipe.finish();
+    shed = pipe.framesShed();
+    dispatched = pipe.framesDispatched();
+    seen = pipe.stats().framesSeen;
+  }
+  std::printf("  %llu dispatched, %llu shed, %llu records\n",
+              static_cast<unsigned long long>(dispatched),
+              static_cast<unsigned long long>(shed),
+              static_cast<unsigned long long>(shedRecords));
+  check(seen + shed == dispatched,
+        "framesSeen + framesShed == framesDispatched");
+  check(shed > 0, "overload actually forced shedding");
+  check(shedRecords > 0, "pipeline still produced records while shedding");
+
+  // Phase F: disk chaos.  The writer must ride out transient faults with
   // byte-identical output, and the recovering reader must account for a
-  // deterministically corrupted file exactly.
-  std::printf("\nphase D: trace disk chaos + recovery\n");
+  // deterministically corrupted file exactly, extent by extent.
+  std::printf("\nphase F: trace disk chaos + extent recovery\n");
   const std::string cleanPath = "bench_chaos_clean.trace";
   const std::string faultyPath = "bench_chaos_faulty.trace";
   const std::string corruptPath = "bench_chaos_corrupt.trace";
   TraceWriter::Options wopts;
-  wopts.checkpointEveryRecords = 512;
+  wopts.v2ExtentRecords = smoke ? 64 : 512;  // enough extents to damage
   {
     TraceWriter w(cleanPath, wopts);
     for (const auto& r : chaosSerial.records) w.write(r);
@@ -348,47 +372,47 @@ int main(int argc, char** argv) {
     w.flush();
     io = w.ioStats();
   }
-  std::printf("  %llu retries, %llu short writes, %llu checkpoints\n",
+  std::printf("  %llu retries, %llu short writes, %llu extents\n",
               static_cast<unsigned long long>(io.retries),
               static_cast<unsigned long long>(io.shortWrites),
               static_cast<unsigned long long>(io.checkpoints));
   check(io.retries + io.shortWrites > 0, "disk faults actually injected");
-  check(slurp(faultyPath) == slurp(cleanPath),
-        "faulty-disk trace byte-identical to clean write");
+  bool fIdentical = slurp(faultyPath) == slurp(cleanPath);
+  check(fIdentical, "faulty-disk trace byte-identical to clean write");
 
-  // Deterministic corruption: damage three record lines spread across the
-  // file (never the checkpoint comments), then recover.
+  // Corrupt three extent payloads spread across the file (25%, 50% and
+  // the last): each header still parses, each CRC fails, and the reader
+  // must skip exactly those extents' records.
+  auto index = tracev2::loadExtentIndex(cleanPath);
+  check(index.has_value() && index->size() >= 4,
+        "footer index present with at least four extents");
+  std::uint64_t damaged = 0;
+  const std::uint64_t total = chaosSerial.records.size();
   std::string bytes = slurp(cleanPath);
-  std::istringstream in(bytes);
-  std::vector<std::string> lines;
-  std::string line;
-  std::vector<std::size_t> recordLineIdx;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '#') recordLineIdx.push_back(lines.size());
-    lines.push_back(line);
+  if (index && index->size() >= 4) {
+    const std::size_t n = index->size();
+    for (std::size_t victim : {n / 4, n / 2, n - 1}) {
+      const tracev2::ExtentInfo& e = (*index)[victim];
+      std::size_t at = static_cast<std::size_t>(e.offset) +
+                       tracev2::kExtentHeaderBytes + 16;
+      bytes[at] = static_cast<char>(bytes[at] ^ 0x5A);
+      damaged += e.records;
+    }
   }
-  std::size_t nRecords = recordLineIdx.size();
-  for (std::size_t frac : {4, 2, 1}) {  // 25%, 50%, ~100% through the file
-    std::size_t idx = recordLineIdx[nRecords / frac - 1];
-    lines[idx] = "x#!corrupt line, neither comment nor parseable record";
-  }
-  std::string corrupted;
-  for (const auto& l : lines) {
-    corrupted += l;
-    corrupted.push_back('\n');
-  }
-  spew(corruptPath, corrupted);
+  spew(corruptPath, bytes);
   TraceReader::RecoverStats rs;
   auto recovered = TraceReader::recoverAll(corruptPath, &rs);
-  std::printf("  recovery: %llu recovered, %llu skipped, %llu resyncs, "
-              "%llu checkpoints\n",
+  std::printf("  recovery: %llu recovered, %llu skipped, %llu resyncs "
+              "(three extents of %llu records corrupted)\n",
               static_cast<unsigned long long>(rs.recovered),
               static_cast<unsigned long long>(rs.skipped),
               static_cast<unsigned long long>(rs.resyncs),
-              static_cast<unsigned long long>(rs.checkpoints));
-  check(rs.skipped == 3, "exactly the three damaged records skipped");
-  check(rs.recovered == nRecords - 3, "every undamaged record recovered");
-  check(rs.recovered + rs.skipped == nRecords,
+              static_cast<unsigned long long>(damaged));
+  check(rs.skipped == damaged, "exactly the corrupt extents' records skipped");
+  check(rs.resyncs == 3, "one resync per corrupt extent");
+  check(rs.recovered == total - damaged,
+        "every record outside the corrupt extents recovered");
+  check(rs.recovered + rs.skipped == total,
         "recovered + skipped account for every record");
   check(recovered.size() == rs.recovered, "recovered records returned");
 
@@ -418,128 +442,15 @@ int main(int argc, char** argv) {
   check(engineStats.records == rs.recovered,
         "engine analyzed every recovered record");
   check(engineStats.resyncCuts > 0, "resyncs landed on batch boundaries");
-  check(!serialReport.empty() && serialReport == shardedReport,
-        "engine report byte-identical serial vs sharded");
+  bool fEngineIdentical =
+      !serialReport.empty() && serialReport == shardedReport;
+  check(fEngineIdentical,
+        "engine report over the damaged trace byte-identical serial vs "
+        "sharded");
   std::string alerts = obs::SnapshotExporter::renderAlerts(
       engineReg.scrape(), obs::defaultAlertCounters());
   check(alerts.find("engine.resync_cuts") != std::string::npos,
         "resync cuts raised a DEGRADED alert");
-
-  // Phase E: overload shedding.  Rings far too small for the burst: the
-  // producer must shed rather than deadlock, and the books must balance.
-  std::printf("\nphase E: overload shedding on tiny rings\n");
-  ParallelPipeline::Config shedCfg;
-  shedCfg.shards = kShards;
-  shedCfg.sniffer = soakSnifferConfig();
-  shedCfg.frameRingCapacity = 8;
-  shedCfg.shedAfterStalls = 1;
-  std::uint64_t shedRecords = 0;
-  std::uint64_t shed = 0, dispatched = 0, seen = 0;
-  {
-    ParallelPipeline pipe(shedCfg,
-                          [&](const TraceRecord&) { ++shedRecords; });
-    for (const auto& f : frames) pipe.feed(&f);
-    pipe.finish();
-    shed = pipe.framesShed();
-    dispatched = pipe.framesDispatched();
-    seen = pipe.stats().framesSeen;
-  }
-  std::printf("  %llu dispatched, %llu shed, %llu records\n",
-              static_cast<unsigned long long>(dispatched),
-              static_cast<unsigned long long>(shed),
-              static_cast<unsigned long long>(shedRecords));
-  check(seen + shed == dispatched,
-        "framesSeen + framesShed == framesDispatched");
-  check(shed > 0, "overload actually forced shedding");
-  check(shedRecords > 0, "pipeline still produced records while shedding");
-
-  // Phase F: the v2 columnar format through the same disk-chaos story as
-  // phase D — fault-riddled write byte-identical, then extent-granular
-  // recovery of a deterministically corrupted file with exact accounting.
-  std::printf("\nphase F: v2 extents under disk chaos + recovery\n");
-  const std::string v2CleanPath = "bench_chaos_v2_clean.trace";
-  const std::string v2FaultyPath = "bench_chaos_v2_faulty.trace";
-  const std::string v2CorruptPath = "bench_chaos_v2_corrupt.trace";
-  TraceWriter::Options v2opts;
-  v2opts.format = TraceWriter::Format::V2;
-  v2opts.v2ExtentRecords = 512;
-  {
-    TraceWriter w(v2CleanPath, v2opts);
-    for (const auto& r : chaosSerial.records) w.write(r);
-  }
-  IoFaultInjector v2inj(plan);
-  TraceWriter::IoStats v2io;
-  {
-    TraceWriter::Options fo = v2opts;
-    fo.faults = &v2inj;
-    fo.backoffInitialUs = 1;
-    fo.backoffMaxUs = 50;
-    TraceWriter w(v2FaultyPath, fo);
-    for (const auto& r : chaosSerial.records) w.write(r);
-    w.flush();
-    v2io = w.ioStats();
-  }
-  std::printf("  %llu retries, %llu short writes\n",
-              static_cast<unsigned long long>(v2io.retries),
-              static_cast<unsigned long long>(v2io.shortWrites));
-  check(v2io.retries + v2io.shortWrites > 0,
-        "v2 disk faults actually injected");
-  bool fIdentical = slurp(v2FaultyPath) == slurp(v2CleanPath);
-  check(fIdentical, "faulty-disk v2 trace byte-identical to clean write");
-
-  // Corrupt one mid-file extent payload: its header still parses, its
-  // CRC fails, and the reader must skip exactly that extent's records.
-  auto v2Index = tracev2::loadExtentIndex(v2CleanPath);
-  check(v2Index.has_value() && v2Index->size() >= 2,
-        "v2 footer index present with multiple extents");
-  std::uint64_t v2Damaged = 0;
-  std::uint64_t v2Total = chaosSerial.records.size();
-  if (v2Index && v2Index->size() >= 2) {
-    const tracev2::ExtentInfo& victim = (*v2Index)[v2Index->size() / 2];
-    std::string v2bytes = slurp(v2CleanPath);
-    std::size_t at = static_cast<std::size_t>(victim.offset) +
-                     tracev2::kExtentHeaderBytes + 64;
-    v2bytes[at] = static_cast<char>(v2bytes[at] ^ 0x5A);
-    v2Damaged = victim.records;
-    spew(v2CorruptPath, v2bytes);
-  }
-  TraceReader::RecoverStats v2rs;
-  auto v2Recovered = TraceReader::recoverAll(v2CorruptPath, &v2rs);
-  std::printf("  recovery: %llu recovered, %llu skipped, %llu resyncs "
-              "(extent of %llu records corrupted)\n",
-              static_cast<unsigned long long>(v2rs.recovered),
-              static_cast<unsigned long long>(v2rs.skipped),
-              static_cast<unsigned long long>(v2rs.resyncs),
-              static_cast<unsigned long long>(v2Damaged));
-  check(v2rs.skipped == v2Damaged,
-        "exactly the corrupt extent's records skipped");
-  check(v2rs.recovered == v2Total - v2Damaged,
-        "every record outside the corrupt extent recovered");
-  check(v2rs.recovered + v2rs.skipped == v2Total,
-        "recovered + skipped account for every record");
-  check(v2Recovered.size() == v2rs.recovered, "recovered records returned");
-
-  // The engine over the damaged v2 file must behave exactly like phase D
-  // over damaged text: identical reports at any worker count.
-  std::string v2SerialReport, v2ShardedReport;
-  AnalysisEngine::Stats v2EngineStats;
-  for (int workers : {1, kShards}) {
-    StandardAnalyses analyses;
-    AnalysisEngine::Config ec;
-    ec.decodeThreads = static_cast<std::size_t>(workers);
-    AnalysisEngine engine(ec);
-    engine.addPasses(analyses.all());
-    TraceReader reader(v2CorruptPath, /*recover=*/true);
-    v2EngineStats = engine.run(reader);
-    (workers == 1 ? v2SerialReport : v2ShardedReport) =
-        renderReportText("chaos", analyses);
-  }
-  check(v2EngineStats.records == v2rs.recovered,
-        "engine analyzed every recovered v2 record");
-  bool fEngineIdentical =
-      !v2SerialReport.empty() && v2SerialReport == v2ShardedReport;
-  check(fEngineIdentical,
-        "engine report over damaged v2 byte-identical serial vs sharded");
 
   // Phase G: the continuous-capture daemon killed and restarted
   // mid-rotation.  The record stream is phase B's wire-chaos output, the
@@ -710,9 +621,6 @@ int main(int argc, char** argv) {
   std::remove(cleanPath.c_str());
   std::remove(faultyPath.c_str());
   std::remove(corruptPath.c_str());
-  std::remove(v2CleanPath.c_str());
-  std::remove(v2FaultyPath.c_str());
-  std::remove(v2CorruptPath.c_str());
 
   std::FILE* j = std::fopen(jsonPath.c_str(), "w");
   if (!j) {
@@ -726,15 +634,12 @@ int main(int argc, char** argv) {
       "\"wire_loss\":%.5f,\"loss_estimate\":%.5f,"
       "\"evicted_calls\":%llu,\"evicted_flows\":%llu,"
       "\"pending_peak\":%llu,\"flow_peak\":%llu,"
-      "\"io_retries\":%llu,\"io_short_writes\":%llu,\"checkpoints\":%llu,"
-      "\"records\":%zu,\"recovered\":%llu,\"skipped\":%llu,\"resyncs\":%llu,"
-      "\"frames_shed\":%llu,\"shed_invariant\":%s,"
+      "\"frames_shed\":%llu,\"shed_invariant\":%s,\"records\":%zu,"
+      "\"io_retries\":%llu,\"io_short_writes\":%llu,"
+      "\"write_identical\":%s,\"extents\":%zu,"
+      "\"recovered\":%llu,\"skipped\":%llu,\"resyncs\":%llu,"
       "\"engine_records\":%llu,\"engine_resync_cuts\":%llu,"
       "\"engine_identical\":%s,"
-      "\"v2_io_retries\":%llu,\"v2_io_short_writes\":%llu,"
-      "\"v2_write_identical\":%s,\"v2_extents\":%zu,"
-      "\"v2_recovered\":%llu,\"v2_skipped\":%llu,\"v2_resyncs\":%llu,"
-      "\"v2_engine_identical\":%s,"
       "\"g_records\":%llu,\"g_rotate_records\":%llu,\"g_segments\":%zu,"
       "\"g_incarnations\":%d,\"g_kills\":%d,"
       "\"g_captured\":%llu,\"g_sealed\":%llu,\"g_recovered\":%llu,"
@@ -747,24 +652,17 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(bs.evictedFlows),
       static_cast<unsigned long long>(bs.pendingPeak),
       static_cast<unsigned long long>(bs.tcpFlowsPeak),
+      static_cast<unsigned long long>(shed),
+      seen + shed == dispatched ? "true" : "false",
+      chaosSerial.records.size(),
       static_cast<unsigned long long>(io.retries),
       static_cast<unsigned long long>(io.shortWrites),
-      static_cast<unsigned long long>(io.checkpoints),
-      chaosSerial.records.size(),
+      fIdentical ? "true" : "false", index ? index->size() : 0,
       static_cast<unsigned long long>(rs.recovered),
       static_cast<unsigned long long>(rs.skipped),
       static_cast<unsigned long long>(rs.resyncs),
-      static_cast<unsigned long long>(shed),
-      seen + shed == dispatched ? "true" : "false",
       static_cast<unsigned long long>(engineStats.records),
       static_cast<unsigned long long>(engineStats.resyncCuts),
-      serialReport == shardedReport ? "true" : "false",
-      static_cast<unsigned long long>(v2io.retries),
-      static_cast<unsigned long long>(v2io.shortWrites),
-      fIdentical ? "true" : "false", v2Index ? v2Index->size() : 0,
-      static_cast<unsigned long long>(v2rs.recovered),
-      static_cast<unsigned long long>(v2rs.skipped),
-      static_cast<unsigned long long>(v2rs.resyncs),
       fEngineIdentical ? "true" : "false",
       static_cast<unsigned long long>(gTotal),
       static_cast<unsigned long long>(gRotate), gPaths.size(),

@@ -2,7 +2,7 @@
 // components: XDR codecs, frame building/parsing, RPC record marking, the
 // sniffer's full decode path, the anonymizer, the analyses, and the
 // per-stage decode breakdown (frame parse, XDR cursor, RPC decode, table
-// lookup, record format/parse, interner, batch decode).  These bound how
+// lookup, record format, interner, extent decode).  These bound how
 // fast a capture can be processed — the tracer had to keep up with a
 // gigabit mirror port.
 //
@@ -219,15 +219,6 @@ void BM_TraceTextFormat(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceTextFormat);
 
-void BM_TraceTextParse(benchmark::State& state) {
-  auto line = formatRecord(sampleTraceRecord());
-  for (auto _ : state) {
-    auto rec = parseRecord(line);
-    benchmark::DoNotOptimize(&rec);
-  }
-}
-BENCHMARK(BM_TraceTextParse);
-
 // ---------------------------------------------------------------------
 // Per-stage decode breakdown (BM_Stage*): one benchmark per hot-path
 // stage of the frame -> record pipeline, so a regression can be pinned to
@@ -323,7 +314,8 @@ void BM_StageTableLookupStd(benchmark::State& state) {
 }
 BENCHMARK(BM_StageTableLookupStd);
 
-/// Stage 5: record formatting into a reused buffer (the writer hot path).
+/// Stage 5: record formatting into a reused buffer (the digest and
+/// `trace_analyze --records` hot path).
 void BM_StageRecordFormat(benchmark::State& state) {
   auto rec = sampleTraceRecord();
   std::string buf;
@@ -336,19 +328,8 @@ void BM_StageRecordFormat(benchmark::State& state) {
 }
 BENCHMARK(BM_StageRecordFormat);
 
-/// Stage 6: text record parse into a reused record (the reader hot path).
-void BM_StageRecordParse(benchmark::State& state) {
-  auto line = formatRecord(sampleTraceRecord());
-  TraceRecord rec;
-  for (auto _ : state) {
-    parseRecordInto(line, rec);
-    benchmark::DoNotOptimize(&rec);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_StageRecordParse);
-
-/// Stage 7: interner hit path (5 intern() calls per record in nextBatch).
+/// Stage 6: interner hit path (the reader interns each extent's
+/// dictionary entries at load time).
 void BM_StageInternerHit(benchmark::State& state) {
   StringInterner interner;
   Rng rng(11);
@@ -365,43 +346,14 @@ void BM_StageInternerHit(benchmark::State& state) {
 }
 BENCHMARK(BM_StageInternerHit);
 
-/// Stage 8: end-to-end batch decode — TraceReader::nextBatch over a text
-/// trace (parse + intern), records per second.
-void BM_StageBatchDecode(benchmark::State& state) {
-  const std::string path = "bench_micro_batch.trace";
-  const std::size_t n = 20000;
-  {
-    TraceWriter writer(path, TraceWriter::Format::Text);
-    Rng rng(5);
-    auto rec = sampleTraceRecord();
-    for (std::size_t i = 0; i < n; ++i) {
-      rec.ts += 100;
-      rec.xid = static_cast<std::uint32_t>(rng.below(1u << 20));
-      rec.fh = FileHandle::make(1, rng.below(300), 1);
-      writer.write(rec);
-    }
-  }
-  std::uint64_t records = 0;
-  for (auto _ : state) {
-    TraceReader reader(path);
-    TraceBatch batch;
-    while (reader.nextBatch(batch)) records += batch.n;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(records));
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_StageBatchDecode);
-
-/// Extent-parallel scan stage: one extent's full decode — header parse,
-/// dictionary load into fresh interners, bulk take into batch arrays.
-/// This is the unit of work a decode worker claims from the footer
-/// index, minus the file I/O.
+/// Stage 7: one extent's full decode — header parse, dictionary load
+/// into fresh interners, bulk take into batch arrays: the reader's work
+/// per extent, minus the file I/O and CRC.
 void BM_ExtentDecode(benchmark::State& state) {
   const std::string path = "bench_micro_extent.trace";
   const std::size_t n = 8192;
   {
     TraceWriter::Options opts;
-    opts.format = TraceWriter::Format::V2;
     opts.v2ExtentRecords = 4096;
     TraceWriter writer(path, opts);
     Rng rng(7);

@@ -107,7 +107,7 @@ RunResult runPipeline(const std::vector<CapturedPacket>& frames,
   for (int pass = 0; pass < kPasses; ++pass) {
     n = 0;  // every pass rewrites `path`, so count just the last one
     auto t0 = std::chrono::steady_clock::now();
-    TraceWriter writer(path, TraceWriter::Format::Text);
+    TraceWriter writer(path);
     if (reg) writer.attachMetrics(*reg);
     if (flight) writer.attachFlight(*flight);
     ParallelPipeline::Config pc;
@@ -148,7 +148,7 @@ RunResult runSerial(const std::vector<CapturedPacket>& frames,
   for (int pass = 0; pass < kPasses; ++pass) {
     n = 0;
     auto t0 = std::chrono::steady_clock::now();
-    TraceWriter writer(path, TraceWriter::Format::Text);
+    TraceWriter writer(path);
     if (reg) writer.attachMetrics(*reg);
     Sniffer::Config cfg;
     cfg.pendingTimeout = kPendingTimeout;

@@ -1,6 +1,6 @@
 // The trace anonymizer tool (paper §2): read a trace file, anonymize it
-// with consistent random mappings, save the mapping table, and show what
-// the transformation preserves and hides.
+// with consistent random mappings into a v2 trace, save the mapping
+// table, and show what the transformation preserves and hides.
 //
 //   anonymize_trace [--metrics]
 //                   [input.trace [output.trace [map-file [policy.cfg]]]]
@@ -16,7 +16,8 @@
 // alert line to stderr, same as trace_analyze.
 //
 // An unknown flag prints the usage line and exits 2; an unreadable input
-// exits 1.  With no arguments it generates a demo trace first.
+// or an output that cannot be written exits 1.  With no arguments it
+// generates a demo trace first.
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -51,6 +52,7 @@ std::string makeDemoTrace() {
   env.finishCapture();
   TraceWriter writer(path);
   for (const auto& rec : env.records()) writer.write(rec);
+  writer.finalize();
   return path;
 }
 
@@ -84,9 +86,6 @@ int main(int argc, char** argv) try {
   obs::CounterHandle recordsC = registry.counterHandle("anon.records", 0);
   obs::GaugeHandle mappingsG = registry.gaugeHandle("anon.name_mappings");
 
-  // The anonymized trace keeps the input's format: a site anonymizing a
-  // v2 archive for publication gets a v2 archive back.
-  TraceWriter::Format format = detectTraceFormat(input);
   TraceReader reader(input);
 
   // The default configuration keeps the names the paper kept (CVS,
@@ -95,7 +94,7 @@ int main(int argc, char** argv) try {
   Anonymizer::Config cfg;
   if (positional.size() > 3) cfg = Anonymizer::Config::fromFile(positional[3]);
   Anonymizer anon{cfg};
-  TraceWriter writer(output, format);
+  TraceWriter writer(output);
   if (metrics) writer.attachMetrics(registry);
 
   // One record at a time: anonymize, write, and fold both sides into the
@@ -114,13 +113,13 @@ int main(int argc, char** argv) try {
       after = formatRecord(out);
     }
   }
-  writer.flush();
+  // Sealed before anything is reported: a full disk fails the run here.
+  writer.finalize();
   anon.saveMap(mapFile);
   mappingsG.set(static_cast<double>(anon.mappedNames()));
 
-  std::printf("read %llu records from %s (%s format)\n",
-              static_cast<unsigned long long>(s1.totalOps), input.c_str(),
-              traceFormatName(format));
+  std::printf("read %llu records from %s\n",
+              static_cast<unsigned long long>(s1.totalOps), input.c_str());
   if (positional.size() > 3) {
     std::printf("loaded anonymization policy from %s\n",
                 positional[3].c_str());

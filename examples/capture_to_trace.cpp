@@ -1,9 +1,9 @@
 // The nfsdump-equivalent tool: read raw frames from a pcap file, decode
-// NFS traffic, and write a trace file.  Demonstrates the offline path of
-// the pipeline (capture once, analyze forever).
+// NFS traffic, and write a v2 trace file.  Demonstrates the offline path
+// of the pipeline (capture once, analyze forever).
 //
-//   capture_to_trace [--chaos plan.cfg] [--format text|v2]
-//                    [--flight trace.json] [input.pcap [output.trace]]
+//   capture_to_trace [--chaos plan.cfg] [--flight trace.json]
+//                    [input.pcap [output.trace]]
 //
 // With no arguments it first generates a demo capture to convert.
 // --chaos runs the conversion under a deterministic fault plan (see
@@ -76,8 +76,8 @@ std::string makeDemoCapture() {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--chaos plan.cfg] [--format text|v2] "
-               "[--flight trace.json] [input.pcap [output.trace]]\n",
+               "usage: %s [--chaos plan.cfg] [--flight trace.json] "
+               "[input.pcap [output.trace]]\n",
                argv0);
   return 2;
 }
@@ -87,7 +87,6 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) try {
   std::string chaosPath;
   std::string flightPath;
-  TraceWriter::Format format = TraceWriter::Format::Text;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -95,14 +94,6 @@ int main(int argc, char** argv) try {
       chaosPath = argv[++i];
     } else if (arg == "--flight" && i + 1 < argc) {
       flightPath = argv[++i];
-    } else if (arg == "--format" && i + 1 < argc) {
-      auto f = traceFormatFromName(argv[++i]);
-      if (!f) {
-        std::fprintf(stderr, "unknown format '%s' (text, v2)\n",
-                     argv[i]);
-        return 1;
-      }
-      format = *f;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return usage(argv[0]);
@@ -128,7 +119,6 @@ int main(int argc, char** argv) try {
   PcapReader reader(input);
   IoFaultInjector ioFaults(plan);
   TraceWriter::Options wopts;
-  wopts.format = format;
   if (!chaosPath.empty()) wopts.faults = &ioFaults;
   TraceWriter writer(output, wopts);
   if (!flightPath.empty()) writer.attachFlight(flight);
@@ -160,7 +150,7 @@ int main(int argc, char** argv) try {
                      : 0.0;
 
   std::printf(
-      "\n%s -> %s (%s format)\n"
+      "\n%s -> %s\n"
       "frames seen:        %llu\n"
       "NFS calls decoded:  %llu\n"
       "NFS replies:        %llu\n"
@@ -169,7 +159,7 @@ int main(int argc, char** argv) try {
       "reply-less calls:   %llu   (timed out + drained at end of capture)\n"
       "est. capture loss:  %.2f%%  (orphans / (calls + orphans), sec 4.1.4)\n"
       "trace records:      %llu\n",
-      input.c_str(), output.c_str(), traceFormatName(format),
+      input.c_str(), output.c_str(),
       static_cast<unsigned long long>(stats.framesSeen),
       static_cast<unsigned long long>(stats.rpcCalls),
       static_cast<unsigned long long>(stats.rpcReplies),
@@ -184,7 +174,7 @@ int main(int argc, char** argv) try {
         "\nchaos summary:\n"
         "wire: %llu frames, %llu dropped (%llu in %llu bursts), "
         "%llu dup, %llu reordered, %llu truncated, %llu bitflipped\n"
-        "disk: %llu write retries, %llu short writes, %llu checkpoints\n",
+        "disk: %llu write retries, %llu short writes, %llu extents\n",
         static_cast<unsigned long long>(fs.frames),
         static_cast<unsigned long long>(fs.dropped),
         static_cast<unsigned long long>(fs.burstDropped),

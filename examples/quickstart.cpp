@@ -57,6 +57,7 @@ int main() {
               static_cast<unsigned long long>(workload.deliveries()),
               static_cast<unsigned long long>(workload.popChecks()),
               static_cast<unsigned long long>(workload.sessions()));
-  std::printf("anonymized trace written to /tmp/quickstart.trace\n");
+  std::printf("anonymized trace written to /tmp/quickstart.trace "
+              "(view it with trace_analyze --records)\n");
   return 0;
 }

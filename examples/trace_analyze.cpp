@@ -1,6 +1,6 @@
 // Single-pass analysis driver: every table and figure from one scan.
 //
-//   trace_analyze [--decode-threads N] [--json] [--recover]
+//   trace_analyze [--decode-threads N] [--json | --records] [--recover]
 //                 [--from SEC] [--to SEC] [--ops a,b,...] [--uid N]
 //                 [--metrics] [--flight trace.json] [trace-file]
 //
@@ -19,6 +19,9 @@
 //                 indexed v2 input, whole extents are pruned via footer
 //                 zone maps before any decode
 //   --json        emit the report as one JSON object on stdout
+//   --records     print each record that passes the predicate as one
+//                 text line (the human view of a trace) instead of the
+//                 report; the scan, pruning and --recover are the same
 //   --recover     read a damaged trace end-to-end (resyncs land on
 //                 batch boundaries; summary goes to stderr)
 //   --metrics     print the engine's self-monitoring snapshot (batch and
@@ -60,10 +63,6 @@ using namespace nfstrace;
 
 namespace {
 
-/// Upper bound of --decode-threads: every scan thread is an OS thread
-/// that busy-yields while it waits for batches.
-constexpr std::uint64_t kMaxDecodeThreads = 64;
-
 std::string makeDemoTrace() {
   std::string path = "/tmp/trace_analyze_demo.trace";
   std::fprintf(stderr, "no input given; generating a demo trace at %s\n",
@@ -81,14 +80,15 @@ std::string makeDemoTrace() {
   env.finishCapture();
   TraceWriter writer(path);
   for (const auto& rec : env.records()) writer.write(rec);
+  writer.finalize();
   return path;
 }
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--decode-threads N] [--json] [--recover] "
-               "[--from SEC] [--to SEC] [--ops a,b,...] [--uid N] "
-               "[--metrics] [--flight trace.json] [trace-file]\n",
+               "usage: %s [--decode-threads N] [--json | --records] "
+               "[--recover] [--from SEC] [--to SEC] [--ops a,b,...] "
+               "[--uid N] [--metrics] [--flight trace.json] [trace-file]\n",
                argv0);
   return 2;
 }
@@ -155,6 +155,7 @@ std::optional<std::uint32_t> parseOpsList(const std::string& list) {
 
 int main(int argc, char** argv) try {
   bool json = false;
+  bool records = false;
   bool recover = false;
   bool metrics = false;
   std::string flightPath;
@@ -165,6 +166,8 @@ int main(int argc, char** argv) try {
     std::string arg = argv[i];
     if (arg == "--json") {
       json = true;
+    } else if (arg == "--records") {
+      records = true;
     } else if (arg == "--recover") {
       recover = true;
     } else if (arg == "--metrics") {
@@ -180,7 +183,7 @@ int main(int argc, char** argv) try {
       if (arg == "--flight") {
         flightPath = v;
       } else if (arg == "--decode-threads") {
-        auto n = parseCount(arg, v, 1, kMaxDecodeThreads);
+        auto n = parseCount(arg, v, 1, AnalysisEngine::kMaxDecodeThreads);
         if (!n) return usage(argv[0]);
         decodeThreads = static_cast<std::size_t>(*n);
       } else if (arg == "--uid") {
@@ -207,36 +210,43 @@ int main(int argc, char** argv) try {
       input = arg;
     }
   }
+  if (json && records) {
+    std::fprintf(stderr, "--records and --json are exclusive\n");
+    return usage(argv[0]);
+  }
   if (input.empty()) input = makeDemoTrace();
-  std::fprintf(stderr, "%s: %s format\n", input.c_str(),
-               traceFormatName(detectTraceFormat(input)));
 
   obs::Registry registry;
   StandardAnalyses analyses;
+  RecordLinesPass lines(stdout);
   AnalysisEngine::Config cfg;
   cfg.decodeThreads = decodeThreads;
   cfg.predicate = predicate;
   AnalysisEngine engine(cfg);
-  engine.addPasses(analyses.all());
+  if (records) {
+    engine.addPass(&lines);
+  } else {
+    engine.addPasses(analyses.all());
+  }
   engine.attachMetrics(registry);
   obs::FlightRecorder flight;
   if (!flightPath.empty()) engine.attachFlight(flight);
 
   AnalysisEngine::Stats st;
-  // The reader gets the predicate too: on indexed v2 input it prunes
+  // The reader gets the predicate too: on an indexed trace it prunes
   // whole extents via the footer zone maps before any decode.
   TraceReader reader(input, recover, predicate);
   try {
     st = engine.run(reader);
   } catch (const std::exception& e) {
     // A torn or corrupt trace read without --recover: report how far
-    // the scan got (the checkpoint accounting bounds the damage) and
-    // exit nonzero instead of dying on a bare exception.
+    // the scan got (each extent header is a checkpoint that bounds the
+    // damage) and exit nonzero instead of dying on a bare exception.
     const auto& rs = reader.recoverStats();
     std::fprintf(stderr,
                  "%s: %s\n"
                  "scanned %llu records before the damage "
-                 "(%llu checkpoints, last checkpoint at %llu records)\n"
+                 "(%llu extents, the last after %llu records)\n"
                  "rerun with --recover to skip corrupt regions with exact "
                  "loss accounting\n",
                  input.c_str(), e.what(),
@@ -249,7 +259,7 @@ int main(int argc, char** argv) try {
     const auto& rs = reader.recoverStats();
     std::fprintf(stderr,
                  "recovery: %llu records recovered, %llu skipped "
-                 "(%llu resyncs, %llu checkpoints, %llu batch cuts)\n",
+                 "(%llu resyncs, %llu extents, %llu batch cuts)\n",
                  static_cast<unsigned long long>(rs.recovered),
                  static_cast<unsigned long long>(rs.skipped),
                  static_cast<unsigned long long>(rs.resyncs),
@@ -271,9 +281,15 @@ int main(int argc, char** argv) try {
     return 1;
   }
 
-  std::string report = json ? renderReportJson(input, analyses)
-                            : renderReportText(input, analyses);
-  std::fwrite(report.data(), 1, report.size(), stdout);
+  if (!records) {
+    std::string report = json ? renderReportJson(input, analyses)
+                              : renderReportText(input, analyses);
+    std::fwrite(report.data(), 1, report.size(), stdout);
+  }
+  if (std::fflush(stdout) != 0) {
+    std::fprintf(stderr, "trace_analyze: writing stdout failed\n");
+    return 1;
+  }
 
   if (metrics) {
     auto snap = registry.scrape();

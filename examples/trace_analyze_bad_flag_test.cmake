@@ -1,15 +1,21 @@
-# Runs trace_analyze on a readable one-record trace with flags it must
-# refuse: a misspelt flag (--jsn for --json), the retired --batch, and
+# Runs trace_analyze on a readable 50-record trace, which nfstraced
+# first writes into WORK_DIR, with flags it must refuse: a misspelt flag
+# (--jsn for --json), the retired --batch, --records with --json, and
 # malformed or out-of-range values.  Passes only if every run exits 2
 # with a message naming the flag, instead of taking the flag for the
-# input path or the value for some other number.
+# input path or the value for some other number, and if --records then
+# prints one line per record, the same bytes at 4 decode threads.
 #
-#   cmake -DTRACE_ANALYZE=<trace_analyze> -DWORK_DIR=<dir> \
-#         -P trace_analyze_bad_flag_test.cmake
-set(trace "${WORK_DIR}/trace_analyze_bad_flag.trace")
-file(WRITE "${trace}"
-     "t=1.000000 r=1.000200 c=10.1.0.5 s=10.0.0.1 xid=1a2b v=3 p=udp "
-     "op=getattr fh=0102030405060708 st=OK\n")
+#   cmake -DTRACE_ANALYZE=<trace_analyze> -DNFSTRACED=<nfstraced> \
+#         -DWORK_DIR=<dir> -P trace_analyze_bad_flag_test.cmake
+set(dir "${WORK_DIR}/trace_analyze_bad_flag")
+set(trace "${dir}/eecs-000001.trace")
+file(REMOVE_RECURSE "${dir}")
+execute_process(COMMAND "${NFSTRACED}" --dir "${dir}" --max-records 50
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc STREQUAL "0" OR NOT EXISTS "${trace}")
+  message(FATAL_ERROR "nfstraced did not write ${trace} (${rc}):\n${err}")
+endif()
 
 function(expect_rejected flag)
   execute_process(COMMAND "${TRACE_ANALYZE}" ${flag} ${ARGN} "${trace}"
@@ -27,9 +33,29 @@ endfunction()
 
 expect_rejected(--jsn)
 expect_rejected(--batch 8)
+expect_rejected(--records --json)
 expect_rejected(--uid abc)
 expect_rejected(--decode-threads two)
 # One past the thread-count bound (64).  Never a negative or four-digit
 # count: a parser that accepts it starts that many threads.
 expect_rejected(--decode-threads 65)
-file(REMOVE "${trace}")
+
+# The human view of the trace: one formatRecord line per record.
+execute_process(COMMAND "${TRACE_ANALYZE}" --records "${trace}"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE one ERROR_VARIABLE err)
+execute_process(COMMAND "${TRACE_ANALYZE}" --records --decode-threads 4
+                        "${trace}"
+                RESULT_VARIABLE rc4 OUTPUT_VARIABLE four ERROR_VARIABLE err4)
+string(REGEX MATCHALL "\n" lines "${one}")
+list(LENGTH lines count)
+if(NOT rc STREQUAL "0" OR NOT count EQUAL 50 OR NOT one MATCHES "^t=[0-9]")
+  message(SEND_ERROR
+          "trace_analyze --records exited ${rc} with ${count} lines, not 50:"
+          "\n${one}${err}")
+elseif(NOT rc4 STREQUAL "0" OR NOT one STREQUAL four)
+  message(SEND_ERROR
+          "trace_analyze --records at 4 threads differs:\n${four}${err4}")
+else()
+  message(STATUS "trace_analyze --records printed 50 lines at 1 and 4 threads")
+endif()
+file(REMOVE_RECURSE "${dir}")

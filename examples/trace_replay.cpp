@@ -41,6 +41,7 @@ std::string makeDemoTrace() {
   env.finishCapture();
   TraceWriter writer(path);
   for (const auto& rec : env.records()) writer.write(rec);
+  writer.finalize();
   return path;
 }
 

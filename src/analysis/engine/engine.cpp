@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -50,7 +51,13 @@ struct BatchSlot {
 
 AnalysisEngine::AnalysisEngine() : AnalysisEngine(Config()) {}
 
-AnalysisEngine::AnalysisEngine(const Config& config) : config_(config) {}
+AnalysisEngine::AnalysisEngine(const Config& config) : config_(config) {
+  if (config_.decodeThreads > kMaxDecodeThreads) {
+    throw std::invalid_argument(
+        "engine: decodeThreads " + std::to_string(config_.decodeThreads) +
+        " exceeds " + std::to_string(kMaxDecodeThreads));
+  }
+}
 
 void AnalysisEngine::addPass(AnalysisPass* pass) {
   passes_.push_back(pass);

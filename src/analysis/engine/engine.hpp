@@ -5,10 +5,9 @@
 // decodes each batch exactly once and hands it to every registered
 // AnalysisPass.
 //
-// One batch source, TraceReader::nextBatch: any format, recover mode,
-// and — given a non-trivial predicate over indexed v2 input — zone-map
-// pruning, with each batch tagged with its extent's op bitmask (see
-// TraceReader).
+// One batch source, TraceReader::nextBatch: strict or recover mode, and —
+// given a non-trivial predicate over an indexed trace — zone-map pruning,
+// with each batch tagged with its extent's op bitmask (see TraceReader).
 //
 // Two loops:
 //   inline        decodeThreads <= 1: decode and observe on the calling
@@ -43,6 +42,10 @@ namespace nfstrace {
 
 class AnalysisEngine {
  public:
+  /// Upper bound of Config::decodeThreads: every scan thread is an OS
+  /// thread that busy-yields while it waits for batches.
+  static constexpr std::size_t kMaxDecodeThreads = 64;
+
   struct Config {
     /// Records per batch.
     std::size_t batchRecords = TraceBatch::kDefaultCapacity;
@@ -50,8 +53,8 @@ class AnalysisEngine {
     /// on the calling thread; N > 1 decodes on the calling thread and
     /// fans every batch out to N observer threads, then finalizes the
     /// passes on up to N threads.  Reports are byte-identical at any
-    /// value.  (The name predates the fan-out: it once counted
-    /// extent-decode threads.)
+    /// value.  At most kMaxDecodeThreads.  (The name predates the
+    /// fan-out: it once counted extent-decode threads.)
     std::size_t decodeThreads = 1;
     /// Pushdown filter, applied record by record to every batch.
     /// runFile() also hands it to the reader, which then prunes whole
@@ -76,6 +79,8 @@ class AnalysisEngine {
   };
 
   AnalysisEngine();
+  /// Throws std::invalid_argument when config.decodeThreads exceeds
+  /// kMaxDecodeThreads.
   explicit AnalysisEngine(const Config& config);
 
   /// Register a pass (not owned; must outlive run()).

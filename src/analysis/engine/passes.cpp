@@ -1,6 +1,9 @@
 #include "analysis/engine/passes.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+
+#include "trace/tracefile.hpp"
 
 namespace nfstrace {
 
@@ -185,5 +188,16 @@ void PathRecPass::observe(const TraceBatch& batch, std::size_t) {
 }
 
 void PathRecPass::finalize() {}
+
+void RecordLinesPass::observe(const TraceBatch& batch, std::size_t) {
+  buf_.clear();
+  for (std::size_t i = 0; i < batch.n; ++i) {
+    appendRecord(buf_, batch.records[i]);
+    buf_.push_back('\n');
+  }
+  if (std::fwrite(buf_.data(), 1, buf_.size(), out_) != buf_.size()) {
+    throw std::runtime_error("records: write failed");
+  }
+}
 
 }  // namespace nfstrace

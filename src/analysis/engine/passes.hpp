@@ -21,6 +21,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "analysis/blocklife.hpp"
@@ -202,6 +204,23 @@ class PathRecPass final : public AnalysisPass {
 
  private:
   PathReconstructor pathrec_;
+};
+
+/// `trace_analyze --records`: writes each record it observes to `out` as
+/// its formatRecord line.  Sequential, so the lines keep stream order at
+/// any thread count.  Throws when a write to `out` fails.
+class RecordLinesPass final : public AnalysisPass {
+ public:
+  explicit RecordLinesPass(std::FILE* out) : out_(out) {}
+  std::string_view name() const override { return "records"; }
+  bool mergeable() const override { return false; }
+  void prepare(std::size_t) override {}
+  void observe(const TraceBatch& batch, std::size_t shard) override;
+  void finalize() override {}
+
+ private:
+  std::FILE* out_;
+  std::string buf_;
 };
 
 /// The full standard bundle, in a fixed order (the order also spreads

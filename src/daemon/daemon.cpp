@@ -15,8 +15,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::uint64_t kUnknown = ~0ull;
-/// Every segment the daemon writes, active or salvaged.
-constexpr TraceWriter::Format kFormat = TraceWriter::Format::V2;
 
 std::string segmentBasename(const std::string& prefix, std::uint64_t seq,
                             const char* ext) {
@@ -145,6 +143,10 @@ void TraceDaemon::recoverDirectory() {
     std::string name = entry.path().filename().string();
     std::uint64_t seq = 0;
     if (parseSegmentName(name, cfg_.prefix, ".trace", seq)) {
+      // A sealed segment no reader can read (a text segment an older
+      // daemon sealed) stops startup: the strict reader's preamble check
+      // throws, naming the file, instead of the books keeping it.
+      TraceReader{entry.path().string()};
       sealed.emplace_back(seq, name);
     } else if (parseSegmentName(name, cfg_.prefix, ".part", seq)) {
       parts.push_back(seq);
@@ -179,7 +181,7 @@ void TraceDaemon::recoverDirectory() {
     seg.seq = seq;
     seg.file = name;
     std::string path = cfg_.dir + "/" + name;
-    seg.records = countSegmentRecords(path, seg.format);
+    seg.records = countSegmentRecords(path);
     seg.bytes = fileBytes(path);
     seg.first = manifest_.streamPos();
     seg.sealedUnix = now();
@@ -214,9 +216,7 @@ void TraceDaemon::recoverDirectory() {
   manifest_.save(manifestPath_);
 }
 
-std::uint64_t TraceDaemon::countSegmentRecords(const std::string& path,
-                                               std::string& formatOut) const {
-  formatOut = traceFormatName(detectTraceFormat(path));
+std::uint64_t TraceDaemon::countSegmentRecords(const std::string& path) {
   TraceReader reader(path, /*recover=*/true);
   TraceRecord rec;
   std::uint64_t n = 0;
@@ -282,7 +282,6 @@ void TraceDaemon::recoverPart(std::uint64_t seq, std::uint64_t submittedToPart,
     SegmentInfo seg;
     seg.seq = seq;
     seg.file = segmentBasename(cfg_.prefix, seq, ".trace");
-    seg.format = traceFormatName(kFormat);
     seg.records = recovered;
     seg.bytes = bytes;
     seg.first = manifest_.streamPos();
@@ -307,7 +306,6 @@ void TraceDaemon::recoverPart(std::uint64_t seq, std::uint64_t submittedToPart,
 TraceWriter::Options TraceDaemon::writerOptions(
     IoFaultInjector* faults) const {
   TraceWriter::Options wopts;
-  wopts.format = kFormat;
   wopts.v2ExtentRecords = cfg_.v2ExtentRecords;
   wopts.maxRetries = cfg_.maxRetries;
   wopts.backoffInitialUs = cfg_.backoffInitialUs;
@@ -393,7 +391,6 @@ void TraceDaemon::sealActive() {
   SegmentInfo seg;
   seg.seq = activeSeq_;
   seg.file = segmentBasename(cfg_.prefix, activeSeq_, ".trace");
-  seg.format = traceFormatName(kFormat);
   seg.records = records;
   seg.bytes = bytes;
   seg.first = manifest_.streamPos();

@@ -43,9 +43,9 @@
 // count/bytes/age budgets are exceeded (the books are NOT rewound —
 // retirement is policy, not loss).
 //
-// A sealed text segment or torn text part left by an older nfstraced is
-// still adopted or salvaged at startup (TraceReader reads both formats);
-// salvage rewrites it as v2.
+// Startup refuses a directory holding a sealed segment that is not v2
+// (a text segment an older nfstraced sealed): the constructor throws
+// naming the file, and nfstraced exits 1.
 #pragma once
 
 #include <chrono>
@@ -194,8 +194,7 @@ class TraceDaemon {
   void recoverPart(std::uint64_t seq, std::uint64_t submittedToPart,
                    bool useFaults);
   /// Count the records of an already-sealed segment (manifest adoption).
-  std::uint64_t countSegmentRecords(const std::string& path,
-                                    std::string& formatOut) const;
+  static std::uint64_t countSegmentRecords(const std::string& path);
 
   /// Options for every segment writer: v2 with the configured knobs;
   /// `faults` routes writes through the injector.

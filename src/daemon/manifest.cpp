@@ -66,8 +66,6 @@ bool parseSegment(std::string_view body, SegmentInfo& seg) {
     } else if (tokenValue(tok, "file", v)) {
       seg.file = std::string(v);
       haveFile = true;
-    } else if (tokenValue(tok, "format", v)) {
-      seg.format = std::string(v);
     } else if (tokenValue(tok, "records", v)) {
       if (!parseU64(v, seg.records)) return false;
     } else if (tokenValue(tok, "bytes", v)) {
@@ -77,7 +75,8 @@ bool parseSegment(std::string_view body, SegmentInfo& seg) {
     } else if (tokenValue(tok, "sealed_unix", v)) {
       if (!parseI64(v, seg.sealedUnix)) return false;
     }
-    // Unknown tokens are skipped so the format can grow.
+    // Unknown tokens (an older manifest's format=) are skipped so the
+    // format can grow.
   }
   return haveSeq && haveFile;
 }
@@ -94,10 +93,10 @@ std::string Manifest::render() const {
   for (const SegmentInfo& s : segments) {
     char line[512];
     std::snprintf(line, sizeof(line),
-                  "segment = seq=%llu file=%s format=%s records=%llu "
+                  "segment = seq=%llu file=%s records=%llu "
                   "bytes=%llu first=%llu sealed_unix=%lld\n",
                   static_cast<unsigned long long>(s.seq), s.file.c_str(),
-                  s.format.c_str(), static_cast<unsigned long long>(s.records),
+                  static_cast<unsigned long long>(s.records),
                   static_cast<unsigned long long>(s.bytes),
                   static_cast<unsigned long long>(s.first),
                   static_cast<long long>(s.sealedUnix));
@@ -172,8 +171,7 @@ Manifest::LoadStatus Manifest::load(const std::string& path, Manifest& out) {
       if (!parseSegment(value, seg)) return LoadStatus::Damaged;
       m.segments.push_back(std::move(seg));
     }
-    // Unknown keys are skipped (format growth), same as the trace text
-    // format.
+    // Unknown keys are skipped (format growth).
   }
   if (!haveNextSeq || !m.books.balanced()) return LoadStatus::Damaged;
   std::sort(m.segments.begin(), m.segments.end(),

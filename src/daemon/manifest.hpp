@@ -18,8 +18,8 @@
 //   sealed = 4900
 //   recovered = 60
 //   lost = 40
-//   segment = seq=1 file=eecs-000001.trace format=v2 records=2500
-//             bytes=123456 first=0 sealed_unix=1754650000    (one line)
+//   segment = seq=1 file=eecs-000001.trace records=2500 bytes=123456
+//             first=0 sealed_unix=1754650000                 (one line)
 //   crc = 0x1a2b3c4d
 //
 // The crc line covers every byte before it; a missing or mismatching
@@ -34,11 +34,10 @@
 
 namespace nfstrace::daemon {
 
-/// One sealed (immutable, fully checkpointed) trace segment.
+/// One sealed (immutable, fully checkpointed) v2 trace segment.
 struct SegmentInfo {
   std::uint64_t seq = 0;      ///< segment sequence number (1-based)
   std::string file;           ///< basename within the daemon directory
-  std::string format;         ///< "text" / "v2"
   std::uint64_t records = 0;  ///< records sealed in this segment
   std::uint64_t bytes = 0;    ///< file size at seal time
   /// Cumulative stream position of this segment's first record: the

@@ -37,72 +37,6 @@ const char* nfsStatName(NfsStat s) {
   return "E?";
 }
 
-NfsStat nfsStatFromName(std::string_view name) {
-  // Per-record on the trace decode path: dispatch on the second letter
-  // ("E" prefix is shared) before the string compare.
-  if (name == "OK") return NfsStat::Ok;
-  if (name.size() < 2 || name[0] != 'E') return NfsStat::ErrServerFault;
-  switch (name[1]) {
-    case 'P':
-      if (name == "EPERM") return NfsStat::ErrPerm;
-      break;
-    case 'N':
-      if (name == "ENOENT") return NfsStat::ErrNoEnt;
-      if (name == "ENOTDIR") return NfsStat::ErrNotDir;
-      if (name == "ENOSPC") return NfsStat::ErrNoSpc;
-      if (name == "ENOTEMPTY") return NfsStat::ErrNotEmpty;
-      if (name == "ENAMETOOLONG") return NfsStat::ErrNameTooLong;
-      if (name == "ENODEV") return NfsStat::ErrNoDev;
-      if (name == "ENOTSYNC") return NfsStat::ErrNotSync;
-      if (name == "ENOTSUPP") return NfsStat::ErrNotSupp;
-      break;
-    case 'I':
-      if (name == "EIO") return NfsStat::ErrIo;
-      if (name == "EISDIR") return NfsStat::ErrIsDir;
-      if (name == "EINVAL") return NfsStat::ErrInval;
-      break;
-    case 'A':
-      if (name == "EACCES") return NfsStat::ErrAcces;
-      break;
-    case 'E':
-      if (name == "EEXIST") return NfsStat::ErrExist;
-      break;
-    case 'X':
-      if (name == "EXDEV") return NfsStat::ErrXDev;
-      break;
-    case 'F':
-      if (name == "EFBIG") return NfsStat::ErrFBig;
-      break;
-    case 'R':
-      if (name == "EROFS") return NfsStat::ErrRoFs;
-      break;
-    case 'M':
-      if (name == "EMLINK") return NfsStat::ErrMLink;
-      break;
-    case 'D':
-      if (name == "EDQUOT") return NfsStat::ErrDQuot;
-      break;
-    case 'S':
-      if (name == "ESTALE") return NfsStat::ErrStale;
-      if (name == "ESERVERFAULT") return NfsStat::ErrServerFault;
-      break;
-    case 'B':
-      if (name == "EBADHANDLE") return NfsStat::ErrBadHandle;
-      if (name == "EBADCOOKIE") return NfsStat::ErrBadCookie;
-      if (name == "EBADTYPE") return NfsStat::ErrBadType;
-      break;
-    case 'T':
-      if (name == "ETOOSMALL") return NfsStat::ErrTooSmall;
-      break;
-    case 'J':
-      if (name == "EJUKEBOX") return NfsStat::ErrJukebox;
-      break;
-    default:
-      break;
-  }
-  return NfsStat::ErrServerFault;
-}
-
 FileHandle FileHandle::fromBytes(std::span<const std::uint8_t> bytes) {
   FileHandle fh;
   if (bytes.size() > kFhSize3) throw XdrError("file handle too long");

@@ -53,8 +53,6 @@ enum class NfsStat : std::uint32_t {
 };
 
 const char* nfsStatName(NfsStat s);
-/// Inverse of nfsStatName; unknown names map to ErrServerFault.
-NfsStat nfsStatFromName(std::string_view name);
 
 enum class FileType : std::uint32_t {
   Regular = 1,

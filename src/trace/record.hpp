@@ -51,7 +51,7 @@ struct TraceRecord {
   MicroTime preMtime = 0;
 
   /// True for operations whose `offset`/`count` fields are meaningful
-  /// (the set the text and v2 formats serialize them for).
+  /// (the set the v2 format stores them for and formatRecord prints).
   bool hasOffset() const {
     return op == NfsOp::Read || op == NfsOp::Write || op == NfsOp::Commit;
   }
@@ -64,17 +64,5 @@ struct TraceRecord {
            op == NfsOp::Readdir || op == NfsOp::Readdirplus;
   }
 };
-
-/// Reset a record to default values while keeping the heap capacity of
-/// its string fields, so a reused decode slot allocates nothing.
-inline void resetRecordKeepCapacity(TraceRecord& rec) {
-  std::string name = std::move(rec.name);
-  std::string name2 = std::move(rec.name2);
-  name.clear();
-  name2.clear();
-  rec = TraceRecord{};
-  rec.name = std::move(name);
-  rec.name2 = std::move(name2);
-}
 
 }  // namespace nfstrace

@@ -1,9 +1,11 @@
 #include "trace/v2.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "util/crc32.hpp"
 
@@ -150,11 +152,9 @@ enum Column : std::size_t {
 };
 
 // Flag byte layout.  `vers` is stored as a single is-v2 bit: the wire
-// protocol only has versions 2 and 3, and the text format's visibility
-// rules (which v2 matches bit for bit so reports stay byte-identical
-// across formats) already canonicalize everything else.  The error bit
-// keeps the status column empty on the overwhelmingly-common Ok path:
-// a reply's status is stored only when it is not Ok.
+// protocol only has versions 2 and 3.  The error bit keeps the status
+// column empty on the overwhelmingly-common Ok path: a reply's status is
+// stored only when it is not Ok.
 constexpr std::uint8_t kFlagReply = 1u << 0;
 constexpr std::uint8_t kFlagTcp = 1u << 1;
 constexpr std::uint8_t kFlagEof = 1u << 2;
@@ -199,38 +199,47 @@ constexpr char kSchemaText[] =
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Schema block
+// Preamble: file magic + schema block
 
-void appendSchema(std::string& out) {
+void appendPreamble(std::string& out) {
   std::string_view text(kSchemaText);
+  out.append(kFileMagic, sizeof(kFileMagic));
   out.append(kSchemaMagic, sizeof(kSchemaMagic));
   putU32(out, static_cast<std::uint32_t>(text.size()));
   out.append(text);
 }
 
-std::optional<std::size_t> parseSchema(const char* data, std::size_t n,
-                                       std::string* error) {
-  auto fail = [error](std::string why) -> std::optional<std::size_t> {
+Preamble readPreamble(std::FILE* f, std::string* error) {
+  auto fail = [error](Preamble p, std::string why) {
     if (error) *error = std::move(why);
-    return std::nullopt;
+    return p;
   };
-  if (n < sizeof(kSchemaMagic) + 4 ||
-      std::memcmp(data, kSchemaMagic, sizeof(kSchemaMagic)) != 0) {
-    return fail("bad schema header");
+  char magic[sizeof(kFileMagic)];
+  if (std::fread(magic, 1, sizeof(magic), f) != sizeof(magic) ||
+      std::memcmp(magic, kFileMagic, sizeof(magic)) != 0) {
+    return fail(Preamble::Bad, "not a v2 trace");
   }
-  std::uint32_t len =
-      getU32(reinterpret_cast<const unsigned char*>(data) + 4);
-  if (len > n - sizeof(kSchemaMagic) - 4) return fail("bad schema header");
+  unsigned char head[sizeof(kSchemaMagic) + 4];
+  if (std::fread(head, 1, sizeof(head), f) != sizeof(head) ||
+      std::memcmp(head, kSchemaMagic, sizeof(kSchemaMagic)) != 0) {
+    return fail(Preamble::Bad, "bad schema header");
+  }
+  const std::uint32_t len = getU32(head + sizeof(kSchemaMagic));
+  if (len > (1u << 16)) return fail(Preamble::Bad, "bad schema header");
+  std::string text(len, '\0');
+  if (std::fread(text.data(), 1, len, f) != len) {
+    return fail(Preamble::Bad, "bad schema header");
+  }
   // Require the current major schema line; everything after it (extra
   // columns, new dict kinds) is forward-compatible detail.
   constexpr std::string_view kMajor = "nfstrace-v2 schema 4\n";
-  std::string_view text(data + 8, len);
-  if (text.substr(0, kMajor.size()) != kMajor) {
-    std::string_view line = text.substr(0, text.find('\n'));
-    return fail("unsupported schema \"" + std::string(line.substr(0, 64)) +
-                "\" (only schema 4 is read)");
+  if (text.compare(0, kMajor.size(), kMajor) != 0) {
+    std::string line = text.substr(0, std::min<std::size_t>(
+                                          text.find('\n'), 64));
+    return fail(Preamble::Unsupported, "unsupported schema \"" + line +
+                                           "\" (only schema 4 is read)");
   }
-  return sizeof(kSchemaMagic) + 4 + len;
+  return Preamble::Ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -240,6 +249,7 @@ bool parseExtentHeader(const unsigned char* p, ExtentHeader& out) {
   if (std::memcmp(p, kExtentMagic, sizeof(kExtentMagic)) != 0) return false;
   std::uint32_t storedHeaderCrc = getU32(p + 32);
   if (crc32(p, 32) != storedHeaderCrc) return false;
+  if (getU32(p + 4) > kExtentMaxPayloadBytes) return false;
   out.payloadBytes = getU32(p + 4);
   out.records = getU32(p + 8);
   out.recordsBefore = getU64(p + 12);
@@ -391,25 +401,12 @@ std::optional<std::vector<ExtentInfo>> loadChainedIndex(
   std::uint64_t pos = 0;
   while (pos < size) {
     // Segment start: file magic + schema block.
-    char magic[6];
-    if (std::fseek(f, static_cast<long>(pos), SEEK_SET) != 0 ||
-        std::fread(magic, 1, 6, f) != 6 ||
-        std::memcmp(magic, kFileMagic, 6) != 0) {
-      return std::nullopt;
-    }
     const std::uint64_t segBase = pos;
-    pos += 6;
-    char shdr[8];
-    if (std::fread(shdr, 1, 8, f) != 8) return std::nullopt;
-    std::uint32_t slen = getU32(reinterpret_cast<unsigned char*>(shdr) + 4);
-    if (slen > (1u << 16)) return std::nullopt;
-    std::vector<char> sblock(8 + slen);
-    std::memcpy(sblock.data(), shdr, 8);
-    if (slen > 0 && std::fread(sblock.data() + 8, 1, slen, f) != slen) {
+    if (std::fseek(f, static_cast<long>(pos), SEEK_SET) != 0 ||
+        readPreamble(f) != Preamble::Ok) {
       return std::nullopt;
     }
-    if (!parseSchema(sblock.data(), sblock.size())) return std::nullopt;
-    pos += 8 + slen;
+    pos = static_cast<std::uint64_t>(std::ftell(f));
 
     // Hop extent headers (payloads are fseek'd over, never read) until
     // this segment's footer, then cross-check it against the walk.
@@ -464,9 +461,10 @@ std::optional<std::vector<ExtentInfo>> loadChainedIndex(
 struct ExtentEncoder::Impl {
   std::array<std::string, kColumnCount> col;
   // Extent-local dictionaries.  Reusing StringInterner gives the same
-  // first-appearance-order id assignment the batch reader uses, which is
-  // what makes reader-side global ids line up with a text decode.  `who`
-  // interns the packed (client, server, uid, gid) tuple.
+  // first-appearance-order id assignment as the reader's global
+  // interners, which is what keeps global ids independent of extent and
+  // batch boundaries.  `who` interns the packed (client, server, uid,
+  // gid) tuple.
   std::unique_ptr<StringInterner> handles;
   std::unique_ptr<StringInterner> names;
   std::unique_ptr<StringInterner> who;
@@ -509,10 +507,9 @@ ExtentEncoder::~ExtentEncoder() { delete impl_; }
 void ExtentEncoder::add(const TraceRecord& rec) {
   Impl& im = *impl_;
 
-  // Normalize presence flags to the text format's visibility rules: reply
+  // Normalize presence flags to the fields formatRecord prints: reply
   // fields only exist when the reply was seen, EOF only on READ replies.
-  // This is what keeps analysis reports byte-identical whichever format
-  // carried the trace.
+  // A round trip therefore renders the same line as the original record.
   const bool reply = rec.hasReply;
   const bool resFh = reply && rec.hasResFh;
   const bool attrs = reply && rec.hasAttrs;
@@ -564,7 +561,8 @@ void ExtentEncoder::add(const TraceRecord& rec) {
   putU32(im.col[kXid], rec.xid);
 
   // Dictionary interning order within a record (fh, fh2, resFh; name,
-  // name2) matches the text batch reader so global id assignment agrees.
+  // name2) is the order a per-record interning of the decoded fields
+  // uses, so global ids follow the record stream.
   putVarint(im.col[kFh], im.handles->intern(fhView(rec.fh)));
   putVarint(im.col[kFh2], im.handles->intern(fhView(rec.fh2)));
   if (resFh) {
@@ -588,7 +586,7 @@ void ExtentEncoder::add(const TraceRecord& rec) {
   }
   if (attrs) {
     // Varint, not a raw byte: a corrupted wire frame can decode to an
-    // out-of-enum ftype (the text format prints it faithfully), and the
+    // out-of-enum ftype (formatRecord prints it faithfully), and the
     // round trip must not truncate it.
     putVarint(im.col[kFtype], static_cast<std::uint32_t>(rec.ftype));
     std::int64_t size = static_cast<std::int64_t>(rec.fileSize);
@@ -641,6 +639,11 @@ ExtentInfo ExtentEncoder::seal(std::string& out, std::uint64_t recordsBefore,
   for (const auto& c : im.col) {
     putVarint(payload, c.size());
     payload += c;
+  }
+  if (payload.size() > kExtentMaxPayloadBytes) {
+    throw std::runtime_error("trace v2: extent payload of " +
+                             std::to_string(payload.size()) +
+                             " bytes exceeds the format's cap");
   }
 
   ExtentHeader hdr;
@@ -728,10 +731,20 @@ void ExtentDecoder::load(const ExtentHeader& hdr, StringInterner& names,
 
   // Intern dictionary entries into the global interners in extent order —
   // first-appearance order across the whole trace, i.e. the exact id
-  // sequence a text per-record decode would have produced.
-  auto loadDict = [&c](std::vector<std::uint32_t>& map,
-                       StringInterner& global, std::uint64_t maxLen) {
+  // sequence a per-record interning of the decoded fields produces.
+  // Each entry takes at least `minBytes` of what is left, so a count
+  // beyond that is damage, refused before it sizes an allocation.
+  auto readCount = [&c](std::uint64_t minBytes) {
     std::uint64_t count = c.varint();
+    if (count > static_cast<std::uint64_t>(c.end - c.p) / minBytes) {
+      throw std::runtime_error("trace v2: dictionary count exceeds payload");
+    }
+    return count;
+  };
+  auto loadDict = [&c, &readCount](std::vector<std::uint32_t>& map,
+                                   StringInterner& global,
+                                   std::uint64_t maxLen) {
+    std::uint64_t count = readCount(1);
     map.clear();
     map.reserve(count + 1);
     map.push_back(StringInterner::kEmptyId);
@@ -754,7 +767,7 @@ void ExtentDecoder::load(const ExtentHeader& hdr, StringInterner& names,
   // interner: identity tuples are per-extent lookup state, not strings
   // the analysis layer needs ids for.
   {
-    std::uint64_t count = c.varint();
+    std::uint64_t count = readCount(1 + kWhoBytes);
     im.who.clear();
     im.who.reserve(count + 1);
     im.who.emplace_back();
@@ -802,12 +815,12 @@ inline void assignFh(FileHandle& fh, std::string_view v) {
 
 }  // namespace
 
-/// Shared per-record decode for next() and take().  Every field of `rec`
-/// is assigned unconditionally (a default where the column doesn't
-/// apply), so no cleared temporary is needed and the record stays
-/// write-only through the scan hot path.
-inline void ExtentDecoder::decodeOne(TraceRecord& rec, Ids* ids) {
+/// Every field of the record is assigned unconditionally (a default where
+/// the column doesn't apply), so no cleared temporary is needed and the
+/// record stays write-only through the scan hot path.
+inline void ExtentDecoder::decodeOne(const BatchOut& out, std::size_t i) {
   Impl& im = *impl_;
+  TraceRecord& rec = out.recs[i];
   std::uint8_t flags = im.col[kFlags].byte();
   std::uint8_t op = im.col[kOp].byte();
   rec.op = op < kNfsOpCount ? static_cast<NfsOp>(op) : NfsOp::Unknown;
@@ -861,13 +874,11 @@ inline void ExtentDecoder::decodeOne(TraceRecord& rec, Ids* ids) {
   } else {
     rec.name2.clear();
   }
-  if (ids) {
-    ids->fh = fhId;
-    ids->fh2 = fh2Id;
-    ids->resFh = resFhId;
-    ids->name = nameId;
-    ids->name2 = name2Id;
-  }
+  out.fh[i] = fhId;
+  out.fh2[i] = fh2Id;
+  out.resFh[i] = resFhId;
+  out.name[i] = nameId;
+  out.name2[i] = name2Id;
 
   if (rec.hasOffset()) {
     im.prevOffset += unzigzag(im.col[kOffset].varint());
@@ -916,22 +927,9 @@ inline void ExtentDecoder::decodeOne(TraceRecord& rec, Ids* ids) {
   }
 }
 
-void ExtentDecoder::next(TraceRecord& rec, Ids* ids) {
-  decodeOne(rec, ids);
-  --remaining_;
-}
-
 std::size_t ExtentDecoder::take(const BatchOut& out, std::size_t max) {
   const std::size_t n = remaining_ < max ? remaining_ : max;
-  Ids ids;
-  for (std::size_t i = 0; i < n; ++i) {
-    decodeOne(out.recs[i], &ids);
-    out.fh[i] = ids.fh;
-    out.fh2[i] = ids.fh2;
-    out.resFh[i] = ids.resFh;
-    out.name[i] = ids.name;
-    out.name2[i] = ids.name2;
-  }
+  for (std::size_t i = 0; i < n; ++i) decodeOne(out, i);
   remaining_ -= n;
   return n;
 }

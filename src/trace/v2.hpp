@@ -1,9 +1,9 @@
-// Trace format v2: fixed-size column-oriented extents (DataSeries-style).
+// Trace format v2, the one on-disk trace format: fixed-size
+// column-oriented extents (DataSeries-style).
 //
-// The text format is row-oriented — every record carries every field, and
-// the reader pays a full per-record parse.  v2 groups records into
-// extents of a few thousand records and stores each field as its own
-// contiguous column stream with a per-column encoding:
+// v2 groups records into extents of a few thousand records and stores
+// each field as its own contiguous column stream with a per-column
+// encoding:
 //
 //   column        encoding
 //   ------------  ----------------------------------------------------
@@ -31,8 +31,8 @@
 // property both seekable scans and extent-granular recovery rest on.
 // Local dictionary order is first-appearance order within the extent,
 // which makes the reader's global interned ids identical to the ids a
-// text per-record decode would assign: the analysis engine's byte-identical
-// guarantee carries over to v2 input for free.  The identity-tuple
+// per-record interning of the decoded fields would assign, at any batch
+// size and whichever extents a pruned scan skips.  The identity-tuple
 // ("who") dictionary stores 16-byte packed little-endian
 // (client, server, uid, gid) entries and is decoded into a local lookup
 // table — a trace has few distinct identities, so one varint per record
@@ -49,11 +49,14 @@
 // Each extent is  "NFX2" + fixed header (with its own CRC) + payload
 // (dictionaries then columns, CRC'd as a unit).  The header carries the
 // cumulative record count of all prior extents, so a recovering reader
-// that skips damage knows exactly how many records it lost — the v2
-// generalization of the text format's checkpoint comment.
+// that skips damage knows exactly how many records it lost: every extent
+// header is a checkpoint.  A header whose payload size is above
+// kExtentMaxPayloadBytes is as bad as one that fails its CRC, so no
+// header can make a reader allocate more than that.
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
@@ -74,6 +77,15 @@ inline constexpr char kTrailerMagic[8] = {'N', 'F', 'S', '2', 'E', 'O', 'F',
 /// Fixed extent header: magic, payloadBytes u32, records u32,
 /// recordsBefore u64, tsFirst i64, payloadCrc u32, headerCrc u32.
 inline constexpr std::size_t kExtentHeaderBytes = 4 + 4 + 4 + 8 + 8 + 4 + 4;
+
+/// The writer seals an extent once its encoded payload reaches this size
+/// (or it holds TraceWriter::Options::v2ExtentRecords records).
+inline constexpr std::size_t kExtentSealBytes = 1 << 20;
+/// No valid extent payload is larger.  The last record before a seal
+/// can only overshoot kExtentSealBytes by its own bytes, so only a record
+/// carrying megabytes of names gets near it; the writer throws rather
+/// than seal past it, and readers refuse a header above it.
+inline constexpr std::uint32_t kExtentMaxPayloadBytes = 16 * kExtentSealBytes;
 
 /// One footer-index entry (also what the writer tracks per sealed
 /// extent): enough to skip an extent by time range, op mix, uid or
@@ -106,18 +118,25 @@ struct ExtentHeader {
   std::uint32_t payloadCrc = 0;
 };
 
-/// Append the schema block ("NFSH" + length-prefixed text) to `out`.
-void appendSchema(std::string& out);
+/// Append the file magic and the schema block ("NFSH" + length-prefixed
+/// text) to `out`.
+void appendPreamble(std::string& out);
 
-/// Validate + skip a schema block at `data` (bytes after the file magic).
-/// Returns the block's total size, or nullopt if the block is malformed
-/// or names any schema but "nfstrace-v2 schema 4" (the only one read);
-/// with non-null `error`, says which, naming the schema found.
-std::optional<std::size_t> parseSchema(const char* data, std::size_t n,
-                                       std::string* error = nullptr);
+/// What readPreamble found.
+enum class Preamble {
+  Ok,           ///< the v2 file magic and a schema-4 block
+  Bad,          ///< no v2 magic, or a torn or malformed schema block
+  Unsupported,  ///< a whole schema block naming any schema but 4
+};
+
+/// Read the file magic and schema block at `f`'s position, leaving the
+/// stream just past the bytes read.  Anything but Ok sets `error`, when
+/// non-null, to what was wrong ("not a v2 trace", or the schema found).
+Preamble readPreamble(std::FILE* f, std::string* error = nullptr);
 
 /// Parse + validate a fixed extent header (kExtentHeaderBytes bytes
-/// starting at the magic).  Returns false on bad magic or header CRC.
+/// starting at the magic).  Returns false on bad magic, a bad header CRC
+/// or a payload size above kExtentMaxPayloadBytes.
 bool parseExtentHeader(const unsigned char* p, ExtentHeader& out);
 
 /// Append the footer index + trailer for `extents` to `out`;
@@ -157,12 +176,14 @@ class ExtentEncoder {
   void add(const TraceRecord& rec);
   std::size_t records() const { return records_; }
   /// Encoded payload bytes buffered so far (columns + dictionary
-  /// payload); used to seal early on pathological extents.
+  /// payload); the writer seals at kExtentSealBytes.
   std::size_t pendingBytes() const;
 
   /// Append header + payload for the buffered records to `out` and reset.
   /// Must not be called with zero records.  `fileOffset` is where the
   /// extent magic will land in the file (recorded in the returned info).
+  /// Throws std::runtime_error, leaving `out` untouched, when the payload
+  /// would exceed kExtentMaxPayloadBytes.
   ExtentInfo seal(std::string& out, std::uint64_t recordsBefore,
                   std::uint64_t fileOffset);
 
@@ -178,12 +199,6 @@ class ExtentEncoder {
 /// decode is pure varint/byte reads — no hashing, no per-record parse.
 class ExtentDecoder {
  public:
-  /// Global interned ids for one record's string columns.
-  struct Ids {
-    std::uint32_t fh = 0, fh2 = 0, resFh = 0;
-    std::uint32_t name = 0, name2 = 0;
-  };
-
   ExtentDecoder();
   ~ExtentDecoder();
   ExtentDecoder(const ExtentDecoder&) = delete;
@@ -195,19 +210,17 @@ class ExtentDecoder {
 
   /// Parse dictionaries + column cursors from buffer() (which must hold
   /// hdr.payloadBytes bytes whose CRC already checked out).  Throws
-  /// std::runtime_error on malformed payload.
+  /// std::runtime_error on malformed payload, before any allocation a
+  /// count in it asks for exceeds what the payload could hold.
   void load(const ExtentHeader& hdr, StringInterner& names,
             StringInterner& handles);
 
   std::size_t remaining() const { return remaining_; }
 
-  /// Decode the next record (slot is reset, string capacity reused).
-  /// With non-null `ids`, also emits the record's global interned ids.
-  /// Must not be called with remaining() == 0.
-  void next(TraceRecord& rec, Ids* ids);
-
-  /// Destination arrays for a bulk decode: `recs` plus the five parallel
-  /// id arrays of a TraceBatch, all with room for at least `max` entries.
+  /// Destination arrays for a decode: `recs` plus the five parallel
+  /// global interned id arrays of a TraceBatch, all with room for at
+  /// least `max` entries.  Every field of a record slot is assigned
+  /// (string capacity reused).
   struct BatchOut {
     TraceRecord* recs = nullptr;
     std::uint32_t* fh = nullptr;
@@ -223,7 +236,8 @@ class ExtentDecoder {
   std::size_t take(const BatchOut& out, std::size_t max);
 
  private:
-  void decodeOne(TraceRecord& rec, Ids* ids);
+  /// Decode the next record into slot `i` of `out`.
+  void decodeOne(const BatchOut& out, std::size_t i);
 
   struct Impl;
   Impl* impl_;

@@ -114,8 +114,8 @@ TEST(ManifestFile, RoundTripPreservesEverything) {
   m.nextSeq = 7;
   m.books = {500, 430, 50, 20};
   ASSERT_TRUE(m.books.balanced());
-  m.segments.push_back({1, "seg-000001.trace", "v2", 400, 12345, 0, 1754650000});
-  m.segments.push_back({6, "seg-000006.trace", "text", 80, 999, 400, 1754650060});
+  m.segments.push_back({1, "seg-000001.trace", 400, 12345, 0, 1754650000});
+  m.segments.push_back({6, "seg-000006.trace", 80, 999, 400, 1754650060});
   m.save(path);
 
   Manifest got;
@@ -128,7 +128,6 @@ TEST(ManifestFile, RoundTripPreservesEverything) {
   ASSERT_EQ(got.segments.size(), 2u);
   EXPECT_EQ(got.segments[0].seq, 1u);
   EXPECT_EQ(got.segments[0].file, "seg-000001.trace");
-  EXPECT_EQ(got.segments[0].format, "v2");
   EXPECT_EQ(got.segments[0].records, 400u);
   EXPECT_EQ(got.segments[0].bytes, 12345u);
   EXPECT_EQ(got.segments[0].first, 0u);
@@ -147,8 +146,8 @@ TEST(ManifestFile, EveryTruncationAndBitflipReadsAsDamagedNeverGarbage) {
   Manifest m;
   m.nextSeq = 3;
   m.books = {250, 200, 30, 20};
-  m.segments.push_back({1, "seg-000001.trace", "v2", 120, 4096, 0, 1754650000});
-  m.segments.push_back({2, "seg-000002.trace", "v2", 110, 4000, 120, 1754650060});
+  m.segments.push_back({1, "seg-000001.trace", 120, 4096, 0, 1754650000});
+  m.segments.push_back({2, "seg-000002.trace", 110, 4000, 120, 1754650060});
   std::string text = m.render();
 
   Manifest out;
@@ -195,7 +194,6 @@ TEST_F(DaemonTest, RotationSealsCheckpointAlignedSegments) {
   for (std::size_t i = 0; i < m.segments.size(); ++i) {
     EXPECT_EQ(m.segments[i].seq, i + 1) << "sealed seq must be gap-free";
     EXPECT_EQ(m.segments[i].first, first);
-    EXPECT_EQ(m.segments[i].format, "v2");
     first += m.segments[i].records;
     EXPECT_TRUE(fs::exists(dir_ + "/" + m.segments[i].file));
   }
@@ -296,7 +294,6 @@ TEST_F(DaemonTest, TruncatedActiveSegmentAtEveryByteOffsetIsAlwaysResumable) {
           .string();
   {
     TraceWriter::Options w;
-    w.format = TraceWriter::Format::V2;
     w.v2ExtentRecords = 8;
     TraceWriter writer(whole, w);
     for (std::uint32_t i = 0; i < 24; ++i) writer.write(record(i));
@@ -352,7 +349,6 @@ TEST_F(DaemonTest, AdoptsSealedSegmentMissingFromManifest) {
   // never happened.
   {
     TraceWriter::Options w;
-    w.format = TraceWriter::Format::V2;
     w.v2ExtentRecords = 8;
     TraceWriter writer(dir_ + "/seg-000003.trace", w);
     for (std::uint32_t i = 100; i < 125; ++i) writer.write(record(i));
@@ -371,38 +367,25 @@ TEST_F(DaemonTest, AdoptsSealedSegmentMissingFromManifest) {
   expectExactStream(sealedRecords(d), 125);
 }
 
-TEST_F(DaemonTest, AdoptsTextSegmentAndSalvagesTextPartAsV2) {
-  // The directory an older, text-writing nfstraced left behind: one
-  // sealed segment it never journaled and one active part.
+TEST_F(DaemonTest, RefusesSealedSegmentThatIsNotV2) {
+  // A sealed text segment an older nfstraced left behind: startup stops
+  // with an error naming it instead of adopting what it cannot read.
   fs::create_directories(dir_);
+  const std::string sealed = dir_ + "/seg-000001.trace";
   {
-    TraceWriter sealed(dir_ + "/seg-000001.trace", TraceWriter::Format::Text);
-    for (std::uint32_t i = 0; i < 50; ++i) sealed.write(record(i));
-    sealed.finalize(false);
-    TraceWriter part(dir_ + "/seg-000002.part", TraceWriter::Format::Text);
-    for (std::uint32_t i = 50; i < 80; ++i) part.write(record(i));
-    part.finalize(false);
+    std::ofstream out(sealed);
+    for (std::uint32_t i = 0; i < 5; ++i) {
+      out << formatRecord(record(i)) << "\n";
+    }
   }
-
-  TraceDaemon d(base());
-  EXPECT_EQ(d.recovery().adoptedSegments, 1u);
-  EXPECT_EQ(d.recovery().tornSegments, 1u);
-  EXPECT_EQ(d.books().sealed, 50u);
-  EXPECT_EQ(d.books().recovered, 30u);
-  EXPECT_EQ(d.books().lost, 0u);
-  for (std::uint32_t i = 80; i < 100; ++i) d.submit(record(i));
-  d.stop();
-
-  const auto& segs = d.manifest().segments;
-  ASSERT_EQ(segs.size(), 3u);
-  EXPECT_EQ(segs[0].format, "text") << "adopted as it lies on disk";
-  for (std::size_t i = 1; i < segs.size(); ++i) {
-    EXPECT_EQ(segs[i].format, "v2") << "segment " << segs[i].seq;
-    EXPECT_EQ(detectTraceFormat(dir_ + "/" + segs[i].file),
-              TraceWriter::Format::V2);
+  try {
+    TraceDaemon d(base());
+    ADD_FAILURE() << "startup adopted a segment that is not v2";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(sealed), std::string::npos)
+        << e.what();
   }
-  EXPECT_TRUE(d.books().balanced());
-  expectExactStream(sealedRecords(d), 100);
+  EXPECT_TRUE(fs::exists(sealed)) << "the refused segment is left alone";
 }
 
 TEST_F(DaemonTest, RemovesStaleTemporariesWithoutDoubleCounting) {

@@ -51,27 +51,27 @@ class EngineTest : public ::testing::Test {
     // Per-process names: gtest_discover_tests runs each case as its own
     // ctest entry, so concurrent processes would race on a fixed path.
     std::string pid = std::to_string(::getpid());
-    textPath_ = new std::string("/tmp/engine_test_" + pid + "_text.trace");
+    tracePath_ = new std::string("/tmp/engine_test_" + pid + ".trace");
     {
-      TraceWriter w(*textPath_, TraceWriter::Format::Text);
+      TraceWriter w(*tracePath_);
       for (const auto& r : *records_) w.write(r);
     }
   }
 
   static void TearDownTestSuite() {
-    std::remove(textPath_->c_str());
+    std::remove(tracePath_->c_str());
     delete records_;
-    delete textPath_;
+    delete tracePath_;
     records_ = nullptr;
-    textPath_ = nullptr;
+    tracePath_ = nullptr;
   }
 
   static std::vector<TraceRecord>* records_;
-  static std::string* textPath_;
+  static std::string* tracePath_;
 };
 
 std::vector<TraceRecord>* EngineTest::records_ = nullptr;
-std::string* EngineTest::textPath_ = nullptr;
+std::string* EngineTest::tracePath_ = nullptr;
 
 std::string runEngineReport(const std::string& path, std::size_t threads,
                             bool recover = false) {
@@ -113,12 +113,12 @@ void checkBatchMatchesNext(const std::string& path) {
   EXPECT_GT(total, 0u);
 }
 
-TEST_F(EngineTest, BatchReaderMatchesNextText) {
-  checkBatchMatchesNext(*textPath_);
+TEST_F(EngineTest, BatchReaderMatchesNextInto) {
+  checkBatchMatchesNext(*tracePath_);
 }
 
 TEST_F(EngineTest, ReadAllMatchesRecords) {
-  auto all = TraceReader::readAll(*textPath_);
+  auto all = TraceReader::readAll(*tracePath_);
   ASSERT_EQ(all.size(), records_->size());
   for (std::size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(formatRecord(all[i]), formatRecord((*records_)[i]));
@@ -128,7 +128,7 @@ TEST_F(EngineTest, ReadAllMatchesRecords) {
 // ------------------------------------------------- intern-id stability
 
 TEST_F(EngineTest, InternIdsStableAcrossBatches) {
-  TraceReader reader(*textPath_);
+  TraceReader reader(*tracePath_);
   TraceBatch batch;
   std::map<std::string, std::uint32_t> nameIds, fhIds;
   while (reader.nextBatch(batch, 43)) {
@@ -151,55 +151,63 @@ TEST_F(EngineTest, InternIdsStableAcrossBatches) {
 
 // ------------------------------------------------------- recovery path
 
+/// `records` as a trace of 512-record extents (batches end at each one).
+std::string v2Copy(const std::vector<TraceRecord>& records,
+                   const std::string& path) {
+  TraceWriter::Options opts;
+  opts.v2ExtentRecords = 512;
+  TraceWriter w(path, opts);
+  for (const auto& r : records) w.write(r);
+  return path;
+}
+
+/// Flip one payload byte of extent `extent`: its header and the footer
+/// stay valid, its CRC fails.
+void corruptExtent(const std::string& path, std::size_t extent) {
+  auto index = tracev2::loadExtentIndex(path);
+  ASSERT_TRUE(index.has_value());
+  ASSERT_GT(index->size(), extent);
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f,
+             static_cast<long>((*index)[extent].offset +
+                               tracev2::kExtentHeaderBytes + 16),
+             SEEK_SET);
+  int c = std::fgetc(f);
+  std::fseek(f, -1, SEEK_CUR);
+  std::fputc(c ^ 0x5a, f);
+  std::fclose(f);
+}
+
 TEST_F(EngineTest, RecoverResyncsLandOnBatchBoundaries) {
-  // Corrupt one record line in the middle of the text trace.
-  std::string corruptPath =
-      "/tmp/engine_test_" + std::to_string(::getpid()) + "_corrupt.trace";
-  {
-    std::FILE* in = std::fopen(textPath_->c_str(), "rb");
-    ASSERT_NE(in, nullptr);
-    std::string bytes;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) bytes.append(buf, n);
-    std::fclose(in);
-    std::vector<std::string> lines;
-    std::size_t pos = 0;
-    while (pos < bytes.size()) {
-      std::size_t nl = bytes.find('\n', pos);
-      if (nl == std::string::npos) nl = bytes.size();
-      lines.push_back(bytes.substr(pos, nl - pos));
-      pos = nl + 1;
-    }
-    std::size_t mid = lines.size() / 2;
-    while (mid < lines.size() && (lines[mid].empty() || lines[mid][0] == '#'))
-      ++mid;
-    ASSERT_LT(mid, lines.size());
-    lines[mid] = "x#!neither comment nor parseable";
-    std::FILE* out = std::fopen(corruptPath.c_str(), "wb");
-    ASSERT_NE(out, nullptr);
-    for (const auto& l : lines) {
-      std::fwrite(l.data(), 1, l.size(), out);
-      std::fputc('\n', out);
-    }
-    std::fclose(out);
-  }
+  // Corrupt one extent in the middle of the trace.
+  const std::string corruptPath = v2Copy(
+      *records_,
+      "/tmp/engine_test_" + std::to_string(::getpid()) + "_corrupt.trace");
+  auto index = tracev2::loadExtentIndex(corruptPath);
+  ASSERT_TRUE(index.has_value());
+  ASSERT_GT(index->size(), 2u);
+  const std::size_t victim = index->size() / 2;
+  corruptExtent(corruptPath, victim);
 
   TraceReader::RecoverStats rs;
   auto expected = TraceReader::recoverAll(corruptPath, &rs);
-  EXPECT_EQ(rs.skipped, 1u);
+  EXPECT_EQ(rs.skipped, (*index)[victim].records);
   EXPECT_EQ(rs.resyncs, 1u);
+  EXPECT_EQ(expected.size(), records_->size() - (*index)[victim].records);
 
   // The batch path recovers the identical record sequence, and the batch
-  // in flight when the resync happened is cut at the boundary.
+  // in flight when the resync happened is cut at the boundary (100 does
+  // not divide the 512-record extents, so that batch is not full).
   TraceReader reader(corruptPath, /*recover=*/true);
   TraceBatch batch;
   std::vector<std::string> got;
   std::size_t resyncCuts = 0;
-  while (reader.nextBatch(batch, 64)) {
+  while (reader.nextBatch(batch, 100)) {
     if (batch.endedAtResync) {
       ++resyncCuts;
-      EXPECT_LT(batch.n, 64u) << "a cut batch cannot be full";
+      EXPECT_LT(batch.n, 100u) << "a cut batch cannot be full";
+      EXPECT_EQ(got.size() + batch.n, victim * 512) << "cut at the damage";
     }
     for (std::size_t i = 0; i < batch.n; ++i) {
       got.push_back(formatRecord(batch.records[i]));
@@ -220,20 +228,10 @@ TEST_F(EngineTest, RecoverResyncsLandOnBatchBoundaries) {
 
 // -------------------------------------------------------- determinism
 
-std::string v2Copy(const std::vector<TraceRecord>& records,
-                   const std::string& path) {
-  TraceWriter::Options opts;
-  opts.format = TraceWriter::Format::V2;
-  opts.v2ExtentRecords = 512;  // many extents; batches end at each one
-  TraceWriter w(path, opts);
-  for (const auto& r : records) w.write(r);
-  return path;
-}
-
 TEST_F(EngineTest, ReportByteIdenticalAtAnyWorkerCount) {
-  // The same records as text and as v2, through run() (a reader the
-  // test opens) and runFile() (a reader the engine opens), inline and
-  // fanned out: one report.
+  // The same records in default and in 512-record extents, through run()
+  // (a reader the test opens) and runFile() (a reader the engine opens),
+  // inline and fanned out: one report.
   const std::string v2Path =
       v2Copy(*records_, "/tmp/engine_test_" + std::to_string(::getpid()) +
                             "_copy.v2");
@@ -254,10 +252,10 @@ TEST_F(EngineTest, ReportByteIdenticalAtAnyWorkerCount) {
     }
     return renderReportText("trace", analyses);
   };
-  const std::string serial = report(*textPath_, 1, false);
+  const std::string serial = report(*tracePath_, 1, false);
   ASSERT_FALSE(serial.empty());
   for (std::size_t threads : {1u, 2u, 3u, 4u, 7u, 8u}) {
-    for (const std::string& path : {*textPath_, v2Path}) {
+    for (const std::string& path : {*tracePath_, v2Path}) {
       for (bool viaFile : {false, true}) {
         EXPECT_EQ(report(path, threads, viaFile), serial)
             << path << " at " << threads << " threads via "
@@ -266,7 +264,7 @@ TEST_F(EngineTest, ReportByteIdenticalAtAnyWorkerCount) {
     }
   }
   // Small batches force many seq%threads handoffs; still identical.
-  EXPECT_EQ(report(*textPath_, 3, false, 19), serial);
+  EXPECT_EQ(report(*tracePath_, 3, false, 19), serial);
   EXPECT_EQ(report(v2Path, 3, true, 19), serial);
   std::remove(v2Path.c_str());
 }
@@ -278,9 +276,9 @@ TEST_F(EngineTest, JsonReportDeterministicToo) {
     cfg.decodeThreads = threads;
     AnalysisEngine engine(cfg);
     engine.addPasses(analyses.all());
-    TraceReader reader(*textPath_);
+    TraceReader reader(*tracePath_);
     engine.run(reader);
-    return renderReportJson(*textPath_, analyses);
+    return renderReportJson(*tracePath_, analyses);
   };
   std::string j1 = runJson(1);
   EXPECT_FALSE(j1.empty());
@@ -318,46 +316,15 @@ TEST_F(EngineTest, FanOutRethrowsScanErrors) {
     AnalysisEngine engine(cfg);
     engine.addPasses(analyses.all());
     engine.addPass(&throwing);
-    TraceReader reader(*textPath_);
+    TraceReader reader(*tracePath_);
     EXPECT_THROW(engine.run(reader), std::runtime_error);
   }
 
   // A strict scan of a damaged trace throws on the decoding thread; the
   // fan-out must stop its workers and rethrow, from either source.
-  const std::string base = "/tmp/engine_test_" + std::to_string(::getpid());
-  const std::string textBad = base + "_bad.trace";
-  {
-    std::FILE* in = std::fopen(textPath_->c_str(), "rb");
-    std::FILE* out = std::fopen(textBad.c_str(), "wb");
-    ASSERT_NE(in, nullptr);
-    ASSERT_NE(out, nullptr);
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-      std::fwrite(buf, 1, n, out);
-    }
-    std::fputs("x#!neither comment nor parseable\n", out);
-    std::fclose(in);
-    std::fclose(out);
-  }
-  const std::string v2Bad = v2Copy(*records_, base + "_bad.v2");
-  {
-    // Flip a payload byte of extent 2: headers and footer stay valid, so
-    // the strict scan meets the CRC mismatch mid-scan.
-    auto index = tracev2::loadExtentIndex(v2Bad);
-    ASSERT_TRUE(index.has_value());
-    ASSERT_GT(index->size(), 3u);
-    std::FILE* f = std::fopen(v2Bad.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f,
-               static_cast<long>((*index)[2].offset +
-                                 tracev2::kExtentHeaderBytes + 16),
-               SEEK_SET);
-    int c = std::fgetc(f);
-    std::fseek(f, -1, SEEK_CUR);
-    std::fputc(c ^ 0x5a, f);
-    std::fclose(f);
-  }
+  const std::string bad = v2Copy(
+      *records_, "/tmp/engine_test_" + std::to_string(::getpid()) + "_bad.v2");
+  corruptExtent(bad, 2);
   for (std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     StandardAnalyses analyses;
@@ -365,13 +332,12 @@ TEST_F(EngineTest, FanOutRethrowsScanErrors) {
     cfg.decodeThreads = threads;
     AnalysisEngine engine(cfg);
     engine.addPasses(analyses.all());
-    TraceReader reader(textBad);
+    TraceReader reader(bad);
     EXPECT_THROW(engine.run(reader), std::runtime_error);
     EXPECT_GT(engine.stats().records, 0u);
-    EXPECT_THROW(engine.runFile(v2Bad), std::runtime_error);
+    EXPECT_THROW(engine.runFile(bad), std::runtime_error);
   }
-  std::remove(textBad.c_str());
-  std::remove(v2Bad.c_str());
+  std::remove(bad.c_str());
 }
 
 // --------------------------------------------- legacy-result equality
@@ -382,7 +348,7 @@ TEST_F(EngineTest, PassResultsMatchLegacyFunctions) {
   StandardAnalyses analyses;
   AnalysisEngine engine;
   engine.addPasses(analyses.all());
-  TraceReader reader(*textPath_);
+  TraceReader reader(*tracePath_);
   const auto& st = engine.run(reader);
   EXPECT_EQ(st.records, records.size());
 
@@ -484,7 +450,7 @@ TEST_F(EngineTest, StatsAndRerunReuse) {
   AnalysisEngine engine;
   engine.addPasses(analyses.all());
   {
-    TraceReader reader(*textPath_);
+    TraceReader reader(*tracePath_);
     const auto& st = engine.run(reader);
     EXPECT_EQ(st.records, records_->size());
     EXPECT_GT(st.batches, 0u);
@@ -494,7 +460,7 @@ TEST_F(EngineTest, StatsAndRerunReuse) {
   std::string first = renderReportText("x", analyses);
   {
     // A second run() re-prepares every pass: same input, same output.
-    TraceReader reader(*textPath_);
+    TraceReader reader(*tracePath_);
     engine.run(reader);
   }
   EXPECT_EQ(renderReportText("x", analyses), first);
@@ -514,7 +480,7 @@ TEST_F(EngineTest, EachPassFinalizeIsTimedAtOneThreadAndFour) {
     engine.attachMetrics(registry);
     obs::FlightRecorder flight;
     engine.attachFlight(flight);
-    TraceReader reader(*textPath_);
+    TraceReader reader(*tracePath_);
     engine.run(reader);
 
     std::map<std::string, std::uint64_t> counts;
@@ -533,13 +499,63 @@ TEST_F(EngineTest, EachPassFinalizeIsTimedAtOneThreadAndFour) {
   }
 }
 
+TEST_F(EngineTest, RecordLinesPrintMatchingRecordsInStreamOrder) {
+  // trace_analyze --records: one formatRecord line per record that
+  // passes the predicate, in stream order at any thread count, while the
+  // reader prunes extents by zone map.
+  const std::string path = v2Copy(
+      *records_,
+      "/tmp/engine_test_" + std::to_string(::getpid()) + "_lines.v2");
+  const auto& recs = *records_;
+  ScanPredicate pred;
+  pred.from = recs[recs.size() * 2 / 5].ts;
+  pred.to = recs[recs.size() * 3 / 5].ts;
+  std::string expect;
+  for (const auto& r : TraceReader::readAll(path)) {
+    if (pred.matches(r)) expect += formatRecord(r) + "\n";
+  }
+  ASSERT_FALSE(expect.empty());
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    std::FILE* out = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    RecordLinesPass lines(out);
+    AnalysisEngine::Config cfg;
+    cfg.decodeThreads = threads;
+    cfg.predicate = pred;
+    AnalysisEngine engine(cfg);
+    engine.addPass(&lines);
+    engine.runFile(path);
+    EXPECT_GT(engine.stats().extentsPruned, 0u);
+    std::string got;
+    std::rewind(out);
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), out)) > 0) got.append(buf, n);
+    std::fclose(out);
+    EXPECT_EQ(got, expect);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(EngineStandalone, DecodeThreadsAreCheckedAtConstruction) {
+  // The bound trace_analyze's --decode-threads enforces lives here; no
+  // thread starts before run().
+  EXPECT_EQ(AnalysisEngine::kMaxDecodeThreads, 64u);
+  AnalysisEngine::Config cfg;
+  cfg.decodeThreads = AnalysisEngine::kMaxDecodeThreads + 1;
+  EXPECT_THROW(AnalysisEngine{cfg}, std::invalid_argument);
+  cfg.decodeThreads = AnalysisEngine::kMaxDecodeThreads;
+  EXPECT_NO_THROW(AnalysisEngine{cfg});
+}
+
 TEST(EngineStandalone, BlockLifePassHoldsBlockEventsNotRecords) {
   // Many getattrs and a few writes: until finalize the pass holds one
   // small event per block birth or death, not one entry per record.
   std::string path =
       "/tmp/engine_test_" + std::to_string(::getpid()) + "_events.trace";
   {
-    TraceWriter w(path, TraceWriter::Format::Text);
+    TraceWriter w(path);
     auto write = [&w](MicroTime ts, NfsOp op, std::uint64_t file) {
       TraceRecord r;
       r.ts = ts;
@@ -585,7 +601,7 @@ TEST(EngineStandalone, BlockLifePassHoldsBlockEventsNotRecords) {
 TEST(EngineStandalone, EmptyTraceYieldsNoRecords) {
   std::string path =
       "/tmp/engine_test_" + std::to_string(::getpid()) + "_empty.trace";
-  { TraceWriter w(path, TraceWriter::Format::Text); }
+  { TraceWriter w(path); }
   StandardAnalyses analyses;
   AnalysisEngine engine;
   engine.addPasses(analyses.all());

@@ -121,7 +121,7 @@ TEST_F(CampusIntegration, AnonymizationPreservesAnalyses) {
 }
 
 TEST_F(CampusIntegration, TraceFileRoundTripPreservesAnalyses) {
-  const std::string path = "/tmp/integration_trace.txt";
+  const std::string path = "/tmp/integration_trace.trace";
   auto& records = env_->records();
   {
     TraceWriter w(path);

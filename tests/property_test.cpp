@@ -3,6 +3,10 @@
 // tests by exploring input spaces the examples do not.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
 #include <map>
 #include <numeric>
 
@@ -312,31 +316,44 @@ TEST_P(AnonProperty, MappingIsInjective) {
   }
 }
 
-TEST_P(AnonProperty, TraceRoundTripThroughTextFormat) {
-  // anonymize -> format -> parse must preserve every anonymized field.
+TEST_P(AnonProperty, TraceRoundTripThroughV2) {
+  // anonymize -> write -> read must preserve every anonymized field.
   Anonymizer anon{Anonymizer::Config{}};
-  for (int i = 0; i < 100; ++i) {
-    TraceRecord r;
-    r.ts = static_cast<MicroTime>(rng_.below(1'000'000'000));
-    r.client = makeIp(128, 1, static_cast<int>(rng_.below(255)),
-                      static_cast<int>(rng_.below(254)) + 1);
-    r.server = makeIp(10, 0, 0, 1);
-    r.xid = static_cast<std::uint32_t>(rng_.next());
-    r.op = rng_.chance(0.5) ? NfsOp::Lookup : NfsOp::Create;
-    r.uid = 1000 + static_cast<std::uint32_t>(rng_.below(100));
-    r.gid = r.uid;
-    r.fh = FileHandle::make(1, rng_.below(10000), 1);
-    r.name = "file" + std::to_string(rng_.below(100)) + ".dat";
-    r.hasReply = true;
-    r.status = NfsStat::Ok;
-
-    auto anonRec = anon.anonymize(r);
-    auto parsed = parseRecord(formatRecord(anonRec));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->name, anonRec.name);
-    EXPECT_EQ(parsed->uid, anonRec.uid);
-    EXPECT_EQ(parsed->client, anonRec.client);
-    EXPECT_TRUE(parsed->fh == anonRec.fh);
+  std::vector<TraceRecord> written;
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("property_test_anon_" +
+                             std::to_string(::getpid()) + ".trace"))
+                               .string();
+  {
+    TraceWriter w(path);
+    for (int i = 0; i < 100; ++i) {
+      TraceRecord r;
+      r.ts = static_cast<MicroTime>(rng_.below(1'000'000'000));
+      r.client = makeIp(128, 1, static_cast<int>(rng_.below(255)),
+                        static_cast<int>(rng_.below(254)) + 1);
+      r.server = makeIp(10, 0, 0, 1);
+      r.xid = static_cast<std::uint32_t>(rng_.next());
+      r.op = rng_.chance(0.5) ? NfsOp::Lookup : NfsOp::Create;
+      r.uid = 1000 + static_cast<std::uint32_t>(rng_.below(100));
+      r.gid = r.uid;
+      r.fh = FileHandle::make(1, rng_.below(10000), 1);
+      r.name = "file" + std::to_string(rng_.below(100)) + ".dat";
+      r.hasReply = true;
+      r.status = NfsStat::Ok;
+      written.push_back(anon.anonymize(r));
+      w.write(written.back());
+    }
+    w.finalize();
+  }
+  auto back = TraceReader::readAll(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(back.size(), written.size());
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    EXPECT_EQ(back[i].name, written[i].name);
+    EXPECT_EQ(back[i].uid, written[i].uid);
+    EXPECT_EQ(back[i].client, written[i].client);
+    EXPECT_TRUE(back[i].fh == written[i].fh);
+    EXPECT_EQ(formatRecord(back[i]), formatRecord(written[i]));
   }
 }
 
@@ -407,7 +424,9 @@ TEST_P(AnalysisProperty, BlockLifeConservation) {
   EXPECT_EQ(stats.births, stats.birthsWrite + stats.birthsExtension);
   EXPECT_EQ(stats.deaths,
             stats.deathsOverwrite + stats.deathsTruncate + stats.deathsDelete);
-  if (!lifetimes.empty()) EXPECT_GE(lifetimes.quantile(0.0), 0.0);
+  if (!lifetimes.empty()) {
+    EXPECT_GE(lifetimes.quantile(0.0), 0.0);
+  }
 }
 
 TEST_P(AnalysisProperty, SummaryTotalsAreConsistent) {

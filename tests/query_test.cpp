@@ -112,7 +112,6 @@ std::vector<TraceRecord> randomRecords(std::size_t n, std::uint64_t seed) {
 void writeV2(const std::string& path, const std::vector<TraceRecord>& recs,
              std::uint64_t extentRecords) {
   TraceWriter::Options opts;
-  opts.format = TraceWriter::Format::V2;
   opts.v2ExtentRecords = extentRecords;
   TraceWriter w(path, opts);
   for (const auto& r : recs) w.write(r);

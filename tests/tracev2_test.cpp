@@ -1,16 +1,24 @@
-// Trace format v2: columnar extent round-trips, the footer index, and
+// Trace format v2: columnar extent round-trips, the footer index,
 // extent-granular recovery (torn tails, CRC-corrupt payloads, corrupt
-// headers) with exact recovered/skipped accounting.
+// headers) with exact recovered/skipped accounting, and hostile sizes
+// that must not turn into allocations.
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <new>
 #include <stdexcept>
 #include <string>
-#include <unistd.h>
 
 #include "trace/tracefile.hpp"
 #include "trace/v2.hpp"
+#include "util/crc32.hpp"
+#include "util/interner.hpp"
 #include "util/rng.hpp"
 
 namespace nfstrace {
@@ -75,8 +83,8 @@ TraceRecord randomRecord(Rng& rng, MicroTime ts) {
     if (rng.chance(0.8)) {
       r.hasAttrs = true;
       // Occasionally out-of-enum: a bit-flipped wire frame can decode to
-      // any 32-bit ftype, and the text format round-trips it faithfully
-      // — v2 must too (it once stored ftype as a single truncating byte).
+      // any 32-bit ftype, and v2 must round-trip it (it once stored
+      // ftype as a single truncating byte).
       r.ftype = rng.chance(0.02)
                     ? static_cast<FileType>(rng.below(1u << 16) + 8)
                     : rng.chance(0.2) ? FileType::Directory
@@ -110,7 +118,6 @@ std::vector<TraceRecord> randomRecords(std::size_t n,
 void writeV2(const std::string& path, const std::vector<TraceRecord>& recs,
              std::uint64_t extentRecords = 4096) {
   TraceWriter::Options opts;
-  opts.format = TraceWriter::Format::V2;
   opts.v2ExtentRecords = extentRecords;
   TraceWriter w(path, opts);
   for (const auto& r : recs) w.write(r);
@@ -232,65 +239,60 @@ TEST_F(TraceV2Test, RejectsSchema3FileNamingTheSchema) {
 }
 
 TEST_F(TraceV2Test, MatchesTextFormatNormalization) {
-  // v2 normalizes field presence exactly like the text format (reply-only
-  // fields dropped without a reply, EOF only on READ replies), so a text
-  // round-trip and a v2 round-trip of the same records must agree field
-  // for field — the bedrock of byte-identical analysis reports.
+  // v2 normalizes field presence to what formatRecord prints (reply-only
+  // fields dropped without a reply, EOF only on READ replies), so a
+  // record renders the same line before and after a round trip — the
+  // bedrock of digests over a written trace.
   auto recs = randomRecords(500, /*seed=*/7);
-  std::string textPath = path_ + ".text";
-  {
-    TraceWriter w(textPath, TraceWriter::Format::Text);
-    for (const auto& r : recs) w.write(r);
-  }
   writeV2(path_, recs, /*extentRecords=*/128);
-  auto viaText = TraceReader::readAll(textPath);
-  auto viaV2 = TraceReader::readAll(path_);
-  std::remove(textPath.c_str());
-  ASSERT_EQ(viaText.size(), viaV2.size());
-  for (std::size_t i = 0; i < viaText.size(); ++i) {
+  auto back = TraceReader::readAll(path_);
+  ASSERT_EQ(back.size(), recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) {
     SCOPED_TRACE("record " + std::to_string(i));
-    EXPECT_EQ(formatRecord(viaText[i]), formatRecord(viaV2[i]));
+    EXPECT_EQ(formatRecord(back[i]), formatRecord(recs[i]));
   }
 }
 
-TEST_F(TraceV2Test, BatchIdsMatchV1Interning) {
+TEST_F(TraceV2Test, BatchIdsMatchPerRecordInterning) {
   // The extent dictionaries must yield the same global interned id
-  // sequence a v1 per-record decode produces, at any batch size.
+  // sequence as interning each record's fields in stream order, at any
+  // batch size.
   auto recs = randomRecords(1500, /*seed=*/11);
-  std::string textPath = path_ + ".text";
-  {
-    TraceWriter w(textPath, TraceWriter::Format::Text);
-    for (const auto& r : recs) w.write(r);
-  }
   writeV2(path_, recs, /*extentRecords=*/256);
 
-  TraceReader text(textPath);
-  TraceReader v2(path_);
-  TraceBatch tb, vb;
-  // Mismatched batch sizes on purpose: ids must not depend on batching.
-  std::vector<std::uint32_t> textIds, v2Ids;
-  while (text.nextBatch(tb, 333)) {
-    for (std::size_t i = 0; i < tb.n; ++i) {
-      textIds.insert(textIds.end(),
-                     {tb.fhId[i], tb.fh2Id[i], tb.resFhId[i], tb.nameId[i],
-                      tb.name2Id[i]});
-    }
+  StringInterner names, handles;
+  std::vector<std::uint32_t> expectIds;
+  auto fhView = [](const FileHandle& fh) {
+    return std::string_view(reinterpret_cast<const char*>(fh.data.data()),
+                            fh.len);
+  };
+  for (const TraceRecord& r : TraceReader::readAll(path_)) {
+    expectIds.push_back(handles.intern(fhView(r.fh)));
+    expectIds.push_back(handles.intern(fhView(r.fh2)));
+    expectIds.push_back(handles.intern(fhView(r.resFh)));
+    expectIds.push_back(names.intern(r.name));
+    expectIds.push_back(names.intern(r.name2));
   }
-  while (v2.nextBatch(vb, 100)) {
-    for (std::size_t i = 0; i < vb.n; ++i) {
-      v2Ids.insert(v2Ids.end(),
-                   {vb.fhId[i], vb.fh2Id[i], vb.resFhId[i], vb.nameId[i],
-                    vb.name2Id[i]});
+
+  for (std::size_t batchSize : {100u, 333u}) {
+    SCOPED_TRACE("batches of " + std::to_string(batchSize));
+    TraceReader reader(path_);
+    TraceBatch batch;
+    std::vector<std::uint32_t> ids;
+    while (reader.nextBatch(batch, batchSize)) {
+      for (std::size_t i = 0; i < batch.n; ++i) {
+        ids.insert(ids.end(), {batch.fhId[i], batch.fh2Id[i],
+                               batch.resFhId[i], batch.nameId[i],
+                               batch.name2Id[i]});
+      }
     }
-  }
-  std::remove(textPath.c_str());
-  ASSERT_EQ(textIds.size(), v2Ids.size());
-  EXPECT_EQ(textIds, v2Ids);
-  // And the ids resolve to the same bytes.
-  EXPECT_EQ(text.nameInterner().size(), v2.nameInterner().size());
-  EXPECT_EQ(text.handleInterner().size(), v2.handleInterner().size());
-  for (std::uint32_t id = 0; id < text.nameInterner().size(); ++id) {
-    EXPECT_EQ(text.nameInterner().view(id), v2.nameInterner().view(id));
+    EXPECT_EQ(ids, expectIds);
+    // And the ids resolve to the same bytes.
+    ASSERT_EQ(reader.nameInterner().size(), names.size());
+    ASSERT_EQ(reader.handleInterner().size(), handles.size());
+    for (std::uint32_t id = 0; id < names.size(); ++id) {
+      EXPECT_EQ(reader.nameInterner().view(id), names.view(id));
+    }
   }
 }
 
@@ -341,35 +343,57 @@ TEST_F(TraceV2Test, EmptyTraceHasEmptyIndex) {
   EXPECT_TRUE(index->empty());
 }
 
-TEST_F(TraceV2Test, DetectsFormatsByMagic) {
+TEST_F(TraceV2Test, RefusesInputThatIsNotV2NamingThePath) {
+  // A text rendering, a retired v1 binary trace and an empty file: the
+  // strict reader refuses each with one error that names the path.
   auto recs = randomRecords(10);
-  std::string text = path_ + ".t", v1 = path_ + ".b";
-  {
-    TraceWriter wt(text, TraceWriter::Format::Text);
-    for (const auto& r : recs) wt.write(r);
-    writeV2(path_, recs);
-  }
-  {
-    // The retired v1 binary format: its magic must be refused with an
-    // error that says so, not parsed as a text trace.
-    std::FILE* f = std::fopen(v1.c_str(), "wb");
+  const std::string text = path_ + ".t", v1 = path_ + ".b",
+                    empty = path_ + ".e";
+  auto put = [](const std::string& path, const std::string& bytes) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    std::fputs("NFST1\n", f);
+    std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+  };
+  std::string lines;
+  for (const auto& r : recs) lines += formatRecord(r) + "\n";
+  put(text, lines);
+  put(v1, "NFST1\n");
+  put(empty, "");
+  for (const std::string& path : {text, v1, empty}) {
+    expectThrowMentioning([&] { TraceReader reader(path); },
+                          "not a v2 trace: " + path);
+    // Recover mode reads any bytes as damage: no extent, no records.
+    TraceReader::RecoverStats stats;
+    EXPECT_TRUE(TraceReader::recoverAll(path, &stats).empty()) << path;
+    EXPECT_EQ(stats.skipped, 0u) << path;
+    std::remove(path.c_str());
+  }
+
+  // A v2 trace whose file magic alone is damaged: strict mode refuses
+  // it, recover mode finds every extent.
+  writeV2(path_, recs);
+  {
+    std::FILE* f = std::fopen(path_.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    std::fputs("XXXX", f);
     std::fclose(f);
   }
-  EXPECT_EQ(detectTraceFormat(text), TraceWriter::Format::Text);
-  EXPECT_EQ(detectTraceFormat(path_), TraceWriter::Format::V2);
-  expectThrowMentioning([&] { detectTraceFormat(v1); },
-                        "v1 binary traces are no longer read");
-  expectThrowMentioning([&] { TraceReader reader(v1, /*recover=*/true); },
-                        "v1 binary traces are no longer read");
-  std::remove(text.c_str());
-  std::remove(v1.c_str());
+  expectThrowMentioning([&] { TraceReader reader(path_); },
+                        "not a v2 trace: " + path_);
+  TraceReader::RecoverStats stats;
+  EXPECT_EQ(TraceReader::recoverAll(path_, &stats).size(), recs.size());
+  EXPECT_EQ(stats.skipped, 0u);
+}
 
-  EXPECT_STREQ(traceFormatName(TraceWriter::Format::V2), "v2");
-  EXPECT_EQ(traceFormatFromName("v2"), TraceWriter::Format::V2);
-  EXPECT_EQ(traceFormatFromName("binary"), std::nullopt);
-  EXPECT_EQ(traceFormatFromName("bogus"), std::nullopt);
+TEST_F(TraceV2Test, WriterRefusesAPayloadPastTheCap) {
+  // The writer never seals what a reader would refuse: a record whose
+  // name alone exceeds the payload cap throws instead.
+  TraceRecord r = randomRecords(1)[0];
+  r.op = NfsOp::Lookup;
+  r.name.assign(tracev2::kExtentMaxPayloadBytes + 1, 'x');
+  TraceWriter w(path_);
+  EXPECT_THROW(w.write(r), std::runtime_error);
 }
 
 // --------------------------------------------------------------- recovery
@@ -513,6 +537,144 @@ TEST_F(TraceV2Test, RecoverModeReadsCleanTraceExactly) {
   EXPECT_EQ(stats.skipped, 0u);
   EXPECT_EQ(stats.resyncs, 0u);
   EXPECT_EQ(stats.checkpoints, (700 + 127) / 128);
+}
+
+// ------------------------------------------------------- hostile sizes
+
+/// Run `body` in a forked child whose address space may grow at most
+/// `headroom` bytes past its size at the fork, and return the child's
+/// exit code (128 + signal when it died).  A reader that sizes an
+/// allocation from a hostile count then fails inside the child — with
+/// std::bad_alloc, exit 3 — instead of exhausting the machine's memory.
+int runUnderMemoryCap(const std::function<int()>& body,
+                      std::uint64_t headroom) {
+  pid_t pid = ::fork();
+  if (pid == 0) {
+    long pages = 0;
+    if (std::FILE* f = std::fopen("/proc/self/statm", "r")) {
+      if (std::fscanf(f, "%ld", &pages) != 1) pages = 0;
+      std::fclose(f);
+    }
+    rlimit cap{};
+    cap.rlim_cur = cap.rlim_max =
+        static_cast<rlim_t>(pages) * ::sysconf(_SC_PAGESIZE) + headroom;
+    int code = 2;
+    if (pages > 0 && ::setrlimit(RLIMIT_AS, &cap) == 0) {
+      try {
+        code = body();
+      } catch (const std::bad_alloc&) {
+        code = 3;
+      } catch (...) {
+        code = 4;
+      }
+    }
+    ::_exit(code);
+  }
+  int status = 0;
+  if (pid < 0 || ::waitpid(pid, &status, 0) != pid) return -1;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
+}
+
+void putLe(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>(v >> (8 * i)));
+  }
+}
+
+/// A CRC-valid extent header, as the writer lays it out.
+std::string extentHeader(std::uint32_t payloadBytes, std::uint32_t records,
+                         std::uint64_t recordsBefore,
+                         std::uint32_t payloadCrc) {
+  std::string h(tracev2::kExtentMagic, sizeof(tracev2::kExtentMagic));
+  putLe(h, payloadBytes, 4);
+  putLe(h, records, 4);
+  putLe(h, recordsBefore, 8);
+  putLe(h, 0, 8);  // tsFirst
+  putLe(h, payloadCrc, 4);
+  putLe(h, crc32(h.data(), h.size()), 4);
+  return h;
+}
+
+std::string readBytes(const std::string& path) {
+  std::string out;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (!f) return out;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
+  std::fclose(f);
+  return out;
+}
+
+void writeBytes(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+}
+
+TEST_F(TraceV2Test, HostileSizesCannotForceHugeAllocations) {
+  auto recs = randomRecords(256, /*seed=*/29);
+  writeV2(path_, recs, /*extentRecords=*/64);  // four extents
+  auto index = tracev2::loadExtentIndex(path_);
+  ASSERT_TRUE(index.has_value());
+  ASSERT_EQ(index->size(), 4u);
+  const std::string clean = readBytes(path_);
+
+  // (a) Extent 1's header claims a 3.5 GB payload, its CRC recomputed:
+  // above the format's cap, so it is a bad header like any other.
+  const tracev2::ExtentInfo& victim = (*index)[1];
+  std::string bigHeader = clean;
+  bigHeader.replace(victim.offset, tracev2::kExtentHeaderBytes,
+                    extentHeader(0xD0000000u, victim.records, 64, 0));
+  const std::string headerPath = path_ + ".hdr";
+  writeBytes(headerPath, bigHeader);
+
+  // (b) A one-record extent whose CRC-valid payload opens with a
+  // handle-dictionary count of 2^28 entries in a 64-byte payload.
+  std::string payload;
+  std::uint64_t count = 1ull << 28;
+  for (; count >= 0x80; count >>= 7) {
+    payload.push_back(static_cast<char>(count | 0x80));
+  }
+  payload.push_back(static_cast<char>(count));
+  payload.resize(64, '\0');
+  std::string bigCount =
+      clean.substr(0, static_cast<std::size_t>((*index)[0].offset));
+  bigCount += extentHeader(static_cast<std::uint32_t>(payload.size()), 1, 0,
+                           crc32(payload.data(), payload.size()));
+  bigCount += payload;
+  const std::string countPath = path_ + ".count";
+  writeBytes(countPath, bigCount);
+
+  const std::uint64_t others = recs.size() - victim.records;
+  int code = runUnderMemoryCap(
+      [&]() -> int {
+        try {
+          TraceReader::readAll(headerPath);
+          return 10;  // strict mode must refuse the header
+        } catch (const std::runtime_error&) {
+        }
+        TraceReader::RecoverStats rs;
+        if (TraceReader::recoverAll(headerPath, &rs).size() != others ||
+            rs.skipped != victim.records || rs.resyncs != 1) {
+          return 11;  // recover mode skips it with exact accounting
+        }
+        try {
+          TraceReader::readAll(countPath);
+          return 12;  // strict mode must refuse the payload
+        } catch (const std::runtime_error&) {
+        }
+        if (!TraceReader::recoverAll(countPath, &rs).empty() ||
+            rs.skipped != 1) {
+          return 13;
+        }
+        return 0;
+      },
+      /*headroom=*/256ull << 20);
+  std::remove(headerPath.c_str());
+  std::remove(countPath.c_str());
+  EXPECT_EQ(code, 0) << "3 = std::bad_alloc under a 256 MB allowance";
 }
 
 }  // namespace
