@@ -383,7 +383,7 @@ int main(int argc, char** argv) {
   // Corrupt three extent payloads spread across the file (25%, 50% and
   // the last): each header still parses, each CRC fails, and the reader
   // must skip exactly those extents' records.
-  auto index = tracev2::loadExtentIndex(cleanPath);
+  auto index = tracev2::loadChainedIndex(cleanPath);
   check(index.has_value() && index->size() >= 4,
         "footer index present with at least four extents");
   std::uint64_t damaged = 0;

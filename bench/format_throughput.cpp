@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
   bool identical = !oracle.empty() && runEngine(path, 4) == oracle;
   if (!identical) std::printf("REPORT MISMATCH at 4 threads\n");
 
-  auto index = tracev2::loadExtentIndex(path);
+  auto index = tracev2::loadChainedIndex(path);
   std::size_t extents = index ? index->size() : 0;
 
   // Pruned scan: a time-windowed query over the middle of the trace.

@@ -365,7 +365,7 @@ void BM_ExtentDecode(benchmark::State& state) {
       writer.write(rec);
     }
   }
-  auto index = tracev2::loadExtentIndex(path);
+  auto index = tracev2::loadChainedIndex(path);
   tracev2::ExtentHeader hdr;
   std::vector<std::uint8_t> payload;
   {

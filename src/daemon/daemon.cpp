@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <ctime>
 #include <filesystem>
 #include <stdexcept>
@@ -57,6 +58,32 @@ std::uint64_t fileBytes(const std::string& path) {
   std::error_code ec;
   auto n = fs::file_size(path, ec);
   return ec ? 0 : static_cast<std::uint64_t>(n);
+}
+
+/// Throw, naming `path`, when a segment or torn part is not v2: text an
+/// older nfstraced wrote, or a schema this build does not read.  A v2
+/// file cut short or damaged passes: it starts with the v2 magic or a
+/// prefix of it, or a recover-mode scan finds a valid extent header in
+/// it.
+void requireV2(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (!f) return;  // the reader that opens it next names the failure
+  std::string error;
+  const tracev2::Preamble found = tracev2::readPreamble(f, &error);
+  char head[sizeof(tracev2::kFileMagic)];
+  std::rewind(f);
+  const std::size_t got = std::fread(head, 1, sizeof(head), f);
+  std::fclose(f);
+  if (found == tracev2::Preamble::Unsupported) {
+    throw std::runtime_error("daemon: " + error + ": " + path);
+  }
+  if (std::memcmp(head, tracev2::kFileMagic, got) == 0) return;
+  TraceReader probe(path, /*recover=*/true);
+  TraceRecord rec;
+  probe.nextInto(rec);  // stops at the first decodable extent
+  if (probe.recoverStats().checkpoints == 0) {
+    throw std::runtime_error("daemon: not a v2 trace: " + path);
+  }
 }
 
 }  // namespace
@@ -143,10 +170,6 @@ void TraceDaemon::recoverDirectory() {
     std::string name = entry.path().filename().string();
     std::uint64_t seq = 0;
     if (parseSegmentName(name, cfg_.prefix, ".trace", seq)) {
-      // A sealed segment no reader can read (a text segment an older
-      // daemon sealed) stops startup: the strict reader's preamble check
-      // throws, naming the file, instead of the books keeping it.
-      TraceReader{entry.path().string()};
       sealed.emplace_back(seq, name);
     } else if (parseSegmentName(name, cfg_.prefix, ".part", seq)) {
       parts.push_back(seq);
@@ -160,6 +183,18 @@ void TraceDaemon::recoverDirectory() {
   }
   std::sort(sealed.begin(), sealed.end());
   std::sort(parts.begin(), parts.end());
+  auto hasSealed = [&sealed](std::uint64_t seq) {
+    return std::any_of(sealed.begin(), sealed.end(),
+                       [seq](const auto& p) { return p.first == seq; });
+  };
+
+  // A segment or torn part that is not v2 stops startup before anything
+  // is adopted, salvaged or removed, and stays on disk: the books never
+  // keep, and salvage never deletes, records no reader can read.
+  for (const auto& [seq, name] : sealed) requireV2(cfg_.dir + "/" + name);
+  for (std::uint64_t seq : parts) {
+    if (!hasSealed(seq)) requireV2(partPath(seq));
+  }
 
   // Drop manifest entries whose segment file vanished (a crash between
   // retention's unlink and the manifest save, or external deletion).
@@ -201,10 +236,7 @@ void TraceDaemon::recoverDirectory() {
   // during a previous salvage): its records are already in the sealed
   // segment, so it is removed, not recovered.
   for (std::uint64_t seq : parts) {
-    bool sealedExists = std::any_of(
-        sealed.begin(), sealed.end(),
-        [seq](const auto& p) { return p.first == seq; });
-    if (sealedExists) {
+    if (hasSealed(seq)) {
       removeQuiet(partPath(seq));
       ++recovery_.staleFilesRemoved;
       continue;

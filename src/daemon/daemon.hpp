@@ -43,9 +43,9 @@
 // count/bytes/age budgets are exceeded (the books are NOT rewound —
 // retirement is policy, not loss).
 //
-// Startup refuses a directory holding a sealed segment that is not v2
-// (a text segment an older nfstraced sealed): the constructor throws
-// naming the file, and nfstraced exits 1.
+// Startup refuses a directory holding a sealed segment or torn part that
+// is not v2 (text an older nfstraced wrote): the constructor throws
+// naming the file, which stays on disk, and nfstraced exits 1.
 #pragma once
 
 #include <chrono>

@@ -73,30 +73,6 @@ std::string ipToString(IpAddr ip) {
   return buf;
 }
 
-std::optional<IpAddr> ipFromString(std::string_view s) {
-  // Hand-rolled dotted-quad parse: this sits on the per-record trace
-  // decode path, where sscanf (and its string copy) dominated the profile.
-  IpAddr ip = 0;
-  std::size_t i = 0;
-  for (int octet = 0; octet < 4; ++octet) {
-    if (i >= s.size() || s[i] < '0' || s[i] > '9') return std::nullopt;
-    std::uint32_t v = 0;
-    std::size_t start = i;
-    while (i < s.size() && s[i] >= '0' && s[i] <= '9') {
-      v = v * 10 + static_cast<std::uint32_t>(s[i] - '0');
-      if (v > 255 || i - start >= 3) return std::nullopt;
-      ++i;
-    }
-    ip = (ip << 8) | v;
-    if (octet < 3) {
-      if (i >= s.size() || s[i] != '.') return std::nullopt;
-      ++i;
-    }
-  }
-  if (i != s.size()) return std::nullopt;
-  return ip;
-}
-
 std::uint16_t internetChecksum(std::span<const std::uint8_t> data) {
   std::uint32_t sum = 0;
   std::size_t i = 0;

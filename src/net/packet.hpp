@@ -24,7 +24,6 @@ constexpr IpAddr makeIp(int a, int b, int c, int d) {
          (static_cast<IpAddr>(c) << 8) | static_cast<IpAddr>(d);
 }
 std::string ipToString(IpAddr ip);
-std::optional<IpAddr> ipFromString(std::string_view s);
 
 enum class IpProto : std::uint8_t { Tcp = 6, Udp = 17 };
 

@@ -531,9 +531,20 @@ bool TraceReader::loadNextExtent() {
     }
     try {
       dec_.load(hdr, names_, handles_);
+      if (recover_) {
+        // Decode every record once and load the extent again, so one
+        // whose records do not all decode is skipped whole here and no
+        // later take() throws.
+        TraceRecord rec;
+        std::uint32_t ids[5];
+        while (dec_.remaining() > 0) {
+          dec_.take({&rec, &ids[0], &ids[1], &ids[2], &ids[3], &ids[4]}, 1);
+        }
+        dec_.load(hdr, names_, handles_);
+      }
     } catch (const std::exception&) {
-      // CRC-valid but undecodable payload (in practice a CRC collision
-      // over corrupt bytes): treat like a CRC failure.
+      // CRC-valid but undecodable payload (a CRC collision over corrupt
+      // bytes, or a hostile writer): treat like a CRC failure.
       if (!recover_) throw;
       rstats_.skipped += hdr.records;
       ++rstats_.resyncs;

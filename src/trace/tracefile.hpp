@@ -156,6 +156,9 @@ class TraceReader {
   /// mid-scan.  `recover == true` treats every bad byte, a damaged file
   /// magic included, as damage to skip: the reader scans forward to the
   /// next valid extent header and keeps going, tallying RecoverStats.
+  /// An extent whose CRC holds but whose records do not all decode is
+  /// skipped whole, so recover mode only throws when it cannot open the
+  /// file.
   ///
   /// `predicate` prunes by zone map, and only when all of these hold:
   /// the reader is strict, the chained footer index is clean

@@ -37,6 +37,19 @@ std::int64_t unzigzag(std::uint64_t v) {
          -static_cast<std::int64_t>(v & 1);
 }
 
+// Deltas wrap modulo 2^64 in both directions, so values from the wire or
+// a crafted column (an offset past 2^63, a delta of INT64_MAX) round-trip
+// without signed overflow.
+std::uint64_t zigzagDelta(std::int64_t v, std::int64_t prev) {
+  return zigzag(static_cast<std::int64_t>(static_cast<std::uint64_t>(v) -
+                                          static_cast<std::uint64_t>(prev)));
+}
+
+std::int64_t addDelta(std::int64_t prev, std::uint64_t zz) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(prev) +
+                                   static_cast<std::uint64_t>(unzigzag(zz)));
+}
+
 void putU32(std::string& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
 }
@@ -357,35 +370,6 @@ std::optional<std::vector<ExtentInfo>> readFooterAt(std::FILE* f,
 
 }  // namespace
 
-std::optional<std::vector<ExtentInfo>> loadExtentIndex(
-    const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return std::nullopt;
-  struct Closer {
-    std::FILE* f;
-    ~Closer() { std::fclose(f); }
-  } closer{f};
-
-  char magic[6];
-  if (std::fread(magic, 1, 6, f) != 6 ||
-      std::memcmp(magic, kFileMagic, 6) != 0) {
-    return std::nullopt;
-  }
-  if (std::fseek(f, 0, SEEK_END) != 0) return std::nullopt;
-  long size = std::ftell(f);
-  // Last 16 bytes of a cleanly closed file: u64 index offset + trailer.
-  if (size < 6 + 16 || std::fseek(f, size - 16, SEEK_SET) != 0) {
-    return std::nullopt;
-  }
-  unsigned char tail[16];
-  if (std::fread(tail, 1, 16, f) != 16) return std::nullopt;
-  if (std::memcmp(tail + 8, kTrailerMagic, sizeof(kTrailerMagic)) != 0) {
-    return std::nullopt;
-  }
-  std::uint64_t off = getU64(tail);
-  return readFooterAt(f, off, static_cast<std::uint64_t>(size), nullptr);
-}
-
 std::optional<std::vector<ExtentInfo>> loadChainedIndex(
     const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -550,7 +534,7 @@ void ExtentEncoder::add(const TraceRecord& rec) {
   im.col[kFlags].push_back(static_cast<char>(flags));
   im.col[kOp].push_back(static_cast<char>(rec.op));
 
-  putVarint(im.col[kTs], zigzag(rec.ts - im.prevTs));
+  putVarint(im.col[kTs], zigzagDelta(rec.ts, im.prevTs));
   im.prevTs = rec.ts;
 
   std::uint8_t packed[kWhoBytes];
@@ -573,12 +557,12 @@ void ExtentEncoder::add(const TraceRecord& rec) {
 
   if (rec.hasOffset()) {
     std::int64_t off = static_cast<std::int64_t>(rec.offset);
-    putVarint(im.col[kOffset], zigzag(off - im.prevOffset));
+    putVarint(im.col[kOffset], zigzagDelta(off, im.prevOffset));
     im.prevOffset = off;
     putVarint(im.col[kCount], rec.count);
   }
   if (reply) {
-    putVarint(im.col[kReplyTs], zigzag(rec.replyTs - rec.ts));
+    putVarint(im.col[kReplyTs], zigzagDelta(rec.replyTs, rec.ts));
     if (flags & kFlagErr) {
       putVarint(im.col[kStatus], static_cast<std::uint32_t>(rec.status));
     }
@@ -590,21 +574,21 @@ void ExtentEncoder::add(const TraceRecord& rec) {
     // round trip must not truncate it.
     putVarint(im.col[kFtype], static_cast<std::uint32_t>(rec.ftype));
     std::int64_t size = static_cast<std::int64_t>(rec.fileSize);
-    putVarint(im.col[kFileSize], zigzag(size - im.prevFileSize));
+    putVarint(im.col[kFileSize], zigzagDelta(size, im.prevFileSize));
     im.prevFileSize = size;
     std::int64_t mtime = static_cast<std::int64_t>(rec.fileMtime);
-    putVarint(im.col[kFileMtime], zigzag(mtime - im.prevFileMtime));
+    putVarint(im.col[kFileMtime], zigzagDelta(mtime, im.prevFileMtime));
     im.prevFileMtime = mtime;
     std::int64_t fid = static_cast<std::int64_t>(rec.fileId);
-    putVarint(im.col[kFileId], zigzag(fid - im.prevFileId));
+    putVarint(im.col[kFileId], zigzagDelta(fid, im.prevFileId));
     im.prevFileId = fid;
   }
   if (pre) {
     std::int64_t psize = static_cast<std::int64_t>(rec.preSize);
-    putVarint(im.col[kPreSize], zigzag(psize - im.prevPreSize));
+    putVarint(im.col[kPreSize], zigzagDelta(psize, im.prevPreSize));
     im.prevPreSize = psize;
     std::int64_t pmtime = static_cast<std::int64_t>(rec.preMtime);
-    putVarint(im.col[kPreMtime], zigzag(pmtime - im.prevPreMtime));
+    putVarint(im.col[kPreMtime], zigzagDelta(pmtime, im.prevPreMtime));
     im.prevPreMtime = pmtime;
   }
   ++records_;
@@ -832,7 +816,7 @@ inline void ExtentDecoder::decodeOne(const BatchOut& out, std::size_t i) {
   rec.hasAttrs = (flags & kFlagAttrs) != 0;
   rec.hasPre = (flags & kFlagPre) != 0;
 
-  im.prevTs += unzigzag(im.col[kTs].varint());
+  im.prevTs = addDelta(im.prevTs, im.col[kTs].varint());
   rec.ts = im.prevTs;
 
   const Impl::Who& w = im.mapWho(im.col[kWho].varint());
@@ -881,7 +865,7 @@ inline void ExtentDecoder::decodeOne(const BatchOut& out, std::size_t i) {
   out.name2[i] = name2Id;
 
   if (rec.hasOffset()) {
-    im.prevOffset += unzigzag(im.col[kOffset].varint());
+    im.prevOffset = addDelta(im.prevOffset, im.col[kOffset].varint());
     rec.offset = static_cast<std::uint64_t>(im.prevOffset);
     rec.count = static_cast<std::uint32_t>(im.col[kCount].varint());
   } else {
@@ -892,7 +876,7 @@ inline void ExtentDecoder::decodeOne(const BatchOut& out, std::size_t i) {
   rec.status = NfsStat::Ok;
   rec.retCount = 0;
   if (rec.hasReply) {
-    rec.replyTs = rec.ts + unzigzag(im.col[kReplyTs].varint());
+    rec.replyTs = addDelta(rec.ts, im.col[kReplyTs].varint());
     if (flags & kFlagErr) {
       rec.status = static_cast<NfsStat>(
           static_cast<std::uint32_t>(im.col[kStatus].varint()));
@@ -904,11 +888,11 @@ inline void ExtentDecoder::decodeOne(const BatchOut& out, std::size_t i) {
   if (rec.hasAttrs) {
     rec.ftype = static_cast<FileType>(
         static_cast<std::uint32_t>(im.col[kFtype].varint()));
-    im.prevFileSize += unzigzag(im.col[kFileSize].varint());
+    im.prevFileSize = addDelta(im.prevFileSize, im.col[kFileSize].varint());
     rec.fileSize = static_cast<std::uint64_t>(im.prevFileSize);
-    im.prevFileMtime += unzigzag(im.col[kFileMtime].varint());
+    im.prevFileMtime = addDelta(im.prevFileMtime, im.col[kFileMtime].varint());
     rec.fileMtime = im.prevFileMtime;
-    im.prevFileId += unzigzag(im.col[kFileId].varint());
+    im.prevFileId = addDelta(im.prevFileId, im.col[kFileId].varint());
     rec.fileId = static_cast<std::uint64_t>(im.prevFileId);
   } else {
     rec.ftype = FileType::Regular;
@@ -917,9 +901,9 @@ inline void ExtentDecoder::decodeOne(const BatchOut& out, std::size_t i) {
     rec.fileId = 0;
   }
   if (rec.hasPre) {
-    im.prevPreSize += unzigzag(im.col[kPreSize].varint());
+    im.prevPreSize = addDelta(im.prevPreSize, im.col[kPreSize].varint());
     rec.preSize = static_cast<std::uint64_t>(im.prevPreSize);
-    im.prevPreMtime += unzigzag(im.col[kPreMtime].varint());
+    im.prevPreMtime = addDelta(im.prevPreMtime, im.col[kPreMtime].varint());
     rec.preMtime = im.prevPreMtime;
   } else {
     rec.preSize = 0;

@@ -144,12 +144,6 @@ bool parseExtentHeader(const unsigned char* p, ExtentHeader& out);
 void appendIndex(std::string& out, const std::vector<ExtentInfo>& extents,
                  std::uint64_t indexOffset);
 
-/// Load the footer index of a v2 trace.  nullopt when the file is not
-/// v2, has no footer (torn tail / still being written), or the footer
-/// fails its CRC.
-std::optional<std::vector<ExtentInfo>> loadExtentIndex(
-    const std::string& path);
-
 /// Load the extent index of a v2 stream that may be several sealed
 /// segments concatenated back to back (cat of the daemon's sealed
 /// files), with every entry's offset rebased to the whole file.  Walks
@@ -211,7 +205,10 @@ class ExtentDecoder {
   /// Parse dictionaries + column cursors from buffer() (which must hold
   /// hdr.payloadBytes bytes whose CRC already checked out).  Throws
   /// std::runtime_error on malformed payload, before any allocation a
-  /// count in it asks for exceeds what the payload could hold.
+  /// count in it asks for exceeds what the payload could hold.  Columns
+  /// too short for hdr.records, or an id outside its dictionary, throw
+  /// from take() instead.  Loading the same extent again starts it over
+  /// with the same ids.
   void load(const ExtentHeader& hdr, StringInterner& names,
             StringInterner& handles);
 

@@ -368,24 +368,46 @@ TEST_F(DaemonTest, AdoptsSealedSegmentMissingFromManifest) {
 }
 
 TEST_F(DaemonTest, RefusesSealedSegmentThatIsNotV2) {
-  // A sealed text segment an older nfstraced left behind: startup stops
-  // with an error naming it instead of adopting what it cannot read.
-  fs::create_directories(dir_);
-  const std::string sealed = dir_ + "/seg-000001.trace";
-  {
-    std::ofstream out(sealed);
-    for (std::uint32_t i = 0; i < 5; ++i) {
-      out << formatRecord(record(i)) << "\n";
+  // A sealed text segment or torn text part an older nfstraced left
+  // behind: startup stops with an error naming it instead of adopting
+  // what it cannot read or salvaging it into nothing.
+  for (const char* ext : {".trace", ".part"}) {
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    const std::string text = dir_ + "/seg-000001" + ext;
+    {
+      std::ofstream out(text);
+      for (std::uint32_t i = 0; i < 5; ++i) {
+        out << formatRecord(record(i)) << "\n";
+      }
     }
+    try {
+      TraceDaemon d(base());
+      ADD_FAILURE() << "startup accepted a " << ext << " that is not v2";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(text), std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(fs::exists(text)) << "the refused " << ext << " is kept";
   }
-  try {
-    TraceDaemon d(base());
-    ADD_FAILURE() << "startup adopted a segment that is not v2";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(sealed), std::string::npos)
-        << e.what();
+
+  // A v2 segment whose magic is damaged is still v2: its extents read.
+  fs::remove_all(dir_);
+  auto cfg = base();
+  cfg.rotateRecords = 50;
+  {
+    TraceDaemon d(cfg);
+    for (std::uint32_t i = 0; i < 50; ++i) d.submit(record(i));
+    d.stop();
   }
-  EXPECT_TRUE(fs::exists(sealed)) << "the refused segment is left alone";
+  const std::string sealed = dir_ + "/seg-000001.trace";
+  std::string bytes = readFileBytes(sealed);
+  bytes[0] ^= 0x20;
+  writeFileBytes(sealed, bytes);
+  TraceDaemon d(cfg);
+  EXPECT_EQ(d.books().sealed, 50u);
+  EXPECT_TRUE(d.books().balanced());
+  d.stop();
 }
 
 TEST_F(DaemonTest, RemovesStaleTemporariesWithoutDoubleCounting) {

@@ -164,7 +164,7 @@ std::string v2Copy(const std::vector<TraceRecord>& records,
 /// Flip one payload byte of extent `extent`: its header and the footer
 /// stay valid, its CRC fails.
 void corruptExtent(const std::string& path, std::size_t extent) {
-  auto index = tracev2::loadExtentIndex(path);
+  auto index = tracev2::loadChainedIndex(path);
   ASSERT_TRUE(index.has_value());
   ASSERT_GT(index->size(), extent);
   std::FILE* f = std::fopen(path.c_str(), "rb+");
@@ -184,7 +184,7 @@ TEST_F(EngineTest, RecoverResyncsLandOnBatchBoundaries) {
   const std::string corruptPath = v2Copy(
       *records_,
       "/tmp/engine_test_" + std::to_string(::getpid()) + "_corrupt.trace");
-  auto index = tracev2::loadExtentIndex(corruptPath);
+  auto index = tracev2::loadChainedIndex(corruptPath);
   ASSERT_TRUE(index.has_value());
   ASSERT_GT(index->size(), 2u);
   const std::size_t victim = index->size() / 2;

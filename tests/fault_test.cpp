@@ -444,7 +444,7 @@ TEST_F(FaultFileTest, V2WriterRidesOutTransientFaultsByteIdentically) {
   EXPECT_GE(io.checkpoints, 2000u / 256);  // one per sealed extent
   EXPECT_EQ(readFileBytes(chaotic), readFileBytes(clean));
   EXPECT_EQ(TraceReader::readAll(chaotic).size(), 2000u);
-  auto index = tracev2::loadExtentIndex(chaotic);
+  auto index = tracev2::loadChainedIndex(chaotic);
   ASSERT_TRUE(index.has_value());
   EXPECT_EQ(index->size(), (2000u + 255) / 256);
 }

@@ -16,10 +16,6 @@ std::vector<std::uint8_t> payloadOf(std::size_t n, std::uint8_t seed = 0) {
 TEST(Ip, StringConversions) {
   IpAddr ip = makeIp(10, 1, 2, 3);
   EXPECT_EQ(ipToString(ip), "10.1.2.3");
-  EXPECT_EQ(ipFromString("10.1.2.3"), ip);
-  EXPECT_FALSE(ipFromString("999.1.1.1").has_value());
-  EXPECT_FALSE(ipFromString("banana").has_value());
-  EXPECT_FALSE(ipFromString("1.2.3").has_value());
 }
 
 TEST(Checksum, KnownVector) {

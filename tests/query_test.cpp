@@ -202,7 +202,7 @@ TEST_F(QueryTest, TimeWindowPrunesWholeExtents) {
   // still keep exactly the records the record-level filter keeps.
   auto recs = randomRecords(1500, 21);
   writeV2(path_, recs, /*extentRecords=*/128);
-  auto index = tracev2::loadExtentIndex(path_);
+  auto index = tracev2::loadChainedIndex(path_);
   ASSERT_TRUE(index.has_value());
   ASSERT_GE(index->size(), 8u);
   const auto& mid = (*index)[index->size() / 2];
@@ -276,7 +276,7 @@ std::vector<MicroTime> drain(
 TEST_F(QueryTest, ReaderPrunesByZoneMap) {
   auto recs = randomRecords(1500, 55);
   writeV2(path_, recs, /*extentRecords=*/128);
-  auto index = tracev2::loadExtentIndex(path_);
+  auto index = tracev2::loadChainedIndex(path_);
   ASSERT_TRUE(index.has_value());
   ASSERT_GE(index->size(), 10u);
   ScanPredicate pred;
@@ -388,7 +388,7 @@ TEST_F(QueryTest, ChainedSegmentsIndexAndScanIdentically) {
   }
   std::size_t singleExtents = 0;
   for (const auto& part : parts) {
-    auto idx = tracev2::loadExtentIndex(part);
+    auto idx = tracev2::loadChainedIndex(part);
     ASSERT_TRUE(idx.has_value());
     singleExtents += idx->size();
     std::remove(part.c_str());

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -123,6 +124,38 @@ void writeV2(const std::string& path, const std::vector<TraceRecord>& recs,
   for (const auto& r : recs) w.write(r);
 }
 
+std::string readBytes(const std::string& path) {
+  std::string out;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (!f) return out;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
+  std::fclose(f);
+  return out;
+}
+
+void writeBytes(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+}
+
+/// Overwrite the file's bytes at `offset` with `with`.
+void patchBytes(const std::string& path, std::uint64_t offset,
+                const std::string& with) {
+  std::string bytes = readBytes(path);
+  bytes.replace(offset, with.size(), with);
+  writeBytes(path, bytes);
+}
+
+/// Flip bits of the byte at `offset`.
+void flipByte(const std::string& path, std::uint64_t offset) {
+  const char flipped = static_cast<char>(readBytes(path)[offset] ^ 0x5a);
+  patchBytes(path, offset, std::string(1, flipped));
+}
+
 void expectSameRecord(const TraceRecord& a, const TraceRecord& b,
                       std::size_t at) {
   SCOPED_TRACE("record " + std::to_string(at));
@@ -174,6 +207,19 @@ void expectSameRecord(const TraceRecord& a, const TraceRecord& b,
 
 TEST_F(TraceV2Test, RoundTripRandomizedRecordsAcrossExtents) {
   auto recs = randomRecords(3000);
+  // Four writes with values from opposite ends of the 64-bit range (a
+  // client may send any offset): every column delta wraps, so they round
+  // trip and the asan preset reports no signed overflow.
+  constexpr MicroTime kMax = std::numeric_limits<MicroTime>::max();
+  for (std::size_t i = 0; i < 4; ++i) {
+    TraceRecord& r = recs[i];
+    r.op = NfsOp::Write;
+    r.hasReply = r.hasAttrs = r.hasPre = true;
+    r.ts = r.fileMtime = i % 2 ? kMax : -kMax - 1;
+    r.replyTs = r.preMtime = i % 2 ? -kMax - 1 : kMax;
+    r.offset = r.fileSize = r.fileId = r.preSize =
+        i % 2 ? 100 : 0x8000000000000005ull;
+  }
   writeV2(path_, recs, /*extentRecords=*/512);  // several extents
   auto back = TraceReader::readAll(path_);
   ASSERT_EQ(back.size(), recs.size());
@@ -199,18 +245,9 @@ TEST_F(TraceV2Test, RejectsSchema3FileNamingTheSchema) {
   // Only schema 4 is read.  A file stamped with an older schema line is
   // refused outright, and the error says which schema it found.
   writeV2(path_, randomRecords(300, /*seed=*/11), /*extentRecords=*/128);
-  {
-    std::FILE* f = std::fopen(path_.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    char head[128];
-    std::size_t got = std::fread(head, 1, sizeof(head), f);
-    std::string h(head, got);
-    std::size_t pos = h.find("schema 4");
-    ASSERT_NE(pos, std::string::npos);
-    ASSERT_EQ(std::fseek(f, static_cast<long>(pos + 7), SEEK_SET), 0);
-    std::fputc('3', f);
-    std::fclose(f);
-  }
+  const std::size_t pos = readBytes(path_).find("schema 4");
+  ASSERT_NE(pos, std::string::npos);
+  patchBytes(path_, pos + 7, "3");
   expectThrowMentioning([&] { TraceReader reader(path_); },
                         "nfstrace-v2 schema 3");
   EXPECT_FALSE(tracev2::loadChainedIndex(path_).has_value());
@@ -219,19 +256,7 @@ TEST_F(TraceV2Test, RejectsSchema3FileNamingTheSchema) {
   // output: the strict reader refuses it too instead of stopping short.
   const std::string chained = path_ + ".chained";
   writeV2(chained, randomRecords(200, /*seed=*/12), /*extentRecords=*/128);
-  {
-    std::FILE* out = std::fopen(chained.c_str(), "ab");
-    std::FILE* in = std::fopen(path_.c_str(), "rb");
-    ASSERT_NE(out, nullptr);
-    ASSERT_NE(in, nullptr);
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-      std::fwrite(buf, 1, n, out);
-    }
-    std::fclose(in);
-    std::fclose(out);
-  }
+  writeBytes(chained, readBytes(chained) + readBytes(path_));
   expectThrowMentioning([&] { TraceReader::readAll(chained); },
                         "nfstrace-v2 schema 3");
   EXPECT_FALSE(tracev2::loadChainedIndex(chained).has_value());
@@ -299,7 +324,7 @@ TEST_F(TraceV2Test, BatchIdsMatchPerRecordInterning) {
 TEST_F(TraceV2Test, FooterIndexCoversEveryExtent) {
   auto recs = randomRecords(2000, /*seed=*/3);
   writeV2(path_, recs, /*extentRecords=*/300);
-  auto index = tracev2::loadExtentIndex(path_);
+  auto index = tracev2::loadChainedIndex(path_);
   ASSERT_TRUE(index.has_value());
   ASSERT_EQ(index->size(), (2000 + 299) / 300);
   std::uint64_t total = 0, prevEnd = 0;
@@ -338,7 +363,7 @@ TEST_F(TraceV2Test, FooterIndexCoversEveryExtent) {
 TEST_F(TraceV2Test, EmptyTraceHasEmptyIndex) {
   { writeV2(path_, {}); }
   EXPECT_TRUE(TraceReader::readAll(path_).empty());
-  auto index = tracev2::loadExtentIndex(path_);
+  auto index = tracev2::loadChainedIndex(path_);
   ASSERT_TRUE(index.has_value());
   EXPECT_TRUE(index->empty());
 }
@@ -349,17 +374,11 @@ TEST_F(TraceV2Test, RefusesInputThatIsNotV2NamingThePath) {
   auto recs = randomRecords(10);
   const std::string text = path_ + ".t", v1 = path_ + ".b",
                     empty = path_ + ".e";
-  auto put = [](const std::string& path, const std::string& bytes) {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(bytes.data(), 1, bytes.size(), f);
-    std::fclose(f);
-  };
   std::string lines;
   for (const auto& r : recs) lines += formatRecord(r) + "\n";
-  put(text, lines);
-  put(v1, "NFST1\n");
-  put(empty, "");
+  writeBytes(text, lines);
+  writeBytes(v1, "NFST1\n");
+  writeBytes(empty, "");
   for (const std::string& path : {text, v1, empty}) {
     expectThrowMentioning([&] { TraceReader reader(path); },
                           "not a v2 trace: " + path);
@@ -373,12 +392,7 @@ TEST_F(TraceV2Test, RefusesInputThatIsNotV2NamingThePath) {
   // A v2 trace whose file magic alone is damaged: strict mode refuses
   // it, recover mode finds every extent.
   writeV2(path_, recs);
-  {
-    std::FILE* f = std::fopen(path_.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    std::fputs("XXXX", f);
-    std::fclose(f);
-  }
+  patchBytes(path_, 0, "XXXX");
   expectThrowMentioning([&] { TraceReader reader(path_); },
                         "not a v2 trace: " + path_);
   TraceReader::RecoverStats stats;
@@ -401,7 +415,7 @@ TEST_F(TraceV2Test, WriterRefusesAPayloadPastTheCap) {
 TEST_F(TraceV2Test, TruncatedTailExtentIsDroppedWithExactAccounting) {
   auto recs = randomRecords(1000, /*seed=*/5);
   writeV2(path_, recs, /*extentRecords=*/256);  // 3 full + 1 tail extent
-  auto index = tracev2::loadExtentIndex(path_);
+  auto index = tracev2::loadChainedIndex(path_);
   ASSERT_TRUE(index.has_value());
   ASSERT_EQ(index->size(), 4u);
 
@@ -410,7 +424,7 @@ TEST_F(TraceV2Test, TruncatedTailExtentIsDroppedWithExactAccounting) {
   const auto& last = index->back();
   std::filesystem::resize_file(
       path_, last.offset + tracev2::kExtentHeaderBytes + 16);
-  EXPECT_FALSE(tracev2::loadExtentIndex(path_).has_value());
+  EXPECT_FALSE(tracev2::loadChainedIndex(path_).has_value());
 
   TraceReader::RecoverStats stats;
   auto back = TraceReader::recoverAll(path_, &stats);
@@ -428,25 +442,14 @@ TEST_F(TraceV2Test, TruncatedTailExtentIsDroppedWithExactAccounting) {
 TEST_F(TraceV2Test, CrcCorruptExtentIsSkippedToNextExtent) {
   auto recs = randomRecords(1024, /*seed=*/9);
   writeV2(path_, recs, /*extentRecords=*/256);
-  auto index = tracev2::loadExtentIndex(path_);
+  auto index = tracev2::loadChainedIndex(path_);
   ASSERT_TRUE(index.has_value());
   ASSERT_EQ(index->size(), 4u);
 
   // Flip one byte inside extent 1's payload: its CRC fails and the
   // reader must resume cleanly at extent 2's header.
   const auto& victim = (*index)[1];
-  {
-    std::FILE* f = std::fopen(path_.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f,
-               static_cast<long>(victim.offset + tracev2::kExtentHeaderBytes +
-                                 40),
-               SEEK_SET);
-    int c = std::fgetc(f);
-    std::fseek(f, -1, SEEK_CUR);
-    std::fputc(c ^ 0x5a, f);
-    std::fclose(f);
-  }
+  flipByte(path_, victim.offset + tracev2::kExtentHeaderBytes + 40);
 
   TraceReader::RecoverStats stats;
   auto back = TraceReader::recoverAll(path_, &stats);
@@ -467,20 +470,14 @@ TEST_F(TraceV2Test, CrcCorruptExtentIsSkippedToNextExtent) {
 TEST_F(TraceV2Test, CorruptExtentHeaderResyncsViaByteScan) {
   auto recs = randomRecords(1024, /*seed=*/13);
   writeV2(path_, recs, /*extentRecords=*/256);
-  auto index = tracev2::loadExtentIndex(path_);
+  auto index = tracev2::loadChainedIndex(path_);
   ASSERT_TRUE(index.has_value());
 
   // Smash extent 2's header magic: the reader cannot trust even the
   // record count, so it byte-scans for extent 3 and the checkpoint math
   // charges the gap exactly.
   const auto& victim = (*index)[2];
-  {
-    std::FILE* f = std::fopen(path_.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, static_cast<long>(victim.offset), SEEK_SET);
-    std::fputs("XXXX", f);
-    std::fclose(f);
-  }
+  patchBytes(path_, victim.offset, "XXXX");
 
   TraceReader::RecoverStats stats;
   auto back = TraceReader::recoverAll(path_, &stats);
@@ -493,21 +490,10 @@ TEST_F(TraceV2Test, CorruptExtentHeaderResyncsViaByteScan) {
 TEST_F(TraceV2Test, BatchesNeverStraddleACorruptExtent) {
   auto recs = randomRecords(1024, /*seed=*/17);
   writeV2(path_, recs, /*extentRecords=*/256);
-  auto index = tracev2::loadExtentIndex(path_);
+  auto index = tracev2::loadChainedIndex(path_);
   ASSERT_TRUE(index.has_value());
   const auto& victim = (*index)[1];
-  {
-    std::FILE* f = std::fopen(path_.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f,
-               static_cast<long>(victim.offset + tracev2::kExtentHeaderBytes +
-                                 8),
-               SEEK_SET);
-    int c = std::fgetc(f);
-    std::fseek(f, -1, SEEK_CUR);
-    std::fputc(c ^ 0x5a, f);
-    std::fclose(f);
-  }
+  flipByte(path_, victim.offset + tracev2::kExtentHeaderBytes + 8);
 
   // Batch capacity beyond one extent: the batch at the damage boundary
   // must be cut short with endedAtResync instead of mixing records from
@@ -595,28 +581,10 @@ std::string extentHeader(std::uint32_t payloadBytes, std::uint32_t records,
   return h;
 }
 
-std::string readBytes(const std::string& path) {
-  std::string out;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return out;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
-}
-
-void writeBytes(const std::string& path, const std::string& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-}
-
 TEST_F(TraceV2Test, HostileSizesCannotForceHugeAllocations) {
   auto recs = randomRecords(256, /*seed=*/29);
   writeV2(path_, recs, /*extentRecords=*/64);  // four extents
-  auto index = tracev2::loadExtentIndex(path_);
+  auto index = tracev2::loadChainedIndex(path_);
   ASSERT_TRUE(index.has_value());
   ASSERT_EQ(index->size(), 4u);
   const std::string clean = readBytes(path_);
@@ -675,6 +643,37 @@ TEST_F(TraceV2Test, HostileSizesCannotForceHugeAllocations) {
   std::remove(headerPath.c_str());
   std::remove(countPath.c_str());
   EXPECT_EQ(code, 0) << "3 = std::bad_alloc under a 256 MB allowance";
+}
+
+TEST_F(TraceV2Test, RecoverSkipsAnExtentWhoseColumnsRunShort) {
+  // A CRC-valid extent claiming five records over three empty
+  // dictionaries and empty columns, spliced in ahead of extent 1: strict
+  // mode throws, and recover mode skips it whole at any batch size.
+  auto recs = randomRecords(256, /*seed=*/31);
+  writeV2(path_, recs, /*extentRecords=*/64);
+  auto index = tracev2::loadChainedIndex(path_);
+  ASSERT_TRUE(index.has_value());
+  const std::string payload(3 + 21, '\0');
+  std::string bytes = readBytes(path_);
+  bytes.insert((*index)[1].offset,
+               extentHeader(static_cast<std::uint32_t>(payload.size()), 5,
+                            64, crc32(payload.data(), payload.size())) +
+                   payload);
+  writeBytes(path_, bytes);
+
+  EXPECT_THROW(TraceReader::readAll(path_), std::runtime_error);
+  TraceReader::RecoverStats rs;
+  EXPECT_EQ(TraceReader::recoverAll(path_, &rs).size(), recs.size());
+  EXPECT_EQ(rs.skipped, 5u);
+  EXPECT_EQ(rs.resyncs, 1u);
+  for (std::size_t batchRecords : {1u, 3u, 4096u}) {
+    TraceReader reader(path_, /*recover=*/true);
+    TraceBatch batch;
+    std::size_t n = 0;
+    while (reader.nextBatch(batch, batchRecords)) n += batch.n;
+    EXPECT_EQ(n, recs.size()) << batchRecords;
+    EXPECT_EQ(reader.recoverStats().skipped, 5u) << batchRecords;
+  }
 }
 
 }  // namespace
