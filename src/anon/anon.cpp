@@ -1,6 +1,8 @@
 #include "anon/anon.hpp"
 
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
@@ -48,13 +50,12 @@ Anonymizer::Anonymizer(Config config)
   keepNames_.insert(config_.keepNames.begin(), config_.keepNames.end());
   keepSuffixes_.insert(config_.keepSuffixes.begin(),
                        config_.keepSuffixes.end());
-  keepUids_.insert(config_.keepUids.begin(), config_.keepUids.end());
-  keepGids_.insert(config_.keepGids.begin(), config_.keepGids.end());
+  for (std::uint32_t uid : config_.keepUids) keepUids_.insert(uid);
+  for (std::uint32_t gid : config_.keepGids) keepGids_.insert(gid);
 }
 
-std::string Anonymizer::mapToken(
-    std::unordered_map<std::string, std::string>& table,
-    const std::string& original, char tag) {
+const std::string& Anonymizer::mapToken(NameMap& table,
+                                        std::string_view original, char tag) {
   auto it = table.find(original);
   if (it != table.end()) return it->second;
 
@@ -70,53 +71,68 @@ std::string Anonymizer::mapToken(
       token.push_back(kTokenAlphabet[rng_.below(sizeof(kTokenAlphabet) - 1)]);
     }
   } while (!usedTokens_.insert(token).second);
-  table.emplace(original, token);
-  return token;
+  return table.emplace(std::string(original), std::move(token)).first->second;
 }
 
 std::string Anonymizer::anonymizeComponent(const std::string& name) {
-  if (name.empty() || name == "." || name == "..") return name;
-  if (keepNames_.count(name)) return name;
+  return component(name);
+}
+
+const std::string& Anonymizer::component(std::string_view name) {
+  auto it = components_.find(name);
+  if (it != components_.end()) return it->second;
+  std::string mapped = mapComponent(name);
+  return components_.emplace(std::string(name), std::move(mapped))
+      .first->second;
+}
+
+std::string Anonymizer::mapComponent(std::string_view name) {
+  if (name.empty() || name == "." || name == "..") return std::string(name);
+  if (keepNames_.count(name)) return std::string(name);
 
   // Detach special prefixes/suffixes so the relationship between a file
   // and its derived names ("foo" vs "foo~", "#foo#", "foo,v") survives.
-  std::string core = name;
-  std::string prefix, special;
+  std::string_view core = name;
+  std::string_view prefix, special;
   if (core.size() >= 2 && core.front() == '#' && core.back() == '#') {
     prefix = "#";
     special = "#";
     core = core.substr(1, core.size() - 2);
   } else if (endsWith(core, "~")) {
     special = "~";
-    core.pop_back();
+    core.remove_suffix(1);
   } else if (endsWith(core, ",v")) {
     special = ",v";
-    core.resize(core.size() - 2);
+    core.remove_suffix(2);
   }
-  if (core.empty()) return name;
-  if (keepNames_.count(core)) return prefix + core + special;
+  if (core.empty()) return std::string(name);
+  std::string out(prefix);
+  if (keepNames_.count(core)) return out.append(core).append(special);
 
   // Leading-dot files keep the dot so "dot file" remains recognizable as a
   // category (the paper's name-based analyses rely on it).
-  std::string dot;
   if (core.size() > 1 && core.front() == '.') {
-    dot = ".";
-    core = core.substr(1);
+    out += '.';
+    core.remove_prefix(1);
   }
 
-  std::string suffix(filenameSuffix(core));
-  std::string stem = core.substr(0, core.size() - suffix.size());
+  std::string_view suffix = filenameSuffix(core);
+  std::string_view stem = core.substr(0, core.size() - suffix.size());
 
-  std::string anonSuffix;
-  if (!suffix.empty()) {
-    if (keepSuffixes_.count(suffix)) {
-      anonSuffix = suffix;
-    } else {
-      anonSuffix = "." + mapToken(suffixMap_, suffix, 's');
-    }
+  // The suffix token is drawn before the stem's: the RNG draw order is
+  // part of the trace bytes.
+  const std::string* anonSuffix = nullptr;
+  if (!suffix.empty() && !keepSuffixes_.count(suffix)) {
+    anonSuffix = &mapToken(suffixMap_, suffix, 's');
   }
-  std::string anonStem = stem.empty() ? "" : mapToken(stemMap_, stem, 'f');
-  return prefix + dot + anonStem + anonSuffix + special;
+  if (!stem.empty()) out += mapToken(stemMap_, stem, 'f');
+  if (anonSuffix) {
+    out += '.';
+    out += *anonSuffix;
+  } else {
+    out += suffix;
+  }
+  return out.append(special);
 }
 
 std::uint32_t Anonymizer::anonymizeUid(std::uint32_t uid) {
@@ -126,8 +142,8 @@ std::uint32_t Anonymizer::anonymizeUid(std::uint32_t uid) {
   std::uint32_t mapped;
   do {
     mapped = 10000 + static_cast<std::uint32_t>(rng_.below(1u << 20));
-  } while (!usedUids_.insert(mapped).second || keepUids_.count(mapped));
-  uidMap_.emplace(uid, mapped);
+  } while (!usedUids_.insert(mapped) || keepUids_.count(mapped));
+  uidMap_.try_emplace(uid, mapped);
   return mapped;
 }
 
@@ -138,8 +154,8 @@ std::uint32_t Anonymizer::anonymizeGid(std::uint32_t gid) {
   std::uint32_t mapped;
   do {
     mapped = 10000 + static_cast<std::uint32_t>(rng_.below(1u << 20));
-  } while (!usedGids_.insert(mapped).second || keepGids_.count(mapped));
-  gidMap_.emplace(gid, mapped);
+  } while (!usedGids_.insert(mapped) || keepGids_.count(mapped));
+  gidMap_.try_emplace(gid, mapped);
   return mapped;
 }
 
@@ -153,27 +169,47 @@ IpAddr Anonymizer::anonymizeIp(IpAddr ip) {
     mapped = makeIp(10, static_cast<int>(rng_.below(256)),
                     static_cast<int>(rng_.below(256)),
                     static_cast<int>(rng_.below(254)) + 1);
-  } while (!usedIps_.insert(mapped).second);
-  ipMap_.emplace(ip, mapped);
+  } while (!usedIps_.insert(mapped));
+  ipMap_.try_emplace(ip, mapped);
   return mapped;
+}
+
+std::size_t Anonymizer::HandleWordHash::operator()(
+    const FileHandle& fh) const noexcept {
+  const std::uint8_t* p = fh.data.data();
+  const std::size_t n = fh.len;
+  std::uint64_t h = n;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, 8);
+    h = hashCombine(h, w);
+  }
+  if (i < n) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p + i, n - i);
+    h = hashCombine(h, w);
+  }
+  return static_cast<std::size_t>(h);
+}
+
+const Anonymizer::MappedHandle& Anonymizer::mapHandle(const FileHandle& fh) {
+  auto it = fhMap_.find(fh);
+  if (it != fhMap_.end()) return it->second;
+  MappedHandle mapped;
+  do {
+    mapped.fh.len = fh.len;
+    for (std::uint8_t i = 0; i < fh.len; ++i) {
+      mapped.fh.data[i] = static_cast<std::uint8_t>(rng_.below(256));
+    }
+  } while (!usedFhs_.insert(mapped.fh));
+  mapped.fileId = static_cast<std::uint32_t>(FileHandleHash{}(mapped.fh));
+  return fhMap_.try_emplace(fh, mapped).first->second;
 }
 
 FileHandle Anonymizer::anonymizeHandle(const FileHandle& fh) {
   if (fh.len == 0) return fh;
-  std::string hex = fh.toHex();
-  auto it = fhMap_.find(hex);
-  if (it != fhMap_.end()) return FileHandle::fromHex(it->second);
-  FileHandle mapped;
-  std::string mappedHex;
-  do {
-    mapped.len = fh.len;
-    for (std::uint8_t i = 0; i < fh.len; ++i) {
-      mapped.data[i] = static_cast<std::uint8_t>(rng_.below(256));
-    }
-    mappedHex = mapped.toHex();
-  } while (!usedFhs_.insert(mappedHex).second);
-  fhMap_.emplace(hex, mappedHex);
-  return mapped;
+  return mapHandle(fh).fh;
 }
 
 TraceRecord Anonymizer::anonymize(const TraceRecord& rec) {
@@ -191,46 +227,100 @@ TraceRecord Anonymizer::anonymize(const TraceRecord& rec) {
   out.gid = anonymizeGid(rec.gid);
   out.client = anonymizeIp(rec.client);
   out.server = anonymizeIp(rec.server);
-  if (!rec.name.empty()) out.name = anonymizeComponent(rec.name);
+  if (!rec.name.empty()) out.name = component(rec.name);
   if (!rec.name2.empty()) {
     if (rec.op == NfsOp::Symlink) {
       // Symlink targets are paths: anonymize per component.
-      auto parts = split(rec.name2, '/');
-      for (auto& p : parts) p = anonymizeComponent(p);
-      out.name2 = join(parts, '/');
+      out.name2.clear();
+      std::string_view rest = rec.name2;
+      for (;;) {
+        const std::size_t slash = rest.find('/');
+        out.name2 += component(rest.substr(0, slash));
+        if (slash == std::string_view::npos) break;
+        out.name2 += '/';
+        rest.remove_prefix(slash + 1);
+      }
     } else {
-      out.name2 = anonymizeComponent(rec.name2);
+      out.name2 = component(rec.name2);
     }
   }
   if (config_.anonymizeHandles) {
-    out.fh = anonymizeHandle(rec.fh);
-    out.fh2 = anonymizeHandle(rec.fh2);
-    if (rec.hasResFh) out.resFh = anonymizeHandle(rec.resFh);
     // fileids are handle-derived; remap them consistently with a narrow
     // token so they stay useful as identities without leaking inumbers.
-    if (out.fileId) {
-      out.fileId = FileHandleHash{}(out.fh) & 0xffffffff;
+    std::uint32_t fileId;
+    if (rec.fh.len != 0) {
+      const MappedHandle& m = mapHandle(rec.fh);
+      out.fh = m.fh;
+      fileId = m.fileId;
+    } else {
+      fileId = static_cast<std::uint32_t>(FileHandleHash{}(rec.fh));
     }
+    if (out.fileId) out.fileId = fileId;
+    out.fh2 = anonymizeHandle(rec.fh2);
+    if (rec.hasResFh) out.resFh = anonymizeHandle(rec.resFh);
   }
   return out;
 }
 
+namespace {
+
+/// A map-file name field back from its percent-encoded form.
+std::string decodeField(std::string_view s, const std::string& path) {
+  auto decoded = percentDecode(s);
+  if (!decoded) throw std::runtime_error("anon: bad escape in map: " + path);
+  return std::move(*decoded);
+}
+
+std::uint32_t mapNumber(const std::string& field, const std::string& path) {
+  std::uint32_t v = 0;
+  const char* end = field.data() + field.size();
+  auto [ptr, ec] = std::from_chars(field.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    throw std::runtime_error("anon: bad number in map: " + path);
+  }
+  return v;
+}
+
+}  // namespace
+
 void Anonymizer::saveMap(const std::string& path) const {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("anon: cannot write map: " + path);
-  for (const auto& [k, v] : stemMap_) out << "stem " << k << ' ' << v << '\n';
-  for (const auto& [k, v] : suffixMap_) out << "sufx " << k << ' ' << v << '\n';
+  std::string line;
+  auto names = [&](const char* kind, const NameMap& map) {
+    for (const auto& [k, v] : map) {
+      line.assign(kind);
+      appendPercentEncoded(line, k);
+      line += ' ';
+      appendPercentEncoded(line, v);
+      line += '\n';
+      out << line;
+    }
+  };
+  names("stem ", stemMap_);
+  names("sufx ", suffixMap_);
   for (const auto& [k, v] : uidMap_) out << "uid " << k << ' ' << v << '\n';
   for (const auto& [k, v] : gidMap_) out << "gid " << k << ' ' << v << '\n';
   for (const auto& [k, v] : ipMap_) out << "ip " << k << ' ' << v << '\n';
-  for (const auto& [k, v] : fhMap_) out << "fh " << k << ' ' << v << '\n';
+  for (const auto& [k, v] : fhMap_) {
+    out << "fh " << k.toHex() << ' ' << v.fh.toHex() << '\n';
+  }
 }
 
 void Anonymizer::loadMap(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("anon: cannot read map: " + path);
-  std::string kind, k, v;
-  while (in >> kind >> k >> v) {
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    const std::size_t a = line.find(' ');
+    const std::size_t b = a == std::string::npos ? a : line.find(' ', a + 1);
+    if (b == std::string::npos || line.find(' ', b + 1) != std::string::npos) {
+      throw std::runtime_error("anon: bad map line: " + path);
+    }
+    const std::string kind = line.substr(0, a);
+    const std::string k = decodeField(line.substr(a + 1, b - a - 1), path);
+    const std::string v = decodeField(line.substr(b + 1), path);
     if (kind == "stem") {
       stemMap_[k] = v;
       usedTokens_.insert(v);
@@ -238,24 +328,28 @@ void Anonymizer::loadMap(const std::string& path) {
       suffixMap_[k] = v;
       usedTokens_.insert(v);
     } else if (kind == "uid") {
-      auto uid = static_cast<std::uint32_t>(std::stoul(k));
-      auto mapped = static_cast<std::uint32_t>(std::stoul(v));
-      uidMap_[uid] = mapped;
+      const std::uint32_t mapped = mapNumber(v, path);
+      uidMap_[mapNumber(k, path)] = mapped;
       usedUids_.insert(mapped);
     } else if (kind == "gid") {
-      auto gid = static_cast<std::uint32_t>(std::stoul(k));
-      auto mapped = static_cast<std::uint32_t>(std::stoul(v));
-      gidMap_[gid] = mapped;
+      const std::uint32_t mapped = mapNumber(v, path);
+      gidMap_[mapNumber(k, path)] = mapped;
       usedGids_.insert(mapped);
     } else if (kind == "ip") {
-      ipMap_[static_cast<IpAddr>(std::stoul(k))] =
-          static_cast<IpAddr>(std::stoul(v));
-      usedIps_.insert(static_cast<IpAddr>(std::stoul(v)));
+      const IpAddr mapped = mapNumber(v, path);
+      ipMap_[mapNumber(k, path)] = mapped;
+      usedIps_.insert(mapped);
     } else if (kind == "fh") {
-      fhMap_[k] = v;
-      usedFhs_.insert(v);
+      MappedHandle mapped;
+      mapped.fh = FileHandle::fromHex(v);
+      mapped.fileId = static_cast<std::uint32_t>(FileHandleHash{}(mapped.fh));
+      fhMap_[FileHandle::fromHex(k)] = mapped;
+      usedFhs_.insert(mapped.fh);
     }
   }
+  // Loaded entries may replace stem or suffix tokens that memoized
+  // components were built from.
+  components_.clear();
 }
 
 }  // namespace nfstrace

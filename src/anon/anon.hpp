@@ -22,12 +22,15 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "trace/record.hpp"
 #include "util/config.hpp"
+#include "util/flatmap.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace nfstrace {
@@ -72,7 +75,9 @@ class Anonymizer {
   FileHandle anonymizeHandle(const FileHandle& fh);
 
   /// Persist / restore the mapping tables so that a continued capture
-  /// anonymizes consistently with an earlier one.
+  /// anonymizes consistently with an earlier one.  One "kind key value"
+  /// line per entry; names are percent-encoded (appendPercentEncoded) and
+  /// handles written as hex, so every entry round-trips.
   void saveMap(const std::string& path) const;
   void loadMap(const std::string& path);
 
@@ -81,25 +86,57 @@ class Anonymizer {
   }
 
  private:
-  std::string mapToken(std::unordered_map<std::string, std::string>& table,
-                       const std::string& original, char tag);
+  /// String hash and equality that also take a string_view, so a lookup
+  /// by a record's name builds no string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  using NameMap =
+      std::unordered_map<std::string, std::string, NameHash, std::equal_to<>>;
+  using NameSet = std::unordered_set<std::string, NameHash, std::equal_to<>>;
+  /// Handle-map hash: 8 bytes per step instead of FNV-1a's one.
+  struct HandleWordHash {
+    std::size_t operator()(const FileHandle& fh) const noexcept;
+  };
+
+  /// A handle's anonymized form, with the fileid token derived from it
+  /// (FileHandleHash of the anonymized handle, low 32 bits).
+  struct MappedHandle {
+    FileHandle fh;
+    std::uint32_t fileId = 0;
+  };
+  /// Map a non-empty handle, drawing a fresh one on first sight.  The
+  /// reference is valid until the next mapping.
+  const MappedHandle& mapHandle(const FileHandle& fh);
+
+  const std::string& mapToken(NameMap& table, std::string_view original,
+                              char tag);
+  /// The anonymized form of one component, memoized whole: a hit is one
+  /// lookup and no allocation, and it draws nothing from the RNG, just as
+  /// recomputing it from the (already filled) stem and suffix maps would.
+  const std::string& component(std::string_view name);
+  std::string mapComponent(std::string_view name);
 
   Config config_;
   Rng rng_;
-  std::unordered_set<std::string> keepNames_;
-  std::unordered_set<std::string> keepSuffixes_;
-  std::unordered_set<std::uint32_t> keepUids_;
-  std::unordered_set<std::uint32_t> keepGids_;
-  std::unordered_map<std::string, std::string> stemMap_;
-  std::unordered_map<std::string, std::string> suffixMap_;
+  NameSet keepNames_;
+  NameSet keepSuffixes_;
+  FlatSet<std::uint32_t, U64Hash> keepUids_;
+  FlatSet<std::uint32_t, U64Hash> keepGids_;
+  NameMap stemMap_;
+  NameMap suffixMap_;
+  NameMap components_;
   std::unordered_set<std::string> usedTokens_;
-  std::unordered_map<std::uint32_t, std::uint32_t> uidMap_;
-  std::unordered_map<std::uint32_t, std::uint32_t> gidMap_;
-  std::unordered_set<std::uint32_t> usedUids_, usedGids_;
-  std::unordered_map<IpAddr, IpAddr> ipMap_;
-  std::unordered_set<IpAddr> usedIps_;
-  std::unordered_map<std::string, std::string> fhMap_;  // hex -> hex
-  std::unordered_set<std::string> usedFhs_;
+  FlatMap<std::uint32_t, std::uint32_t, U64Hash> uidMap_;
+  FlatMap<std::uint32_t, std::uint32_t, U64Hash> gidMap_;
+  FlatSet<std::uint32_t, U64Hash> usedUids_, usedGids_;
+  FlatMap<IpAddr, IpAddr, U64Hash> ipMap_;
+  FlatSet<IpAddr, U64Hash> usedIps_;
+  FlatMap<FileHandle, MappedHandle, HandleWordHash> fhMap_;
+  FlatSet<FileHandle, HandleWordHash> usedFhs_;
 };
 
 }  // namespace nfstrace

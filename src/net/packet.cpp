@@ -368,7 +368,7 @@ std::optional<ParsedFrame> parseFrame(std::span<const std::uint8_t> frame) {
   return std::nullopt;
 }
 
-std::vector<std::uint8_t> TcpReassembler::feed(
+std::span<const std::uint8_t> TcpReassembler::feed(
     std::uint32_t seq, std::span<const std::uint8_t> payload, bool syn) {
   if (syn) {
     initialized_ = true;
@@ -398,10 +398,12 @@ std::vector<std::uint8_t> TcpReassembler::feed(
     return {};
   }
 
-  std::vector<std::uint8_t> out(payload.begin(), payload.end());
   expected_ += static_cast<std::uint32_t>(payload.size());
+  delivered_ += payload.size();
+  if (pending_.empty()) return payload;
 
   // Drain any buffered segments that are now contiguous.
+  drained_.assign(payload.begin(), payload.end());
   bool progressed = true;
   while (progressed) {
     progressed = false;
@@ -411,9 +413,11 @@ std::vector<std::uint8_t> TcpReassembler::feed(
         auto& seg = pending_[i].second;
         std::size_t skip = static_cast<std::size_t>(-d);
         if (skip < seg.size()) {
-          out.insert(out.end(), seg.begin() + static_cast<std::ptrdiff_t>(skip),
-                     seg.end());
+          drained_.insert(drained_.end(),
+                          seg.begin() + static_cast<std::ptrdiff_t>(skip),
+                          seg.end());
           expected_ += static_cast<std::uint32_t>(seg.size() - skip);
+          delivered_ += seg.size() - skip;
         }
         pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
         progressed = true;
@@ -421,8 +425,7 @@ std::vector<std::uint8_t> TcpReassembler::feed(
       }
     }
   }
-  delivered_ += out.size();
-  return out;
+  return drained_;
 }
 
 bool TcpReassembler::resyncTo(std::uint32_t seq) {

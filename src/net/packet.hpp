@@ -168,10 +168,15 @@ std::vector<std::vector<std::uint8_t>> segmentTcpStream(
 class TcpReassembler {
  public:
   /// Feed one segment.  Returns the bytes that became contiguously
-  /// available, in stream order.
-  std::vector<std::uint8_t> feed(std::uint32_t seq,
-                                 std::span<const std::uint8_t> payload,
-                                 bool syn);
+  /// available, in stream order.  An in-order segment with nothing parked
+  /// behind it (every segment the sniffer delivers, since it resyncs at
+  /// each gap) comes back as a view into `payload` itself, trimmed of any
+  /// retransmitted prefix; only a segment that closes a hole is copied,
+  /// with the parked segments it releases, into an internal buffer.  The
+  /// view is valid until the next feed() and as long as `payload` is.
+  std::span<const std::uint8_t> feed(std::uint32_t seq,
+                                     std::span<const std::uint8_t> payload,
+                                     bool syn);
 
   /// Skip over a hole: declare the stream resumed at `seq`.  Returns true
   /// if a gap was actually skipped.
@@ -194,6 +199,8 @@ class TcpReassembler {
   std::uint64_t delivered_ = 0;
   // Out-of-order segments keyed by sequence number.
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> pending_;
+  // Backs the view returned when a segment releases parked ones.
+  std::vector<std::uint8_t> drained_;
 };
 
 }  // namespace nfstrace

@@ -151,8 +151,7 @@ void NfsTransport::emitFrames(MicroTime ts,
     frames = segmentTcpStream(src, srcPort, dst, dstPort, seq, marked,
                               config_.mtu - 40);
   } else {
-    static std::uint16_t ipId = 1;
-    frames = buildUdpFrames(src, srcPort, dst, dstPort, ipId++, rpcBody,
+    frames = buildUdpFrames(src, srcPort, dst, dstPort, ipId_++, rpcBody,
                             config_.mtu);
   }
 

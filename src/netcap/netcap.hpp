@@ -146,6 +146,9 @@ class NfsTransport {
   std::uint32_t nextXid_;
   std::uint32_t tcpSeqClient_ = 1;
   std::uint32_t tcpSeqServer_ = 1;
+  /// IPv4 id of the next UDP datagram either side sends.  Per transport,
+  /// so a simulation's frames depend only on its own config and seed.
+  std::uint16_t ipId_ = 1;
   std::uint64_t callsSent_ = 0;
 };
 

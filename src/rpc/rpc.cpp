@@ -178,38 +178,11 @@ std::vector<std::uint8_t> recordMark(std::span<const std::uint8_t> body) {
   return out;
 }
 
-void RecordMarkReader::feed(std::span<const std::uint8_t> data) {
-  buf_.insert(buf_.end(), data.begin(), data.end());
-  // Consume as many complete fragments as are available, tracking a read
-  // offset so the buffer is compacted once per feed, not once per record.
-  std::size_t off = 0;
-  while (buf_.size() - off >= 4) {
-    std::uint32_t hdr = detail::loadBe32(buf_.data() + off);
-    bool last = (hdr & 0x80000000u) != 0;
-    std::uint32_t fragLen = hdr & 0x7fffffffu;
-    if (buf_.size() - off < 4 + static_cast<std::size_t>(fragLen)) break;
-    assembly_.insert(assembly_.end(), buf_.begin() + static_cast<std::ptrdiff_t>(off) + 4,
-                     buf_.begin() + static_cast<std::ptrdiff_t>(off + 4 + fragLen));
-    off += 4 + fragLen;
-    if (last) {
-      ready_.push_back(std::move(assembly_));
-      assembly_.clear();
-    }
-  }
-  if (off > 0) buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(off));
-}
-
-std::optional<std::vector<std::uint8_t>> RecordMarkReader::next() {
-  if (ready_.empty()) return std::nullopt;
-  auto out = std::move(ready_.front());
-  ready_.erase(ready_.begin());
-  return out;
-}
-
 void RecordMarkReader::reset() {
-  buf_.clear();
-  assembly_.clear();
-  ready_.clear();
+  markHave_ = 0;
+  inFragment_ = false;
+  fragmentLeft_ = 0;
+  record_.clear();
 }
 
 }  // namespace nfstrace

@@ -5,6 +5,7 @@
 // RPC messages on TCP streams.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -112,20 +113,97 @@ RpcMessageLite decodeRpcMessageLite(std::span<const std::uint8_t> body);
 std::vector<std::uint8_t> recordMark(std::span<const std::uint8_t> body);
 
 /// Incremental record-marking parser for reassembled TCP byte streams.
-/// Feed bytes in any chunking; complete records pop out.  Multi-fragment
-/// records are supported on the read side.
+/// Feed bytes in any chunking; each complete record is handed to a
+/// callback.  Multi-fragment records are supported on the read side.
+///
+/// A record wholly inside one feed() — one segment carrying one or more
+/// whole records, the common case — is handed out as a view into the
+/// fed bytes and never copied.  Only a record that straddles feeds, or
+/// has several fragments, is assembled in an internal buffer, and each
+/// of its bytes is copied there once.
 class RecordMarkReader {
  public:
-  void feed(std::span<const std::uint8_t> data);
-  /// Next complete RPC message body, if any.
-  std::optional<std::vector<std::uint8_t>> next();
+  /// The largest record body accepted: the decoders' 4 MiB opaque cap
+  /// plus room for the RPC and NFS headers around it.  A longer fragment
+  /// length can only be damage (a bit flip, a truncated frame, a resync
+  /// that landed mid-record), and buffering toward it would swallow every
+  /// later record of the flow.
+  static constexpr std::size_t kMaxRecordBytes = (std::size_t{1} << 22) + 4096;
+
+  /// Parse the next bytes of the stream, calling
+  /// `onRecord(std::span<const std::uint8_t> body)` for each record they
+  /// complete, in stream order.  The view is valid only during the call.
+  /// Returns false if a fragment length would take the record past
+  /// kMaxRecordBytes: the reader then drops its state and the rest of
+  /// `data`, and starts afresh, at a record mark, with the next feed().
+  template <class OnRecord>
+  bool feed(std::span<const std::uint8_t> data, OnRecord&& onRecord);
+
   /// Discard all buffered state (e.g. after detected stream loss).
   void reset();
 
+  /// Stream bytes held for an incomplete record (mark and body so far).
+  std::size_t bufferedBytes() const { return markHave_ + record_.size(); }
+
  private:
-  std::vector<std::uint8_t> buf_;       // unconsumed stream bytes
-  std::vector<std::uint8_t> assembly_;  // fragments of the current record
-  std::vector<std::vector<std::uint8_t>> ready_;
+  std::uint8_t mark_[4] = {};  // a record mark split across feeds
+  std::uint8_t markHave_ = 0;
+  bool inFragment_ = false;    // a mark was read; its body is arriving
+  bool lastFragment_ = false;
+  std::uint32_t fragmentLeft_ = 0;
+  std::vector<std::uint8_t> record_;  // assembled bytes of the record
 };
+
+template <class OnRecord>
+bool RecordMarkReader::feed(std::span<const std::uint8_t> data,
+                            OnRecord&& onRecord) {
+  const std::uint8_t* p = data.data();
+  std::size_t left = data.size();
+  while (left > 0) {
+    if (!inFragment_) {
+      std::uint32_t mark;
+      if (markHave_ == 0 && left >= 4) {
+        mark = detail::loadBe32(p);
+        p += 4;
+        left -= 4;
+      } else {
+        while (markHave_ < 4 && left > 0) {
+          mark_[markHave_++] = *p++;
+          --left;
+        }
+        if (markHave_ < 4) break;
+        mark = detail::loadBe32(mark_);
+        markHave_ = 0;
+      }
+      lastFragment_ = (mark & 0x80000000u) != 0;
+      fragmentLeft_ = mark & 0x7fffffffu;
+      if (fragmentLeft_ > kMaxRecordBytes - record_.size()) {
+        reset();
+        return false;
+      }
+      inFragment_ = true;
+    }
+    if (record_.empty() && lastFragment_ && fragmentLeft_ <= left) {
+      // The whole record is in `data`: hand it out where it lies.
+      inFragment_ = false;
+      onRecord(std::span<const std::uint8_t>(p, fragmentLeft_));
+      p += fragmentLeft_;
+      left -= fragmentLeft_;
+      continue;
+    }
+    const std::size_t take = std::min<std::size_t>(fragmentLeft_, left);
+    record_.insert(record_.end(), p, p + take);
+    p += take;
+    left -= take;
+    fragmentLeft_ -= static_cast<std::uint32_t>(take);
+    if (fragmentLeft_ > 0) break;
+    inFragment_ = false;
+    if (lastFragment_) {
+      onRecord(std::span<const std::uint8_t>(record_));
+      record_.clear();
+    }
+  }
+  return true;
+}
 
 }  // namespace nfstrace

@@ -94,9 +94,12 @@ void Sniffer::updateResourceGauges() {
   publishCounters();
   pendingG_.set(static_cast<double>(pending_.size()));
   if (tcpBufferedG_) {
+    // What the flows hold between frames: mostly the record reader's
+    // partial records (the reassembler parks nothing past a resync).
     std::uint64_t buffered = 0;
     for (const auto& [key, flow] : tcpFlows_) {
-      buffered += flow.reassembler.bufferedBytes();
+      buffered +=
+          flow.reassembler.bufferedBytes() + flow.records.bufferedBytes();
     }
     tcpBufferedG_.set(static_cast<double>(buffered));
   }
@@ -153,8 +156,8 @@ void Sniffer::onFrame(const CapturedPacket& pkt) {
                                      parsed->tcpSyn);
   if (bytes.empty()) {
     // A gap can stall the stream forever if the missing segment was
-    // dropped by the mirror; resynchronize at the newest segment.  The RPC
-    // record-marker scanner below tolerates the resulting garbage.
+    // dropped by the mirror; resynchronize at the newest segment.  So no
+    // segment stays parked, and `bytes` is always a view into this frame.
     if (flow.reassembler.hasGap() && !parsed->payload.empty()) {
       flow.reassembler.resyncTo(parsed->tcpSeq);
       flow.records.reset();
@@ -162,10 +165,14 @@ void Sniffer::onFrame(const CapturedPacket& pkt) {
     }
     if (bytes.empty()) return;
   }
-  flow.records.feed(bytes);
-  while (auto body = flow.records.next()) {
-    onRpcBytes(pkt.ts, parsed->src, parsed->dst, true, *body, toServer);
-  }
+  // A resync that lands mid-record reads payload as a record mark; a
+  // length past any decodable record drops the flow's record state here
+  // and parsing restarts at the next segment.
+  const bool sane = flow.records.feed(
+      bytes, [&](std::span<const std::uint8_t> body) {
+        onRpcBytes(pkt.ts, parsed->src, parsed->dst, true, body, toServer);
+      });
+  if (!sane) ++stats_.framesUndecodable;
 }
 
 void Sniffer::onRpcBytes(MicroTime ts, IpAddr src, IpAddr dst, bool overTcp,

@@ -15,25 +15,12 @@
 
 #include "fault/fault.hpp"
 #include "util/crc32.hpp"
+#include "util/strings.hpp"
 
 namespace nfstrace {
 namespace {
 
 constexpr char kHexDigits[] = "0123456789abcdef";
-
-void appendEncodedField(std::string& out, const std::string& s) {
-  // Percent-encode the characters that would break the line's key=value
-  // tokens.
-  for (unsigned char c : s) {
-    if (c <= ' ' || c == '%' || c == '=' || c == 0x7f) {
-      out.push_back('%');
-      out.push_back(kHexDigits[c >> 4]);
-      out.push_back(kHexDigits[c & 0xf]);
-    } else {
-      out.push_back(static_cast<char>(c));
-    }
-  }
-}
 
 void appendUint(std::string& out, std::uint64_t v) {
   char buf[24];
@@ -124,11 +111,11 @@ void appendRecord(std::string& out, const TraceRecord& rec) {
   }
   if (!rec.name.empty()) {
     out += " nm=";
-    appendEncodedField(out, rec.name);
+    appendPercentEncoded(out, rec.name);
   }
   if (!rec.name2.empty()) {
     out += " nm2=";
-    appendEncodedField(out, rec.name2);
+    appendPercentEncoded(out, rec.name2);
   }
   if (rec.fh2.len) {
     out += " fh2=";

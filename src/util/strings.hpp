@@ -2,6 +2,7 @@
 // classifier.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,5 +26,14 @@ std::string_view filenameSuffix(std::string_view name);
 
 /// Lowercase ASCII copy.
 std::string toLower(std::string_view s);
+
+/// Append `s` with every byte up to ' ', '%', '=' and DEL written as %XX
+/// (lowercase hex), so any byte string makes one token of a
+/// space-separated key=value line.  Other bytes, UTF-8 included, pass.
+void appendPercentEncoded(std::string& out, std::string_view s);
+
+/// Inverse of appendPercentEncoded (any %XX decodes, in either case);
+/// nullopt if a '%' is not followed by two hex digits.
+std::optional<std::string> percentDecode(std::string_view s);
 
 }  // namespace nfstrace

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <unistd.h>
 
 #include "anon/anon.hpp"
@@ -201,18 +202,32 @@ TEST(Anon, OmissionMode) {
   EXPECT_EQ(out.op, NfsOp::Lookup);  // op preserved for analysis
 }
 
+std::string tempMapPath(const char* tag) {
+  return (std::filesystem::temp_directory_path() /
+          (std::string(tag) + "_" + std::to_string(::getpid())))
+      .string();
+}
+
 TEST(Anon, SaveLoadMapRoundTrip) {
-  std::string path = (std::filesystem::temp_directory_path() /
-                      ("anon_map_" + std::to_string(::getpid())))
-                         .string();
+  std::string path = tempMapPath("anon_map");
   Anonymizer::Config cfg;
   cfg.seed = 42;
-  std::string nameMapped;
+  // Names with every byte a "kind key value" line could split on, and
+  // one after them whose line a misparse would shift.
+  const std::vector<std::string> names = {
+      "research.dat", "my file.txt", "tab\there", "two\nlines", "100%.done",
+      "report.dat"};
+  const FileHandle fh = FileHandle::make(3, 77, 1);
+  std::vector<std::string> namesMapped;
   std::uint32_t uidMapped;
+  FileHandle fhMapped;
   {
     Anonymizer anon{cfg};
-    nameMapped = anon.anonymizeComponent("research.dat");
+    for (const auto& n : names) {
+      namesMapped.push_back(anon.anonymizeComponent(n));
+    }
     uidMapped = anon.anonymizeUid(1234);
+    fhMapped = anon.anonymizeHandle(fh);
     anon.saveMap(path);
   }
   {
@@ -222,8 +237,32 @@ TEST(Anon, SaveLoadMapRoundTrip) {
     cfg2.seed = 999;
     Anonymizer anon{cfg2};
     anon.loadMap(path);
-    EXPECT_EQ(anon.anonymizeComponent("research.dat"), nameMapped);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      EXPECT_EQ(anon.anonymizeComponent(names[i]), namesMapped[i]) << names[i];
+    }
     EXPECT_EQ(anon.anonymizeUid(1234), uidMapped);
+    EXPECT_EQ(anon.anonymizeHandle(fh), fhMapped);
+    // The fileid token follows the loaded handle mapping too.
+    TraceRecord rec;
+    rec.fh = fh;
+    rec.fileId = 5;
+    EXPECT_EQ(anon.anonymize(rec).fileId,
+              FileHandleHash{}(fhMapped) & 0xffffffff);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Anon, LoadMapRejectsMalformedLines) {
+  std::string path = tempMapPath("anon_bad_map");
+  for (const char* text :
+       {"stem a%zz fabcd\n", "stem a b c\n", "uid x 10001\n",
+        "gid 1 -5\n", "fh 0g 00\n"}) {
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    Anonymizer anon{Anonymizer::Config{}};
+    EXPECT_THROW(anon.loadMap(path), std::runtime_error) << text;
   }
   std::remove(path.c_str());
 }

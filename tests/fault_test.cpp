@@ -624,6 +624,77 @@ TEST(SnifferBounds, FlushCountsOutstandingCallsAsFlushedNotExpired) {
   EXPECT_TRUE(found);
 }
 
+/// One NFS call, record-marked for a TCP stream.
+std::vector<std::uint8_t> markedCall(std::uint32_t xid,
+                                     const NfsCallArgs& args) {
+  XdrEncoder enc;
+  AuthUnix cred;
+  cred.uid = 1;
+  cred.gid = 1;
+  NfsOp op = opOf(args);
+  Proc3 proc;
+  procForOp3(op, proc);
+  encodeRpcCall(enc, xid, kNfsProgram, 3, static_cast<std::uint32_t>(proc),
+                cred);
+  encodeCall3(enc, args);
+  return recordMark(enc.bytes());
+}
+
+constexpr IpAddr kTcpClient = makeIp(10, 1, 0, 2);
+constexpr IpAddr kTcpServer = makeIp(10, 0, 0, 1);
+
+TEST(SnifferBounds, RecordReaderBufferIsBounded) {
+  // A record mark whose length no decoder accepts (as a bit flip or a
+  // resync mid-record leaves one), then ten good calls on the same flow
+  // with no gap.  The flow's record state is dropped at the bad mark, so
+  // the calls decode instead of being buffered toward a 2 GB record.
+  std::vector<TraceRecord> out;
+  Sniffer sniffer({}, [&](const TraceRecord& r) { out.push_back(r); });
+  std::uint32_t seq = 1000;
+  std::vector<std::uint8_t> garbage{0x7f, 0xff, 0x00, 0x00, 1, 2, 3, 4};
+  MicroTime ts = seconds(1);
+  for (auto& f : segmentTcpStream(kTcpClient, 1023, kTcpServer, 2049, seq,
+                                  garbage, 1460)) {
+    sniffer.onFrame(pkt(ts, std::move(f)));
+  }
+  for (std::uint32_t xid = 1; xid <= 10; ++xid) {
+    auto call = markedCall(xid, GetattrArgs{FileHandle::make(1, xid, 1)});
+    for (auto& f : segmentTcpStream(kTcpClient, 1023, kTcpServer, 2049, seq,
+                                    call, 1460)) {
+      sniffer.onFrame(pkt(ts += 100, std::move(f)));
+    }
+  }
+  EXPECT_EQ(sniffer.stats().framesUndecodable, 1u);
+  EXPECT_EQ(sniffer.stats().rpcCalls, 10u);
+  sniffer.flush();
+  ASSERT_EQ(out.size(), 10u);
+  for (std::uint32_t i = 0; i < 10; ++i) EXPECT_EQ(out[i].xid, i + 1);
+}
+
+TEST(SnifferBounds, TcpBufferedGaugeHoldsAPartialRecord) {
+  // A WRITE call in two segments, with an expiry-scan boundary (where the
+  // gauges are sampled) between them: the flow holds the first segment.
+  obs::Registry registry;
+  Sniffer::Config cfg;
+  cfg.metrics = &registry;
+  Sniffer sniffer(cfg, [](const TraceRecord&) {});
+  std::uint32_t seq = 1;
+  WriteArgs write;
+  write.fh = FileHandle::make(1, 7, 1);
+  write.count = 2000;
+  auto frames = segmentTcpStream(kTcpClient, 1023, kTcpServer, 2049, seq,
+                                 markedCall(1, write), 1460);
+  ASSERT_EQ(frames.size(), 2u);
+  sniffer.onFrame(pkt(cfg.expiryScanInterval / 2, std::move(frames[0])));
+  sniffer.onFrame(pkt(cfg.expiryScanInterval * 3 / 2, std::move(frames[1])));
+  EXPECT_EQ(sniffer.stats().rpcCalls, 1u);
+  double buffered = -1;
+  for (const auto& [name, v] : registry.scrape().gauges) {
+    if (name == "sniffer.tcp_buffered_bytes.s0") buffered = v;
+  }
+  EXPECT_EQ(buffered, 1460.0 - 4);  // the first segment, less its mark
+}
+
 // ---------------------------------------------------------------------------
 // Pipeline overload shedding.
 

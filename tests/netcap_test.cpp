@@ -4,6 +4,7 @@
 
 #include "netcap/netcap.hpp"
 #include "server/mountd.hpp"
+#include "workload/eecs.hpp"
 #include "workload/sim.hpp"
 
 namespace nfstrace {
@@ -125,6 +126,41 @@ TEST(Transport, UdpLargeReplyFragments) {
   transport.call(seconds(1), ReadArgs{node->fh, 0, 8192}, 1, 1);
   // An 8 KB read reply cannot fit one 1500-byte frame.
   EXPECT_GE(sink.frames, 1u + 6u);
+}
+
+/// Every frame a simulation puts on the wire, in order.
+struct FrameLog : FrameSink {
+  std::vector<std::vector<std::uint8_t>> frames;
+  void onFrame(const CapturedPacket& pkt) override {
+    frames.push_back(pkt.data);
+  }
+};
+
+std::vector<std::vector<std::uint8_t>> eecsFrames() {
+  FrameLog log;
+  SimEnvironment::Config simCfg;
+  simCfg.fsConfig.fsid = 1;
+  simCfg.clientHosts = 4;
+  simCfg.useTcp = false;  // EECS clients use UDP: every frame has an IP id
+  simCfg.mtu = kStandardMtu;
+  SimEnvironment env(simCfg, [](const TraceRecord&) {});
+  env.addTapSink(&log);
+  EecsConfig cfg;
+  cfg.users = 6;
+  EecsWorkload wl(cfg, env);
+  MicroTime start = days(1) + hours(10);
+  wl.setup(start);
+  wl.run(start, start + minutes(5));
+  return std::move(log.frames);
+}
+
+TEST(Transport, SimulationFramesDoNotDependOnEarlierSimulations) {
+  // The IP id is per transport, so a second simulation in the same
+  // process puts exactly the same bytes on the wire as the first.
+  auto first = eecsFrames();
+  auto second = eecsFrames();
+  ASSERT_GT(first.size(), 100u);
+  EXPECT_TRUE(first == second);
 }
 
 // --------------------------------------------------------------- mountd

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "rpc/rpc.hpp"
 
 namespace nfstrace {
@@ -75,6 +78,30 @@ TEST(Rpc, GarbageThrows) {
   EXPECT_THROW(decodeRpcMessage(junk), XdrError);
 }
 
+using Bodies = std::vector<std::vector<std::uint8_t>>;
+
+/// Feed `data` and copy out every record body the reader hands back.
+Bodies feedAll(RecordMarkReader& reader, std::span<const std::uint8_t> data) {
+  Bodies out;
+  EXPECT_TRUE(reader.feed(data, [&](std::span<const std::uint8_t> body) {
+    out.emplace_back(body.begin(), body.end());
+  }));
+  return out;
+}
+
+std::vector<std::uint8_t> markedFragment(std::vector<std::uint8_t> frag,
+                                         bool last) {
+  std::vector<std::uint8_t> out;
+  std::uint32_t hdr =
+      static_cast<std::uint32_t>(frag.size()) | (last ? 0x80000000u : 0u);
+  out.push_back(static_cast<std::uint8_t>(hdr >> 24));
+  out.push_back(static_cast<std::uint8_t>(hdr >> 16));
+  out.push_back(static_cast<std::uint8_t>(hdr >> 8));
+  out.push_back(static_cast<std::uint8_t>(hdr));
+  out.insert(out.end(), frag.begin(), frag.end());
+  return out;
+}
+
 TEST(RecordMark, SingleRecord) {
   std::vector<std::uint8_t> body{1, 2, 3, 4, 5};
   auto marked = recordMark(body);
@@ -83,23 +110,53 @@ TEST(RecordMark, SingleRecord) {
   EXPECT_EQ(marked[3], 5);
 
   RecordMarkReader reader;
-  reader.feed(marked);
-  auto out = reader.next();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, body);
-  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_EQ(feedAll(reader, marked), Bodies{body});
+  EXPECT_EQ(reader.bufferedBytes(), 0u);
+}
+
+TEST(RecordMark, WholeRecordIsAViewIntoTheFedBytes) {
+  std::vector<std::uint8_t> body{1, 2, 3, 4, 5};
+  auto marked = recordMark(body);
+  RecordMarkReader reader;
+  std::span<const std::uint8_t> got;
+  ASSERT_TRUE(reader.feed(marked, [&](std::span<const std::uint8_t> b) {
+    got = b;
+  }));
+  EXPECT_EQ(got.data(), marked.data() + 4);
+  EXPECT_EQ(got.size(), body.size());
 }
 
 TEST(RecordMark, ByteAtATimeFeeding) {
   std::vector<std::uint8_t> body{9, 9, 9, 9};
   auto marked = recordMark(body);
   RecordMarkReader reader;
-  for (auto b : marked) {
-    reader.feed(std::span<const std::uint8_t>(&b, 1));
+  Bodies got;
+  for (std::size_t i = 0; i < marked.size(); ++i) {
+    // A split mark is held until it is whole; body bytes until the last.
+    EXPECT_EQ(reader.bufferedBytes(), i < 4 ? i : i - 4);
+    for (auto& b : feedAll(reader, std::span(marked).subspan(i, 1))) {
+      got.push_back(std::move(b));
+    }
   }
-  auto out = reader.next();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, body);
+  EXPECT_EQ(got, Bodies{body});
+  EXPECT_EQ(reader.bufferedBytes(), 0u);
+}
+
+TEST(RecordMark, StraddlingRecordIsAssembledAcrossFeeds) {
+  // A record split across two segments, behind a whole one: the first
+  // comes out of the first feed, the second only when its tail arrives.
+  std::vector<std::uint8_t> a{1, 2, 3, 4};
+  std::vector<std::uint8_t> b(100, 7);
+  auto stream = recordMark(a);
+  auto mb = recordMark(b);
+  stream.insert(stream.end(), mb.begin(), mb.end());
+  const std::size_t cut = 8 + 40;
+
+  RecordMarkReader reader;
+  EXPECT_EQ(feedAll(reader, std::span(stream).first(cut)), Bodies{a});
+  EXPECT_EQ(reader.bufferedBytes(), 40u - 4u);
+  EXPECT_EQ(feedAll(reader, std::span(stream).subspan(cut)), Bodies{b});
+  EXPECT_EQ(reader.bufferedBytes(), 0u);
 }
 
 TEST(RecordMark, CoalescedRecords) {
@@ -112,42 +169,68 @@ TEST(RecordMark, CoalescedRecords) {
   stream.insert(stream.end(), mb.begin(), mb.end());
 
   RecordMarkReader reader;
-  reader.feed(stream);
-  EXPECT_EQ(*reader.next(), a);
-  EXPECT_EQ(*reader.next(), b);
-  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_EQ(feedAll(reader, stream), (Bodies{a, b}));
 }
 
 TEST(RecordMark, MultiFragmentRecord) {
   // A record split across two fragments (non-final then final).
-  std::vector<std::uint8_t> stream;
-  auto pushFrag = [&](std::vector<std::uint8_t> frag, bool last) {
-    std::uint32_t hdr = static_cast<std::uint32_t>(frag.size()) |
-                        (last ? 0x80000000u : 0u);
-    stream.push_back(static_cast<std::uint8_t>(hdr >> 24));
-    stream.push_back(static_cast<std::uint8_t>(hdr >> 16));
-    stream.push_back(static_cast<std::uint8_t>(hdr >> 8));
-    stream.push_back(static_cast<std::uint8_t>(hdr));
-    stream.insert(stream.end(), frag.begin(), frag.end());
-  };
-  pushFrag({1, 2}, false);
-  pushFrag({3, 4, 5}, true);
+  auto stream = markedFragment({1, 2}, false);
+  auto last = markedFragment({3, 4, 5}, true);
+  stream.insert(stream.end(), last.begin(), last.end());
 
   RecordMarkReader reader;
-  reader.feed(stream);
-  auto out = reader.next();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
+  const Bodies want{{1, 2, 3, 4, 5}};
+  EXPECT_EQ(feedAll(reader, stream), want);
 }
 
 TEST(RecordMark, ResetDiscardsPartialState) {
   RecordMarkReader reader;
   std::vector<std::uint8_t> partial{0x80, 0, 0, 10, 1, 2};  // incomplete
-  reader.feed(partial);
+  EXPECT_TRUE(feedAll(reader, partial).empty());
+  EXPECT_EQ(reader.bufferedBytes(), 2u);
   reader.reset();
+  EXPECT_EQ(reader.bufferedBytes(), 0u);
   std::vector<std::uint8_t> body{7};
-  reader.feed(recordMark(body));
-  EXPECT_EQ(*reader.next(), body);
+  EXPECT_EQ(feedAll(reader, recordMark(body)), Bodies{body});
+}
+
+std::vector<std::uint8_t> lastFragmentMark(std::size_t len) {
+  const auto v = static_cast<std::uint32_t>(len) | 0x80000000u;
+  return {static_cast<std::uint8_t>(v >> 24),
+          static_cast<std::uint8_t>(v >> 16),
+          static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
+}
+
+TEST(RecordMark, OversizedFragmentDropsStateAndRestartsAtNextFeed) {
+  std::vector<std::uint8_t> body{7, 8};
+  const auto good = recordMark(body);
+  int calls = 0;
+  auto count = [&](std::span<const std::uint8_t>) { ++calls; };
+
+  // A mark no decoder could accept: the rest of the segment goes with it.
+  RecordMarkReader reader;
+  auto segment = lastFragmentMark(RecordMarkReader::kMaxRecordBytes + 1);
+  for (std::uint8_t b : good) segment.push_back(b);
+  EXPECT_FALSE(reader.feed(segment, count));
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(reader.bufferedBytes(), 0u);
+  EXPECT_EQ(feedAll(reader, good), Bodies{body});
+
+  // The largest record is still accepted (and held while it arrives).
+  EXPECT_TRUE(reader.feed(lastFragmentMark(RecordMarkReader::kMaxRecordBytes),
+                          count));
+  reader.reset();
+
+  // Fragments of one record count together against the bound.
+  EXPECT_TRUE(
+      feedAll(reader, markedFragment(std::vector<std::uint8_t>(16, 2), false))
+          .empty());
+  EXPECT_EQ(reader.bufferedBytes(), 16u);
+  EXPECT_FALSE(reader.feed(
+      lastFragmentMark(RecordMarkReader::kMaxRecordBytes - 16 + 1), count));
+  EXPECT_EQ(reader.bufferedBytes(), 0u);
+  EXPECT_EQ(feedAll(reader, good), Bodies{body});
+  EXPECT_EQ(calls, 0);
 }
 
 TEST(Rpc, AuthUnixGidListCap) {

@@ -202,6 +202,32 @@ TEST(Sniffer, FlushEmitsPendingCalls) {
   EXPECT_EQ(out[0].xid, 0x1234u);
 }
 
+TEST(Sniffer, TcpRecordInOneSegmentIsAViewIntoTheFrame) {
+  // The TCP path copies nothing for a record that fits its segment: the
+  // reassembler and the record reader hand the decoder a view that lies
+  // inside the frame's own bytes.
+  std::vector<std::uint8_t> body(300, 0x5a);
+  std::uint32_t seq = 1;
+  auto frames = segmentTcpStream(makeIp(10, 1, 0, 2), 1023,
+                                 makeIp(10, 0, 0, 1), 2049, seq,
+                                 recordMark(body), 1460);
+  ASSERT_EQ(frames.size(), 1u);
+  const std::vector<std::uint8_t>& frame = frames[0];
+  auto parsed = parseFrame(frame);
+  ASSERT_TRUE(parsed.has_value());
+  TcpReassembler reasm;
+  RecordMarkReader reader;
+  auto bytes = reasm.feed(parsed->tcpSeq, parsed->payload, false);
+  std::span<const std::uint8_t> got;
+  ASSERT_TRUE(
+      reader.feed(bytes, [&](std::span<const std::uint8_t> b) { got = b; }));
+  ASSERT_EQ(got.size(), body.size());
+  const auto begin = reinterpret_cast<std::uintptr_t>(frame.data());
+  const auto at = reinterpret_cast<std::uintptr_t>(got.data());
+  EXPECT_GE(at, begin);
+  EXPECT_LE(at + got.size(), begin + frame.size());
+}
+
 TEST(Sniffer, PcapRoundTrip) {
   // Record frames to a pcap file, then extract the trace offline — the
   // capture_to_trace tool path.

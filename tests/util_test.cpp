@@ -308,6 +308,22 @@ TEST(Strings, JoinInvertsSplit) {
   EXPECT_EQ(join(split(s, '/'), '/'), s);
 }
 
+TEST(Strings, PercentEncodingRoundTripsEveryByte) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) all.push_back(static_cast<char>(b));
+  std::string encoded;
+  appendPercentEncoded(encoded, all);
+  EXPECT_EQ(encoded.find_first_of(std::string(" \t\n=", 4)),
+            std::string::npos);
+  EXPECT_EQ(percentDecode(encoded), all);
+  std::string name;
+  appendPercentEncoded(name, "my file%.txt");
+  EXPECT_EQ(name, "my%20file%25.txt");
+  EXPECT_EQ(percentDecode("%7E%7e"), "~~");
+  EXPECT_FALSE(percentDecode("50%").has_value());
+  EXPECT_FALSE(percentDecode("%g0").has_value());
+}
+
 TEST(Strings, StartsEndsWith) {
   EXPECT_TRUE(startsWith("Applet_42_Extern", "Applet_"));
   EXPECT_TRUE(endsWith("Applet_42_Extern", "_Extern"));
