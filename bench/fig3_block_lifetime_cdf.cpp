@@ -1,6 +1,7 @@
 // Figure 3: cumulative distribution of block lifetimes for CAMPUS and
 // EECS (create-based method, 24-hour phase with a 24-hour end margin).
 #include "analysis/blocklife.hpp"
+#include "analysis/namespace.hpp"
 #include "bench_common.hpp"
 
 using namespace nfstrace;
@@ -13,8 +14,13 @@ EmpiricalCdf runSystem(bool campusSystem) {
   cfg.phase1Start = days(1) + hours(9);
   cfg.phase1Length = kMicrosPerDay;
   cfg.phase2Length = kMicrosPerDay;
+  HandleIds ids;
+  Namespace ns;
   BlockLifeAnalyzer analyzer;
-  auto cb = [&](const TraceRecord& r) { analyzer.observe(r); };
+  auto cb = [&](const TraceRecord& r) {
+    const RecordIds id = ids.of(r);
+    analyzer.observe(r, id, ns.apply(r, id));
+  };
   MicroTime start = days(1);
   MicroTime end = days(3) + hours(9);
   if (campusSystem) {

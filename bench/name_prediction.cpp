@@ -8,6 +8,7 @@
 //   - dot files fit in a block or two (.pinerc is 11-26 KB);
 //   - mailboxes are much larger than everything else and never deleted.
 #include "analysis/names.hpp"
+#include "analysis/namespace.hpp"
 #include "bench_common.hpp"
 
 using namespace nfstrace;
@@ -18,7 +19,12 @@ int main() {
 
   FileLifeCensus census;
   {
-    auto s = makeCampus(30, [&](const TraceRecord& r) { census.observe(r); });
+    HandleIds ids;
+    Namespace ns;
+    auto s = makeCampus(30, [&](const TraceRecord& r) {
+      const RecordIds id = ids.of(r);
+      census.observe(r, id, ns.apply(r, id));
+    });
     MicroTime start = days(1);
     s.workload->setup(start);
     s.workload->run(start, start + days(1));

@@ -1,8 +1,10 @@
 // Table 1: the qualitative characterization of CAMPUS vs EECS, regenerated
 // quantitatively from one simulated day of each system.
+#include <unordered_map>
+
 #include "analysis/blocklife.hpp"
 #include "analysis/names.hpp"
-#include "analysis/pathrec.hpp"
+#include "analysis/namespace.hpp"
 #include "analysis/summary.hpp"
 #include "bench_common.hpp"
 
@@ -26,22 +28,26 @@ SystemProfile profile(const std::vector<TraceRecord>& records,
   SystemProfile p;
   p.summary = summarize(records);
 
-  PathReconstructor paths;
+  HandleIds ids;
+  Namespace paths;
+  BlockLifeAnalyzer blocks;
   std::uint64_t mailboxBytes = 0, totalBytes = 0;
-  std::unordered_map<std::string, NameCategory> accessedFiles;
+  // Keyed by (handle id, name id): a file by its own handle (name id 0),
+  // or by its directory and name.
+  std::unordered_map<std::uint64_t, NameCategory> accessedFiles;
   for (const auto& r : records) {
-    paths.observe(r);
+    const RecordIds id = ids.of(r);
+    blocks.observe(r, id, paths.apply(r, id));
     if (r.op == NfsOp::Read || r.op == NfsOp::Write) {
       std::uint64_t n = r.hasReply ? r.retCount : r.count;
       totalBytes += n;
-      auto name = paths.nameOf(r.fh);
-      if (name) {
-        auto cat = classifyName(*name);
+      if (std::uint32_t name = paths.nameOf(id.fh)) {
+        auto cat = classifyName(ids.name(name));
         if (cat == NameCategory::Mailbox) mailboxBytes += n;
-        accessedFiles.emplace(r.fh.toHex(), cat);
+        accessedFiles.emplace(std::uint64_t{id.fh} << 32, cat);
       }
     } else if (r.hasName() && !r.name.empty()) {
-      accessedFiles.emplace(r.fh.toHex() + "/" + r.name,
+      accessedFiles.emplace(std::uint64_t{id.fh} << 32 | id.name,
                             classifyName(r.name));
     }
   }
@@ -65,8 +71,9 @@ SystemProfile profile(const std::vector<TraceRecord>& records,
   blCfg.phase1Start = phase1Start;
   blCfg.phase1Length = hours(12);
   blCfg.phase2Length = hours(12);
-  EmpiricalCdf lifetimes;
-  auto bl = analyzeBlockLife(records, blCfg, &lifetimes);
+  blocks.finish(blCfg);
+  const BlockLifeStats& bl = blocks.stats();
+  EmpiricalCdf& lifetimes = blocks.lifetimes();
   if (!lifetimes.empty()) p.blockMedianLifeSec = lifetimes.quantile(0.5);
   if (bl.deaths) {
     p.overwriteDeathShare = static_cast<double>(bl.deathsOverwrite) /

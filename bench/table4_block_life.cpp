@@ -3,6 +3,7 @@
 // Roselli's create-based method with a 24-hour phase 1 starting 9am and a
 // 24-hour end margin, streamed over a two-day simulation.
 #include "analysis/blocklife.hpp"
+#include "analysis/namespace.hpp"
 #include "bench_common.hpp"
 
 using namespace nfstrace;
@@ -15,8 +16,13 @@ BlockLifeStats run(bool campusSystem) {
   cfg.phase1Start = days(1) + hours(9);  // Monday 9am
   cfg.phase1Length = kMicrosPerDay;
   cfg.phase2Length = kMicrosPerDay;
+  HandleIds ids;
+  Namespace ns;
   BlockLifeAnalyzer analyzer;
-  auto cb = [&](const TraceRecord& r) { analyzer.observe(r); };
+  auto cb = [&](const TraceRecord& r) {
+    const RecordIds id = ids.of(r);
+    analyzer.observe(r, id, ns.apply(r, id));
+  };
   MicroTime start = days(1);
   MicroTime end = days(3) + hours(9);
   if (campusSystem) {

@@ -6,7 +6,7 @@
 
 #include "analysis/blocklife.hpp"
 #include "analysis/names.hpp"
-#include "analysis/pathrec.hpp"
+#include "analysis/namespace.hpp"
 #include "analysis/summary.hpp"
 #include "workload/campus.hpp"
 #include "workload/sim.hpp"
@@ -41,15 +41,25 @@ int main() {
               static_cast<unsigned long long>(workload.popChecks()),
               static_cast<unsigned long long>(workload.sessions()));
 
+  // One pass over the records: one namespace names the mailboxes and
+  // resolves the removes that the census and block lifetimes count.
+  HandleIds ids;
+  Namespace paths;
+  FileLifeCensus census;
+  BlockLifeAnalyzer blocks;
   // Read amplification: bytes read vs bytes delivered.  Every delivery
   // moves the inbox mtime, so the next poll re-reads the whole file.
-  PathReconstructor paths;
   std::uint64_t mailboxReadBytes = 0, mailboxWriteBytes = 0;
   for (const auto& r : records) {
-    paths.observe(r);
+    const RecordIds id = ids.of(r);
+    const std::uint32_t unlinked = paths.apply(r, id);
+    census.observe(r, id, unlinked);
+    blocks.observe(r, id, unlinked);
     if (r.op != NfsOp::Read && r.op != NfsOp::Write) continue;
-    auto name = paths.nameOf(r.fh);
-    if (!name || classifyName(*name) != NameCategory::Mailbox) continue;
+    std::uint32_t name = paths.nameOf(id.fh);
+    if (!name || classifyName(ids.name(name)) != NameCategory::Mailbox) {
+      continue;
+    }
     if (r.op == NfsOp::Read) {
       mailboxReadBytes += r.retCount;
     } else {
@@ -65,8 +75,6 @@ int main() {
       static_cast<double>(mailboxWriteBytes) / 1e6);
 
   // Lock churn.
-  FileLifeCensus census;
-  for (const auto& r : records) census.observe(r);
   census.finish();
   std::printf(
       "\nfile churn: %llu files created, %llu deleted; %.1f%% of the\n"
@@ -80,8 +88,9 @@ int main() {
   blCfg.phase1Start = start + hours(6);
   blCfg.phase1Length = hours(9);
   blCfg.phase2Length = hours(9);
-  EmpiricalCdf lifetimes;
-  auto bl = analyzeBlockLife(records, blCfg, &lifetimes);
+  blocks.finish(blCfg);
+  const BlockLifeStats& bl = blocks.stats();
+  EmpiricalCdf& lifetimes = blocks.lifetimes();
   if (!lifetimes.empty() && bl.deaths) {
     std::printf(
         "\nblock lifetimes: median %.1f min (paper: 10-15 min); %.1f%% of\n"

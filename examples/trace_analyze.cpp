@@ -25,13 +25,15 @@
 //   --recover     read a damaged trace end-to-end (resyncs land on
 //                 batch boundaries; summary goes to stderr)
 //   --metrics     print the engine's self-monitoring snapshot (batch and
-//                 record counters, intern-table sizes, per-pass observe
-//                 and finalize timings, engine.pass.<p>.observe_ns and
-//                 .finalize_ns) and any DEGRADED alert line to stderr
+//                 record counters, intern-table sizes, the namespace's
+//                 and each pass's timings: engine.namespace_ns,
+//                 engine.pass.<p>.observe_ns and .finalize_ns) and any
+//                 DEGRADED alert line to stderr
 //   --flight F    record a per-thread span timeline of the scan (reader
-//                 decode, per-pass observe, per-pass finalize, pool/ring
-//                 stalls) to Chrome trace-event file F (open in Perfetto)
-//                 and print the stall-attribution report to stderr
+//                 decode, namespace, per-pass observe, per-pass finalize,
+//                 pool/ring stalls) to Chrome trace-event file F (open in
+//                 Perfetto) and print the stall-attribution report to
+//                 stderr
 //
 // An unknown flag or a malformed flag value prints the usage line and
 // exits 2; an unreadable input exits 1; damage met during the scan

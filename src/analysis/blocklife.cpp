@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "analysis/namespace.hpp"
+
 namespace nfstrace {
 namespace {
 
@@ -38,16 +40,19 @@ void BlockLifeAnalyzer::killBlock(FileState& st, std::size_t block,
   }
 }
 
-void BlockLifeAnalyzer::observe(const TraceRecord& rec) {
-  if (!rec.hasReply || rec.status != NfsStat::Ok) {
-    pathrec_.observe(rec);
-    return;
-  }
+BlockLifeAnalyzer::FileState& BlockLifeAnalyzer::file(std::uint32_t id) {
+  if (id >= files_.size()) files_.resize(std::size_t{id} + 1);
+  return files_[id];
+}
+
+void BlockLifeAnalyzer::observe(const TraceRecord& rec, const RecordIds& ids,
+                                std::uint32_t unlinked) {
+  if (!rec.hasReply || rec.status != NfsStat::Ok) return;
   constexpr std::uint32_t bs = kNfsBlockSize;
 
   switch (rec.op) {
     case NfsOp::Write: {
-      FileState& st = files_[rec.fh];
+      FileState& st = file(ids.fh);
       // Adopt the server's pre-op size the first time we meet the file.
       std::uint64_t preSize = st.sizeBytes;
       if (st.birth.empty() && rec.hasPre) {
@@ -88,11 +93,10 @@ void BlockLifeAnalyzer::observe(const TraceRecord& rec) {
     case NfsOp::Create: {
       // A size-setting SETATTR (truncate) or a CREATE that truncates an
       // existing file.  Use the post-op size against our tracked size.
+      // A CREATE reply without the new handle names no file to charge.
       if (!rec.hasAttrs) break;
-      FileHandle target = rec.op == NfsOp::Create && rec.hasResFh
-                              ? rec.resFh
-                              : rec.fh;
-      FileState& st = files_[target];
+      if (rec.op == NfsOp::Create && !rec.hasResFh) break;
+      FileState& st = file(rec.op == NfsOp::Create ? ids.resFh : ids.fh);
       std::uint64_t newSize = rec.fileSize;
       std::uint64_t oldBlocks = (st.sizeBytes + bs - 1) / bs;
       std::uint64_t newBlocks = (newSize + bs - 1) / bs;
@@ -109,26 +113,20 @@ void BlockLifeAnalyzer::observe(const TraceRecord& rec) {
       st.birth.resize(newBlocks, kUntracked);
       break;
     }
-    case NfsOp::Remove: {
-      // Resolve the victim handle through the reconstructed hierarchy
-      // *before* the edge is forgotten.
-      auto victim = pathrec_.childOf(rec.fh, rec.name);
-      if (victim) {
-        auto it = files_.find(*victim);
-        if (it != files_.end()) {
-          std::uint64_t blocks = it->second.birth.size();
-          for (std::uint64_t b = 0; b < blocks; ++b) {
-            killBlock(it->second, b, rec.ts, Cause::Delete);
-          }
-          files_.erase(it);
-        }
+    case NfsOp::Remove:
+    case NfsOp::Rename: {
+      // A removed file, or the file a RENAME replaced.
+      if (unlinked == 0 || unlinked >= files_.size()) break;
+      FileState& st = files_[unlinked];
+      for (std::size_t b = 0; b < st.birth.size(); ++b) {
+        killBlock(st, b, rec.ts, Cause::Delete);
       }
+      st = {};
       break;
     }
     default:
       break;
   }
-  pathrec_.observe(rec);
 }
 
 void BlockLifeAnalyzer::finish(const BlockLifeConfig& phases) {
@@ -164,7 +162,7 @@ void BlockLifeAnalyzer::finish(const BlockLifeConfig& phases) {
       lifetimes_.add(toSeconds(lifespan));
     }
   }
-  for (const auto& [fh, st] : files_) {
+  for (const FileState& st : files_) {
     for (MicroTime born : st.birth) {
       if (born != kUntracked && inPhase1(born)) ++stats_.endSurplus;
     }
@@ -174,8 +172,13 @@ void BlockLifeAnalyzer::finish(const BlockLifeConfig& phases) {
 BlockLifeStats analyzeBlockLife(const std::vector<TraceRecord>& records,
                                 const BlockLifeConfig& config,
                                 EmpiricalCdf* lifetimesOut) {
+  HandleIds ids;
+  Namespace ns;
   BlockLifeAnalyzer analyzer;
-  for (const auto& rec : records) analyzer.observe(rec);
+  for (const TraceRecord& rec : records) {
+    const RecordIds id = ids.of(rec);
+    analyzer.observe(rec, id, ns.apply(rec, id));
+  }
   analyzer.finish(config);
   if (lifetimesOut) *lifetimesOut = analyzer.lifetimes();
   return analyzer.stats();

@@ -23,14 +23,14 @@
 // Deaths:
 //   * Overwrite — a live block is written again (new version born);
 //   * Truncate  — setattr shrank the file over it;
-//   * Delete    — the file was removed.
+//   * Delete    — the file was removed, or replaced by a RENAME onto its
+//     name (the namespace resolves which handle a record unlinks).
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "analysis/pathrec.hpp"
+#include "trace/batch.hpp"
 #include "trace/record.hpp"
 #include "util/histogram.hpp"
 
@@ -62,10 +62,10 @@ struct BlockLifeStats {
 
 class BlockLifeAnalyzer {
  public:
-  /// Feed records in time order.  The analyzer maintains its own
-  /// hierarchy reconstruction so REMOVE records can be resolved to the
-  /// handle whose blocks die.
-  void observe(const TraceRecord& rec);
+  /// Feed records in time order, each with its interned ids and the
+  /// handle id it unlinks (Namespace::apply), whose blocks die.
+  void observe(const TraceRecord& rec, const RecordIds& ids,
+               std::uint32_t unlinked);
 
   /// Close the analysis over `phases`: count the phase-1 births, the
   /// deaths of phase-1 blocks before the end of the margin (censoring
@@ -102,6 +102,7 @@ class BlockLifeAnalyzer {
   };
   static constexpr MicroTime kUntracked = -1;
 
+  FileState& file(std::uint32_t id);
   void killBlock(FileState& st, std::size_t block, MicroTime now,
                  Cause cause);
   void recordBirth(FileState& st, std::size_t block, MicroTime now,
@@ -111,11 +112,12 @@ class BlockLifeAnalyzer {
   std::vector<Death> deaths_;
   BlockLifeStats stats_;
   EmpiricalCdf lifetimes_;
-  PathReconstructor pathrec_;
-  std::unordered_map<FileHandle, FileState, FileHandleHash> files_;
+  /// Per handle id.
+  std::vector<FileState> files_;
 };
 
-/// Run the analyzer over a full trace.
+/// Run the analyzer over a full trace, with its own HandleIds and
+/// Namespace.
 BlockLifeStats analyzeBlockLife(const std::vector<TraceRecord>& records,
                                 const BlockLifeConfig& config,
                                 EmpiricalCdf* lifetimesOut = nullptr);

@@ -77,6 +77,8 @@ void AnalysisEngine::attachMetrics(obs::Registry& registry) {
   internHighC_ = registry.counterHandle("engine.intern_high_water", 0);
   internNamesG_ = registry.gaugeHandle("engine.intern_names");
   internHandlesG_ = registry.gaugeHandle("engine.intern_handles");
+  namespaceHist_ =
+      obs::HistogramHandle(registry.histogram("engine.namespace_ns"), 0);
   for (std::size_t i = 0; i < passes_.size(); ++i) {
     std::string base = "engine.pass.";
     base += passes_[i]->name();
@@ -137,6 +139,10 @@ bool AnalysisEngine::admit(TraceBatch& batch) {
   stats_.records += batch.n;
   batchesC_.inc();
   recordsC_.inc(batch.n);
+  obs::TimerSpan span(namespaceHist_);
+  obs::FlightSpan fspan(readerFlog_, obs::Stage::Namespace,
+                        static_cast<std::uint32_t>(batch.n));
+  ns_.apply(batch);
   return true;
 }
 
@@ -296,6 +302,7 @@ const AnalysisEngine::Stats& AnalysisEngine::run(TraceReader& reader) {
   stats_ = {};
   const std::size_t threads = std::max<std::size_t>(config_.decodeThreads, 1);
   for (AnalysisPass* p : passes_) p->prepare(threads);
+  ns_ = {};
   if (threads <= 1) {
     scanInline(reader);
   } else {

@@ -9,6 +9,10 @@
 // given a non-trivial predicate over an indexed trace — zone-map pruning,
 // with each batch tagged with its extent's op bitmask (see TraceReader).
 //
+// One namespace per scan: on the calling thread, after the predicate and
+// before any pass, the engine applies its Namespace to every admitted
+// batch, filling the batch's namespace columns (analysis/namespace.hpp).
+//
 // Two loops:
 //   inline        decodeThreads <= 1: decode and observe on the calling
 //                 thread
@@ -34,6 +38,7 @@
 #include <vector>
 
 #include "analysis/engine/pass.hpp"
+#include "analysis/namespace.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "trace/tracefile.hpp"
@@ -88,14 +93,15 @@ class AnalysisEngine {
   void addPasses(const std::vector<AnalysisPass*>& passes);
 
   /// Bind self-monitoring: batch/record counters, intern-table gauges,
-  /// per-pass observe-ns and finalize-ns histograms
-  /// (engine.pass.<name>.observe_ns / .finalize_ns), and the two alert
-  /// counters.  Call after the passes are registered.
+  /// the namespace's and each pass's timing histograms
+  /// (engine.namespace_ns, engine.pass.<name>.observe_ns / .finalize_ns),
+  /// and the two alert counters.  Call after the passes are registered.
   void attachMetrics(obs::Registry& registry);
 
-  /// Bind a flight recorder: decode, pass-observe and pass-finalize
-  /// spans, pool- and ring-wait stall episodes, and recovery-cut
-  /// instants land on "engine.reader" / "engine.worker<w>" tracks.
+  /// Bind a flight recorder: decode, namespace, pass-observe and
+  /// pass-finalize spans, pool- and ring-wait stall episodes, and
+  /// recovery-cut instants land on "engine.reader" / "engine.worker<w>"
+  /// tracks.
   void attachFlight(obs::FlightRecorder& flight);
 
   /// Drive every pass over the reader's stream in one scan (prepare ->
@@ -112,8 +118,8 @@ class AnalysisEngine {
   void scanInline(TraceReader& reader);
   void scanFanOut(TraceReader& reader);
   /// Per-batch bookkeeping shared by both loops: resync and predicate
-  /// accounting, then the batch/record counters.  False when the
-  /// predicate filtered the batch down to nothing.
+  /// accounting, the batch/record counters, then the namespace.  False
+  /// when the predicate filtered the batch down to nothing.
   bool admit(TraceBatch& batch);
   /// Drop records failing config_.predicate, compacting the batch in
   /// place; returns how many were dropped.
@@ -135,6 +141,7 @@ class AnalysisEngine {
 
   Config config_;
   std::vector<AnalysisPass*> passes_;
+  Namespace ns_;  // the scan's hierarchy, reset at each run()
   Stats stats_;
   obs::CounterHandle batchesC_;
   obs::CounterHandle recordsC_;
@@ -143,6 +150,7 @@ class AnalysisEngine {
   obs::CounterHandle internHighC_;
   obs::GaugeHandle internNamesG_;
   obs::GaugeHandle internHandlesG_;
+  obs::HistogramHandle namespaceHist_;
   // Parallel to passes_.
   std::vector<obs::Histogram*> passHist_;
   std::vector<obs::Histogram*> passFinalizeHist_;

@@ -150,7 +150,7 @@ void BlockLifePass::observe(const TraceBatch& batch, std::size_t) {
       firstTs_ = std::min(firstTs_, r.ts);
       lastTs_ = std::max(lastTs_, r.ts);
     }
-    analyzer_.observe(r);
+    analyzer_.observe(r, batch.ids(i), batch.unlinkedId[i]);
   }
 }
 
@@ -174,20 +174,37 @@ void BlockLifePass::finalize() {
 void NamesPass::prepare(std::size_t) { census_ = {}; }
 
 void NamesPass::observe(const TraceBatch& batch, std::size_t) {
-  for (std::size_t i = 0; i < batch.n; ++i) census_.observe(batch.records[i]);
+  for (std::size_t i = 0; i < batch.n; ++i) {
+    census_.observe(batch.records[i], batch.ids(i), batch.unlinkedId[i]);
+  }
 }
 
 void NamesPass::finalize() { census_.finish(); }
 
-void PathRecPass::prepare(std::size_t) { pathrec_ = {}; }
-
-void PathRecPass::observe(const TraceBatch& batch, std::size_t) {
-  for (std::size_t i = 0; i < batch.n; ++i) {
-    pathrec_.observe(batch.records[i]);
-  }
+void PathRecPass::prepare(std::size_t shards) {
+  shards_.assign(shards ? shards : 1, {});
+  result_ = {};
 }
 
-void PathRecPass::finalize() {}
+void PathRecPass::observe(const TraceBatch& batch, std::size_t shard) {
+  Shard& s = shards_[shard];
+  for (std::size_t i = 0; i < batch.n; ++i) {
+    const NfsOp op = batch.records[i].op;
+    if (op == NfsOp::Read || op == NfsOp::Write) {
+      ++(batch.parentKnown[i] ? s.hits : s.misses);
+    }
+  }
+  s.last = std::max(s.last, {batch.seq + 1, batch.knownFiles});
+}
+
+void PathRecPass::finalize() {
+  result_ = {};
+  for (const Shard& s : shards_) {
+    result_.hits += s.hits;
+    result_.misses += s.misses;
+    result_.last = std::max(result_.last, s.last);
+  }
+}
 
 void RecordLinesPass::observe(const TraceBatch& batch, std::size_t) {
   buf_.clear();

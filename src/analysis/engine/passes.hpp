@@ -2,7 +2,8 @@
 // feeds every table and figure the repo produces.
 //
 // Mergeable (per-worker shards, exact fold at finalize):
-//   summary, hourly, users — pure integer accumulation.
+//   summary, hourly, users, pathrec — integer accumulation (pathrec also
+//   keeps the highest-numbered batch's knownFiles).
 //
 // Sequential (single state, sees every batch in stream order):
 //   reorder, runs   — buffer one compact row per READ/WRITE data access
@@ -17,19 +18,21 @@
 //                     needs the trace's span, so only the decision of
 //                     which events fall inside the phases waits for
 //                     finalize;
-//   names, pathrec  — incremental order-dependent observers.
+//   names           — incremental order-dependent observer.
+//
+// blocklife, names and pathrec read the namespace's batch columns.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/blocklife.hpp"
 #include "analysis/engine/pass.hpp"
 #include "analysis/hourly.hpp"
 #include "analysis/names.hpp"
-#include "analysis/pathrec.hpp"
 #include "analysis/reorder.hpp"
 #include "analysis/runs.hpp"
 #include "analysis/summary.hpp"
@@ -158,9 +161,9 @@ class BlockLifePass final : public AnalysisPass {
  public:
   std::string_view name() const override { return "blocklife"; }
   bool mergeable() const override { return false; }
-  // No opMask() narrowing: beyond writes, this pass consumes
-  // Setattr/Create (truncate deaths), Remove (delete deaths) and feeds
-  // its embedded PathReconstructor from *every* record.
+  // No opMask() narrowing: the phase split takes the span of every
+  // record, and beyond writes the pass consumes Setattr/Create (truncate
+  // births and deaths) and Remove/Rename (delete deaths).
   void prepare(std::size_t shards) override;
   void observe(const TraceBatch& batch, std::size_t shard) override;
   void finalize() override;
@@ -196,14 +199,32 @@ class NamesPass final : public AnalysisPass {
 class PathRecPass final : public AnalysisPass {
  public:
   std::string_view name() const override { return "pathrec"; }
-  bool mergeable() const override { return false; }
+  bool mergeable() const override { return true; }
+  // No opMask() narrowing: knownFiles is the last batch's, so the pass
+  // must see every batch, whatever ops it holds.
   void prepare(std::size_t shards) override;
   void observe(const TraceBatch& batch, std::size_t shard) override;
   void finalize() override;
-  const PathReconstructor& reconstructor() const { return pathrec_; }
+
+  /// Handles whose parent the namespace knew at the end of the scan.
+  std::size_t knownFiles() const { return result_.last.second; }
+  /// Fraction of READ and WRITE records whose handle had a known parent
+  /// (the paper's coverage measure).
+  double parentCoverage() const {
+    const std::uint64_t total = result_.hits + result_.misses;
+    return total ? static_cast<double>(result_.hits) /
+                       static_cast<double>(total)
+                 : 0.0;
+  }
 
  private:
-  PathReconstructor pathrec_;
+  struct alignas(64) Shard {
+    std::uint64_t hits = 0, misses = 0;
+    /// (seq + 1, knownFiles) of the highest-numbered batch seen.
+    std::pair<std::uint64_t, std::size_t> last{};
+  };
+  std::vector<Shard> shards_;
+  Shard result_;
 };
 
 /// `trace_analyze --records`: writes each record it observes to `out` as

@@ -164,10 +164,8 @@ std::string renderReportText(const std::string& input, StandardAnalyses& a) {
   }
 
   // Hierarchy reconstruction coverage (§4.1.1).
-  appendf(out,
-          "\nhierarchy: %zu known files, parent coverage %.1f%%\n",
-          a.pathrec.reconstructor().knownFiles(),
-          100.0 * a.pathrec.reconstructor().parentCoverage());
+  appendf(out, "\nhierarchy: %zu known files, parent coverage %.1f%%\n",
+          a.pathrec.knownFiles(), 100.0 * a.pathrec.parentCoverage());
   return out;
 }
 
@@ -281,9 +279,9 @@ std::string renderReportJson(const std::string& input, StandardAnalyses& a) {
   }
 
   w.key("hierarchy").beginObject();
-  w.field("known_files", static_cast<std::uint64_t>(
-                             a.pathrec.reconstructor().knownFiles()));
-  w.field("parent_coverage", a.pathrec.reconstructor().parentCoverage());
+  w.field("known_files",
+          static_cast<std::uint64_t>(a.pathrec.knownFiles()));
+  w.field("parent_coverage", a.pathrec.parentCoverage());
   w.endObject();
 
   w.endObject();

@@ -115,82 +115,78 @@ double FileLifeCensus::lockFractionOfDeleted() const {
                        : 0.0;
 }
 
-void FileLifeCensus::observe(const TraceRecord& rec) {
-  if (rec.hasReply && rec.status == NfsStat::Ok) {
-    switch (rec.op) {
-      case NfsOp::Create:
-      case NfsOp::Mknod: {
-        if (rec.hasResFh) {
-          NameCategory cat = classifyName(rec.name);
-          LiveFile lf;
-          lf.category = cat;
-          lf.created = rec.ts;
-          lf.lastSize = rec.hasAttrs ? rec.fileSize : 0;
-          lf.maxSize = lf.lastSize;
-          live_[rec.resFh] = lf;
-          auto& cs = stats_[cat];
-          ++cs.created;
-          ++totalCreated_;
-        }
-        break;
-      }
-      case NfsOp::Write:
-      case NfsOp::Setattr:
-      case NfsOp::Getattr:
-      case NfsOp::Read: {
-        auto it = live_.find(rec.fh);
-        if (it != live_.end() && rec.hasAttrs) {
-          it->second.lastSize = rec.fileSize;
-          it->second.maxSize = std::max(it->second.maxSize, rec.fileSize);
-        }
-        break;
-      }
-      case NfsOp::Remove: {
-        auto victim = pathrec_.childOf(rec.fh, rec.name);
-        if (victim) {
-          auto it = live_.find(*victim);
-          if (it != live_.end()) {
-            auto& cs = stats_[it->second.category];
-            ++cs.deleted;
-            ++totalDeleted_;
-            double lifeSec = toSeconds(rec.ts - it->second.created);
-            cs.lifetimesSec.add(lifeSec);
-            cs.sizesAtDeath.add(static_cast<double>(it->second.lastSize));
-            cs.maxSizes.add(static_cast<double>(it->second.maxSize));
-            if (it->second.maxSize == 0) ++cs.zeroLength;
-
-            // Score the create-time prediction against the outcome.
-            NamePrediction pred = predictionFor(it->second.category);
-            bool correct = true;
-            ++cs.predictionsChecked;
-            if (pred.zeroLength && it->second.maxSize > 0) correct = false;
-            if (pred.maxLifetimeSec > 0 && lifeSec > pred.maxLifetimeSec) {
-              correct = false;
-            }
-            if (pred.maxSizeBytes > 0 &&
-                it->second.maxSize > pred.maxSizeBytes) {
-              correct = false;
-            }
-            if (pred.neverDeleted) correct = false;  // it *was* deleted
-            if (correct) ++cs.predictionsCorrect;
-
-            live_.erase(it);
-          }
-        }
-        break;
-      }
-      default:
-        break;
+void FileLifeCensus::observe(const TraceRecord& rec, const RecordIds& ids,
+                             std::uint32_t unlinked) {
+  if (!rec.hasReply || rec.status != NfsStat::Ok) return;
+  switch (rec.op) {
+    case NfsOp::Create:
+    case NfsOp::Mknod: {
+      if (!rec.hasResFh) break;
+      NameCategory cat = classifyName(rec.name);
+      if (ids.resFh >= files_.size()) files_.resize(std::size_t{ids.resFh} + 1);
+      LiveFile& lf = files_[ids.resFh];
+      lf.live = true;
+      lf.category = cat;
+      lf.created = rec.ts;
+      lf.lastSize = rec.hasAttrs ? rec.fileSize : 0;
+      lf.maxSize = lf.lastSize;
+      ++stats_[cat].created;
+      ++totalCreated_;
+      break;
     }
+    case NfsOp::Write:
+    case NfsOp::Setattr:
+    case NfsOp::Getattr:
+    case NfsOp::Read: {
+      LiveFile* lf = liveFile(ids.fh);
+      if (lf && rec.hasAttrs) {
+        lf->lastSize = rec.fileSize;
+        lf->maxSize = std::max(lf->maxSize, rec.fileSize);
+      }
+      break;
+    }
+    case NfsOp::Remove:
+    case NfsOp::Rename: {
+      // A removed file, or the file a RENAME replaced.
+      LiveFile* lf = liveFile(unlinked);
+      if (!lf) break;
+      auto& cs = stats_[lf->category];
+      ++cs.deleted;
+      ++totalDeleted_;
+      double lifeSec = toSeconds(rec.ts - lf->created);
+      cs.lifetimesSec.add(lifeSec);
+      cs.sizesAtDeath.add(static_cast<double>(lf->lastSize));
+      cs.maxSizes.add(static_cast<double>(lf->maxSize));
+      if (lf->maxSize == 0) ++cs.zeroLength;
+
+      // Score the create-time prediction against the outcome.
+      NamePrediction pred = predictionFor(lf->category);
+      bool correct = true;
+      ++cs.predictionsChecked;
+      if (pred.zeroLength && lf->maxSize > 0) correct = false;
+      if (pred.maxLifetimeSec > 0 && lifeSec > pred.maxLifetimeSec) {
+        correct = false;
+      }
+      if (pred.maxSizeBytes > 0 && lf->maxSize > pred.maxSizeBytes) {
+        correct = false;
+      }
+      if (pred.neverDeleted) correct = false;  // it *was* deleted
+      if (correct) ++cs.predictionsCorrect;
+
+      lf->live = false;
+      break;
+    }
+    default:
+      break;
   }
-  pathrec_.observe(rec);
 }
 
 void FileLifeCensus::finish() {
   if (finished_) return;
   finished_ = true;
   // Files still alive at the end validate the "never deleted" prediction.
-  for (const auto& [fh, lf] : live_) {
+  for (const LiveFile& lf : files_) {
+    if (!lf.live) continue;
     NamePrediction pred = predictionFor(lf.category);
     auto& cs = stats_[lf.category];
     if (pred.neverDeleted) {

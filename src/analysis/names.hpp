@@ -13,9 +13,9 @@
 #include <cstdint>
 #include <map>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
-#include "analysis/pathrec.hpp"
+#include "trace/batch.hpp"
 #include "trace/record.hpp"
 #include "util/histogram.hpp"
 
@@ -64,11 +64,15 @@ struct CategoryStats {
   std::uint64_t predictionsCorrect = 0;
 };
 
-/// Tracks file creations and deletions (resolving REMOVE targets through
-/// the reconstructed hierarchy), sizes, and per-category statistics.
+/// Tracks file creations and deletions, sizes, and per-category
+/// statistics.  A file dies when a REMOVE unlinks it, or a RENAME onto
+/// its name replaces it.
 class FileLifeCensus {
  public:
-  void observe(const TraceRecord& rec);
+  /// Feed records in time order, each with its interned ids and the
+  /// handle id it unlinks (Namespace::apply).
+  void observe(const TraceRecord& rec, const RecordIds& ids,
+               std::uint32_t unlinked);
   void finish();
 
   const std::map<NameCategory, CategoryStats>& byCategory() const {
@@ -82,15 +86,20 @@ class FileLifeCensus {
 
  private:
   struct LiveFile {
+    bool live = false;
     NameCategory category = NameCategory::Other;
     MicroTime created = 0;
     std::uint64_t lastSize = 0;
     std::uint64_t maxSize = 0;
   };
+  /// The live file with handle id `id`, or null.
+  LiveFile* liveFile(std::uint32_t id) {
+    return id < files_.size() && files_[id].live ? &files_[id] : nullptr;
+  }
 
   std::map<NameCategory, CategoryStats> stats_;
-  std::unordered_map<FileHandle, LiveFile, FileHandleHash> live_;
-  PathReconstructor pathrec_;
+  /// Per handle id.
+  std::vector<LiveFile> files_;
   std::uint64_t totalCreated_ = 0;
   std::uint64_t totalDeleted_ = 0;
   bool finished_ = false;

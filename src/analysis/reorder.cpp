@@ -7,16 +7,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "analysis/namespace.hpp"
+
 namespace nfstrace {
-
-HandleIds::HandleIds() : handles_(1) {}
-
-std::uint32_t HandleIds::id(const FileHandle& fh) {
-  std::uint32_t id = interner_.intern(
-      {reinterpret_cast<const char*>(fh.data.data()), fh.len});
-  if (id == handles_.size()) handles_.push_back(fh);
-  return id;
-}
 
 ReorderKernel::ReorderKernel(const std::vector<ReorderKey>& keys) {
   if (keys.size() > std::numeric_limits<std::uint32_t>::max()) {
@@ -108,7 +101,7 @@ std::vector<ReorderKey> keysOf(const std::vector<TraceRecord>& records) {
   for (const TraceRecord& rec : records) {
     std::uint32_t group = ReorderKernel::kNoGroup;
     if (isDataAccess(rec)) {
-      group = reorderGroup(ids.id(rec.fh), rec.op == NfsOp::Write);
+      group = reorderGroup(ids.of(rec).fh, rec.op == NfsOp::Write);
     }
     keys.push_back({rec.ts, rec.offset, group});
   }

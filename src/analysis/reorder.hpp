@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "trace/record.hpp"
-#include "util/interner.hpp"
 
 namespace nfstrace {
 
@@ -45,20 +44,6 @@ inline double swappedFraction(std::uint64_t swapped, std::uint64_t total) {
   return total ? static_cast<double>(swapped) / static_cast<double>(total)
                : 0.0;
 }
-
-/// Dense file-handle ids as the trace reader assigns them: 0 is the
-/// empty handle, the others follow in first-appearance order.
-class HandleIds {
- public:
-  HandleIds();
-  std::uint32_t id(const FileHandle& fh);
-  /// The handle behind each id.
-  const std::vector<FileHandle>& handles() const { return handles_; }
-
- private:
-  StringInterner interner_;
-  std::vector<FileHandle> handles_;
-};
 
 /// One access as the kernel sees it (24 bytes).
 struct ReorderKey {

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <span>
 
+#include "analysis/namespace.hpp"
 #include "analysis/reorder.hpp"
 
 namespace nfstrace {
@@ -162,7 +163,7 @@ std::vector<Run> detectRuns(const std::vector<TraceRecord>& records,
   HandleIds ids;
   std::vector<AccessRow> rows;
   for (const TraceRecord& rec : records) {
-    if (isDataAccess(rec)) rows.push_back(accessRow(rec, ids.id(rec.fh)));
+    if (isDataAccess(rec)) rows.push_back(accessRow(rec, ids.of(rec).fh));
   }
   std::vector<std::uint32_t> order(rows.size());
   std::iota(order.begin(), order.end(), 0u);

@@ -47,6 +47,7 @@ constexpr StageInfo kStages[kStageCount] = {
     {"engine.pass_observe", false, Stage::kStageCount, Stage::kStageCount},
     {"engine.finalize", false, Stage::kStageCount, Stage::kStageCount},
     {"engine.pass_finalize", false, Stage::kStageCount, Stage::kStageCount},
+    {"engine.namespace", false, Stage::kStageCount, Stage::kStageCount},
     // Degradation / fault decisions.
     {"fault.drop", false, Stage::kStageCount, Stage::kStageCount},
     {"fault.corrupt", false, Stage::kStageCount, Stage::kStageCount},

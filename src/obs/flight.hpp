@@ -77,6 +77,7 @@ enum class Stage : std::uint16_t {
   PassObserve,     ///< worker: one pass observing one batch
   Finalize,        ///< finalize/merge phase across passes
   PassFinalize,    ///< finalize thread: one pass's finalize
+  Namespace,       ///< reader: applying the namespace to one batch
   // Degradation & fault-plan decisions.
   FaultDrop,     ///< instant: fault plan dropped a frame (arg = index)
   FaultCorrupt,  ///< instant: fault plan truncated/bit-flipped a frame

@@ -19,6 +19,13 @@
 
 namespace nfstrace {
 
+/// One record's interned ids: handles in the handle interner, names in
+/// the name interner.  0 is the empty handle or name.
+struct RecordIds {
+  std::uint32_t fh = 0, fh2 = 0, resFh = 0;
+  std::uint32_t name = 0, name2 = 0;
+};
+
 struct TraceBatch {
   /// Default batch size: large enough to amortize refill/queue costs,
   /// small enough that a handful of in-flight batches stay cache-warm.
@@ -34,6 +41,13 @@ struct TraceBatch {
   /// names in `names()`.
   std::vector<std::uint32_t> fhId, fh2Id, resFhId;
   std::vector<std::uint32_t> nameId, name2Id;
+  /// The namespace's columns, filled by the engine (analysis/namespace):
+  /// the handle id each record unlinks (0: none), and for READ and WRITE
+  /// whether the handle's parent was known; then the known files after
+  /// the batch.
+  std::vector<std::uint32_t> unlinkedId;
+  std::vector<std::uint8_t> parentKnown;
+  std::size_t knownFiles = 0;
   /// True when the batch was cut short because the reader resynchronized
   /// past a corrupt region (recover mode): a batch never straddles one.
   bool endedAtResync = false;
@@ -48,6 +62,9 @@ struct TraceBatch {
   /// Interner for file-handle bytes (set by the reader; reader-owned).
   const StringInterner* handleInterner = nullptr;
 
+  RecordIds ids(std::size_t i) const {
+    return {fhId[i], fh2Id[i], resFhId[i], nameId[i], name2Id[i]};
+  }
   std::size_t size() const { return n; }
   bool empty() const { return n == 0; }
 };

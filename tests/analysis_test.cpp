@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
 
 #include "analysis/blocklife.hpp"
+#include "analysis/engine/passes.hpp"
 #include "util/rng.hpp"
 #include "analysis/hourly.hpp"
 #include "analysis/names.hpp"
-#include "analysis/pathrec.hpp"
+#include "analysis/namespace.hpp"
 #include "analysis/reorder.hpp"
 #include "analysis/runs.hpp"
 #include "analysis/summary.hpp"
@@ -53,54 +56,126 @@ TraceRecord nameRec(NfsOp op, std::uint64_t dirId, const std::string& name,
   return r;
 }
 
+TraceRecord renameRec(std::uint64_t fromDir, const std::string& from,
+                      std::uint64_t toDir, const std::string& to,
+                      MicroTime ts) {
+  TraceRecord r;
+  r.ts = ts;
+  r.op = NfsOp::Rename;
+  r.fh = fhOf(fromDir);
+  r.name = from;
+  r.fh2 = fhOf(toDir);
+  r.name2 = to;
+  r.hasReply = true;
+  r.status = NfsStat::Ok;
+  return r;
+}
+
+/// A Namespace fed record by record, asked about handles and names.
+class Paths {
+ public:
+  /// The handle `rec` unlinks; the empty handle when none.
+  FileHandle observe(const TraceRecord& rec) {
+    return ids_.handles()[ns_.apply(rec, ids_.of(rec))];
+  }
+  std::optional<std::string> nameOf(const FileHandle& fh) const {
+    std::uint32_t name = ns_.nameOf(idOf(fh));
+    if (name == 0) return std::nullopt;
+    return std::string(ids_.name(name));
+  }
+  bool parentKnown(const FileHandle& fh) const {
+    return ns_.parentKnown(idOf(fh));
+  }
+  std::size_t knownFiles() const { return ns_.knownFiles(); }
+
+ private:
+  /// 0 (the empty handle) for a handle no record has named yet.
+  std::uint32_t idOf(const FileHandle& fh) const {
+    const auto& h = ids_.handles();
+    auto it = std::find(h.begin(), h.end(), fh);
+    return it == h.end() ? 0 : static_cast<std::uint32_t>(it - h.begin());
+  }
+
+  HandleIds ids_;
+  Namespace ns_;
+};
+
+/// An analyzer fed records one at a time, as the benches feed it: one
+/// HandleIds and one Namespace in front of it.
+template <class Analyzer>
+class Fed : public Analyzer {
+ public:
+  void observe(const TraceRecord& rec) {
+    const RecordIds id = ids_.of(rec);
+    Analyzer::observe(rec, id, ns_.apply(rec, id));
+  }
+
+ private:
+  HandleIds ids_;
+  Namespace ns_;
+};
+
 // ------------------------------------------------------------- pathrec
 
 TEST(PathRec, LearnsFromLookups) {
-  PathReconstructor rec;
+  Paths rec;
   rec.observe(nameRec(NfsOp::Lookup, 1, "home", 0, 2));
   rec.observe(nameRec(NfsOp::Lookup, 2, "user", 1, 3));
   rec.observe(nameRec(NfsOp::Lookup, 3, "file.txt", 2, 4));
-  EXPECT_EQ(rec.pathOf(fhOf(4)), "/home/user/file.txt");
   EXPECT_EQ(rec.nameOf(fhOf(4)), "file.txt");
-  EXPECT_EQ(rec.childOf(fhOf(3), "file.txt"), fhOf(4));
-  EXPECT_EQ(rec.parentOf(fhOf(4)), fhOf(3));
+  EXPECT_EQ(rec.nameOf(fhOf(3)), "user");
+  EXPECT_EQ(rec.nameOf(fhOf(2)), "home");
+  EXPECT_FALSE(rec.parentKnown(fhOf(1)));
+  EXPECT_EQ(rec.knownFiles(), 3u);
+  // The (3, "file.txt") edge leads to 4: removing it unlinks 4.
+  EXPECT_EQ(rec.observe(nameRec(NfsOp::Remove, 3, "file.txt", 3)), fhOf(4));
 }
 
 TEST(PathRec, LearnsFromCreates) {
-  PathReconstructor rec;
+  Paths rec;
   rec.observe(nameRec(NfsOp::Create, 1, "new.c", 0, 9));
   EXPECT_EQ(rec.nameOf(fhOf(9)), "new.c");
 }
 
 TEST(PathRec, RenameMovesEdge) {
-  PathReconstructor rec;
+  Paths rec;
   rec.observe(nameRec(NfsOp::Lookup, 1, "dir", 0, 2));
   rec.observe(nameRec(NfsOp::Create, 2, "old", 1, 5));
-  TraceRecord mv;
-  mv.ts = 2;
-  mv.op = NfsOp::Rename;
-  mv.fh = fhOf(2);
-  mv.name = "old";
-  mv.fh2 = fhOf(1);
-  mv.name2 = "new";
-  mv.hasReply = true;
-  mv.status = NfsStat::Ok;
-  rec.observe(mv);
-  EXPECT_EQ(rec.childOf(fhOf(1), "new"), fhOf(5));
-  EXPECT_FALSE(rec.childOf(fhOf(2), "old").has_value());
+  EXPECT_EQ(rec.observe(renameRec(2, "old", 1, "new", 2)), FileHandle{});
   EXPECT_EQ(rec.nameOf(fhOf(5)), "new");
+  EXPECT_EQ(rec.knownFiles(), 2u);
+  // The old edge is gone and the new one leads to 5.
+  EXPECT_EQ(rec.observe(nameRec(NfsOp::Remove, 2, "old", 3)), FileHandle{});
+  EXPECT_EQ(rec.observe(nameRec(NfsOp::Remove, 1, "new", 4)), fhOf(5));
+}
+
+TEST(PathRec, RenameOverLiveNameUnlinksTheDisplacedFile) {
+  // rename(2) replaces the target: the displaced file loses its edges.
+  Paths rec;
+  rec.observe(nameRec(NfsOp::Create, 1, "a", 0, 5));
+  rec.observe(nameRec(NfsOp::Create, 1, "b", 1, 6));
+  EXPECT_EQ(rec.observe(renameRec(1, "a", 1, "b", 2)), fhOf(6));
+  EXPECT_FALSE(rec.parentKnown(fhOf(6)));
+  EXPECT_EQ(rec.nameOf(fhOf(5)), "b");
+  EXPECT_EQ(rec.knownFiles(), 1u);
+  // Onto itself: nothing is displaced.
+  EXPECT_EQ(rec.observe(renameRec(1, "b", 1, "b", 3)), FileHandle{});
+  EXPECT_EQ(rec.nameOf(fhOf(5)), "b");
+  // From an unknown source, the target edge drops all the same.
+  EXPECT_EQ(rec.observe(renameRec(1, "ghost", 1, "b", 4)), fhOf(5));
+  EXPECT_EQ(rec.knownFiles(), 0u);
 }
 
 TEST(PathRec, RemoveForgetsEdge) {
-  PathReconstructor rec;
+  Paths rec;
   rec.observe(nameRec(NfsOp::Create, 1, "f", 0, 5));
-  rec.observe(nameRec(NfsOp::Remove, 1, "f", 1));
-  EXPECT_FALSE(rec.childOf(fhOf(1), "f").has_value());
+  EXPECT_EQ(rec.observe(nameRec(NfsOp::Remove, 1, "f", 1)), fhOf(5));
+  EXPECT_EQ(rec.observe(nameRec(NfsOp::Remove, 1, "f", 2)), FileHandle{});
   EXPECT_FALSE(rec.nameOf(fhOf(5)).has_value());
 }
 
 TEST(PathRec, FailedLookupsTeachNothing) {
-  PathReconstructor rec;
+  Paths rec;
   auto miss = nameRec(NfsOp::Lookup, 1, "ghost", 0, 0);
   miss.status = NfsStat::ErrNoEnt;
   rec.observe(miss);
@@ -108,11 +183,34 @@ TEST(PathRec, FailedLookupsTeachNothing) {
 }
 
 TEST(PathRec, CoverageTracksDataOps) {
-  PathReconstructor rec;
-  rec.observe(nameRec(NfsOp::Lookup, 1, "f", 0, 5));
-  rec.observe(dataRec(NfsOp::Read, 5, 1, 0, 8192, 100000));   // known
-  rec.observe(dataRec(NfsOp::Read, 99, 2, 0, 8192, 100000));  // unknown
-  EXPECT_DOUBLE_EQ(rec.parentCoverage(), 0.5);
+  // Through the engine's entry points: the namespace fills the batch's
+  // parent-known column, and the pass counts it.
+  std::vector<TraceRecord> recs = {
+      nameRec(NfsOp::Lookup, 1, "f", 0, 5),
+      dataRec(NfsOp::Read, 5, 1, 0, 8192, 100000),   // known
+      dataRec(NfsOp::Read, 99, 2, 0, 8192, 100000),  // unknown
+  };
+  HandleIds ids;
+  TraceBatch batch;
+  for (const TraceRecord& r : recs) {
+    const RecordIds id = ids.of(r);
+    batch.records.push_back(r);
+    batch.fhId.push_back(id.fh);
+    batch.fh2Id.push_back(id.fh2);
+    batch.resFhId.push_back(id.resFh);
+    batch.nameId.push_back(id.name);
+    batch.name2Id.push_back(id.name2);
+  }
+  batch.n = recs.size();
+  Namespace ns;
+  ns.apply(batch);
+  EXPECT_EQ(batch.parentKnown, (std::vector<std::uint8_t>{0, 1, 0}));
+  PathRecPass pass;
+  pass.prepare(1);
+  pass.observe(batch, 0);
+  pass.finalize();
+  EXPECT_DOUBLE_EQ(pass.parentCoverage(), 0.5);
+  EXPECT_EQ(pass.knownFiles(), 1u);
 }
 
 // ------------------------------------------------------------- reorder
@@ -325,7 +423,7 @@ TEST(BlockLife, OverwriteDeathAndLifetime) {
   cfg.phase1Start = 0;
   cfg.phase1Length = kMicrosPerDay;
   cfg.phase2Length = kMicrosPerDay;
-  BlockLifeAnalyzer bl;
+  Fed<BlockLifeAnalyzer> bl;
   // Born at t=100s, overwritten at t=700s -> lifetime 600s.
   bl.observe(writeRec(1, seconds(100), 0, 8192, 0, 8192));
   bl.observe(writeRec(1, seconds(700), 0, 8192, 8192, 8192));
@@ -342,7 +440,7 @@ TEST(BlockLife, OverwriteDeathAndLifetime) {
 
 TEST(BlockLife, ExtensionBirths) {
   BlockLifeConfig cfg;
-  BlockLifeAnalyzer bl;
+  Fed<BlockLifeAnalyzer> bl;
   // File is 8 KB; write at offset 40960 leaves a 4-block gap.  The gap
   // blocks and the gapped write blocks all count as extensions.
   bl.observe(writeRec(1, seconds(10), 40960, 8192, 8192, 49152));
@@ -355,7 +453,7 @@ TEST(BlockLife, ExtensionBirths) {
 
 TEST(BlockLife, AppendWithoutGapIsWriteBirth) {
   BlockLifeConfig cfg;
-  BlockLifeAnalyzer bl;
+  Fed<BlockLifeAnalyzer> bl;
   bl.observe(writeRec(1, seconds(10), 8192, 8192, 8192, 16384));
   bl.finish(cfg);
   EXPECT_EQ(bl.stats().birthsWrite, 1u);
@@ -364,7 +462,7 @@ TEST(BlockLife, AppendWithoutGapIsWriteBirth) {
 
 TEST(BlockLife, TruncateDeaths) {
   BlockLifeConfig cfg;
-  BlockLifeAnalyzer bl;
+  Fed<BlockLifeAnalyzer> bl;
   bl.observe(writeRec(1, seconds(10), 0, 3 * 8192, 0, 3 * 8192));
   // SETATTR shrinking to one block.
   TraceRecord tr;
@@ -382,7 +480,7 @@ TEST(BlockLife, TruncateDeaths) {
 
 TEST(BlockLife, DeleteDeathsViaPathResolution) {
   BlockLifeConfig cfg;
-  BlockLifeAnalyzer bl;
+  Fed<BlockLifeAnalyzer> bl;
   // Create (teaches dir/name -> fh), write, remove.
   bl.observe(nameRec(NfsOp::Create, 10, "temp.dat", seconds(1), 1));
   bl.observe(writeRec(1, seconds(2), 0, 2 * 8192, 0, 2 * 8192));
@@ -396,7 +494,7 @@ TEST(BlockLife, Phase2RecordsOnlyDeaths) {
   BlockLifeConfig cfg;
   cfg.phase1Length = seconds(100);
   cfg.phase2Length = seconds(100);
-  BlockLifeAnalyzer bl;
+  Fed<BlockLifeAnalyzer> bl;
   bl.observe(writeRec(1, seconds(50), 0, 8192, 0, 8192));    // phase-1 birth
   bl.observe(writeRec(1, seconds(150), 0, 8192, 8192, 8192));  // phase-2
   bl.finish(cfg);
@@ -409,7 +507,7 @@ TEST(BlockLife, CensoredLongLifespans) {
   BlockLifeConfig cfg;
   cfg.phase1Length = seconds(100);
   cfg.phase2Length = seconds(100);
-  BlockLifeAnalyzer bl;
+  Fed<BlockLifeAnalyzer> bl;
   bl.observe(writeRec(1, seconds(10), 0, 8192, 0, 8192));
   // Dies at 180 s: lifespan 170 s > phase2 (100 s) -> censored to surplus.
   bl.observe(writeRec(1, seconds(180), 0, 8192, 8192, 8192));
@@ -420,12 +518,47 @@ TEST(BlockLife, CensoredLongLifespans) {
 
 TEST(BlockLife, ZeroLengthFilesNoBlocks) {
   BlockLifeConfig cfg;
-  BlockLifeAnalyzer bl;
+  Fed<BlockLifeAnalyzer> bl;
   bl.observe(nameRec(NfsOp::Create, 10, ".inbox.lock", seconds(1), 1));
   bl.observe(nameRec(NfsOp::Remove, 10, ".inbox.lock", seconds(2)));
   bl.finish(cfg);
   EXPECT_EQ(bl.stats().births, 0u);
   EXPECT_EQ(bl.stats().deaths, 0u);
+}
+
+TEST(BlockLife, RenameOverLiveFileKillsItsBlocks) {
+  // Create a and b, write b, rename a over b: b's blocks die by deletion,
+  // as they would on a REMOVE of b.
+  BlockLifeConfig cfg;
+  Fed<BlockLifeAnalyzer> bl;
+  bl.observe(nameRec(NfsOp::Create, 10, "a", seconds(1), 1));
+  bl.observe(nameRec(NfsOp::Create, 10, "b", seconds(2), 2));
+  bl.observe(writeRec(2, seconds(3), 0, 2 * 8192, 0, 2 * 8192));
+  bl.observe(renameRec(10, "a", 10, "b", seconds(30)));
+  bl.finish(cfg);
+  EXPECT_EQ(bl.stats().births, 2u);
+  EXPECT_EQ(bl.stats().deathsDelete, 2u);
+  EXPECT_EQ(bl.stats().endSurplus, 0u);
+}
+
+TEST(BlockLife, CreateReplyWithoutHandleChargesNoFile) {
+  // NFSv3 may leave the new handle out of a CREATE reply.  Its post-op
+  // size is the new file's, so it must not birth or truncate blocks of
+  // the directory the call names.
+  BlockLifeConfig cfg;
+  Fed<BlockLifeAnalyzer> bl;
+  auto create = nameRec(NfsOp::Create, 10, "big", seconds(1));
+  create.hasAttrs = true;
+  create.fileSize = 2 * 8192;
+  bl.observe(create);
+  auto empty = nameRec(NfsOp::Create, 10, "small", seconds(2));
+  empty.hasAttrs = true;
+  empty.fileSize = 0;
+  bl.observe(empty);
+  bl.finish(cfg);
+  EXPECT_EQ(bl.stats().births, 0u);
+  EXPECT_EQ(bl.stats().deaths, 0u);
+  EXPECT_EQ(bl.loggedEvents(), 0u);
 }
 
 TEST(BlockLife, PhaseBoundariesDecidedAtFinish) {
@@ -443,7 +576,7 @@ TEST(BlockLife, PhaseBoundariesDecidedAtFinish) {
     r.fileSize = size;
     return r;
   };
-  BlockLifeAnalyzer bl;
+  Fed<BlockLifeAnalyzer> bl;
   // File 1: born exactly at the end of phase 1 (not a phase-1 birth).
   bl.observe(writeRec(1, seconds(100), 0, 8192, 0, 8192));
   // File 2: phase-1 block dying exactly at the end of the margin (no
@@ -582,7 +715,7 @@ TEST(Names, Classification) {
 }
 
 TEST(Names, CensusTracksLockLifecycle) {
-  FileLifeCensus census;
+  Fed<FileLifeCensus> census;
   census.observe(nameRec(NfsOp::Create, 10, ".inbox.lock", seconds(1), 5));
   census.observe(nameRec(NfsOp::Remove, 10, ".inbox.lock",
                          seconds(1) + 200'000));
@@ -599,7 +732,7 @@ TEST(Names, CensusTracksLockLifecycle) {
 }
 
 TEST(Names, CensusTracksSizes) {
-  FileLifeCensus census;
+  Fed<FileLifeCensus> census;
   census.observe(nameRec(NfsOp::Create, 10, "pico.000001", seconds(1), 5));
   auto wr = writeRec(5, seconds(2), 0, 4000, 0, 4000);
   census.observe(wr);
@@ -612,7 +745,7 @@ TEST(Names, CensusTracksSizes) {
 }
 
 TEST(Names, PredictionFailureCounted) {
-  FileLifeCensus census;
+  Fed<FileLifeCensus> census;
   // A "lock" that actually grows data breaks the zero-length prediction.
   census.observe(nameRec(NfsOp::Create, 10, "weird.lock", seconds(1), 5));
   census.observe(writeRec(5, seconds(2), 0, 8192, 0, 8192));
@@ -621,6 +754,22 @@ TEST(Names, PredictionFailureCounted) {
   const auto& cs = census.byCategory().at(NameCategory::LockFile);
   EXPECT_EQ(cs.predictionsChecked, 1u);
   EXPECT_EQ(cs.predictionsCorrect, 0u);
+}
+
+TEST(Names, RenameOverLiveFileIsADeletion) {
+  // Create a and b, write b, rename a over b: b dies, as on a REMOVE.
+  Fed<FileLifeCensus> census;
+  census.observe(nameRec(NfsOp::Create, 10, "a.lock", seconds(1), 1));
+  census.observe(nameRec(NfsOp::Create, 10, "b.log", seconds(2), 2));
+  census.observe(writeRec(2, seconds(3), 0, 4000, 0, 4000));
+  census.observe(renameRec(10, "a.lock", 10, "b.log", seconds(12)));
+  census.finish();
+  EXPECT_EQ(census.totalCreated(), 2u);
+  EXPECT_EQ(census.totalDeleted(), 1u);
+  auto cs = census.byCategory().at(NameCategory::LogFile);
+  EXPECT_EQ(cs.deleted, 1u);
+  EXPECT_NEAR(cs.sizesAtDeath.quantile(0.5), 4000.0, 1.0);
+  EXPECT_EQ(census.byCategory().at(NameCategory::LockFile).deleted, 0u);
 }
 
 // ---------------------------------------------------------------- users

@@ -16,7 +16,7 @@
 #include "analysis/engine/passes.hpp"
 #include "analysis/engine/report.hpp"
 #include "analysis/names.hpp"
-#include "analysis/pathrec.hpp"
+#include "analysis/namespace.hpp"
 #include "analysis/reorder.hpp"
 #include "analysis/runs.hpp"
 #include "analysis/summary.hpp"
@@ -254,7 +254,7 @@ TEST_F(EngineTest, ReportByteIdenticalAtAnyWorkerCount) {
   };
   const std::string serial = report(*tracePath_, 1, false);
   ASSERT_FALSE(serial.empty());
-  for (std::size_t threads : {1u, 2u, 3u, 4u, 7u, 8u}) {
+  for (std::size_t threads = 1; threads <= 8; ++threads) {
     for (const std::string& path : {*tracePath_, v2Path}) {
       for (bool viaFile : {false, true}) {
         EXPECT_EQ(report(path, threads, viaFile), serial)
@@ -263,9 +263,17 @@ TEST_F(EngineTest, ReportByteIdenticalAtAnyWorkerCount) {
       }
     }
   }
-  // Small batches force many seq%threads handoffs; still identical.
-  EXPECT_EQ(report(*tracePath_, 3, false, 19), serial);
-  EXPECT_EQ(report(v2Path, 3, true, 19), serial);
+  // Small odd batches force many seq%threads handoffs, so every
+  // mergeable pass (pathrec's knownFiles among them) folds shards that
+  // each saw a scatter of batches; still identical.
+  for (std::size_t threads : {2u, 3u, 5u, 8u}) {
+    for (std::size_t batchRecords : {19u, 57u}) {
+      EXPECT_EQ(report(*tracePath_, threads, false, batchRecords), serial)
+          << threads << " threads, batches of " << batchRecords;
+      EXPECT_EQ(report(v2Path, threads, true, batchRecords), serial)
+          << threads << " threads, batches of " << batchRecords;
+    }
+  }
   std::remove(v2Path.c_str());
 }
 
@@ -426,21 +434,30 @@ TEST_F(EngineTest, PassResultsMatchLegacyFunctions) {
   EXPECT_EQ(analyses.blocklife.stats().deathsOverwrite, bl.deathsOverwrite);
   EXPECT_EQ(analyses.blocklife.lifetimes().size(), lifetimes.size());
 
-  // names
+  // names and pathrec, fed record by record through one namespace
+  HandleIds ids;
+  Namespace ns;
   FileLifeCensus census;
-  for (const auto& r : records) census.observe(r);
+  std::uint64_t dataOps = 0, parentKnown = 0;
+  for (const auto& r : records) {
+    const RecordIds id = ids.of(r);
+    census.observe(r, id, ns.apply(r, id));
+    if (r.op == NfsOp::Read || r.op == NfsOp::Write) {
+      ++dataOps;
+      if (ns.parentKnown(id.fh)) ++parentKnown;
+    }
+  }
   census.finish();
   EXPECT_EQ(analyses.names.census().totalCreated(), census.totalCreated());
   EXPECT_EQ(analyses.names.census().totalDeleted(), census.totalDeleted());
   EXPECT_DOUBLE_EQ(analyses.names.census().lockFractionOfDeleted(),
                    census.lockFractionOfDeleted());
-
-  // pathrec
-  PathReconstructor pr;
-  for (const auto& r : records) pr.observe(r);
-  EXPECT_EQ(analyses.pathrec.reconstructor().knownFiles(), pr.knownFiles());
-  EXPECT_DOUBLE_EQ(analyses.pathrec.reconstructor().parentCoverage(),
-                   pr.parentCoverage());
+  ASSERT_GT(dataOps, 0u);
+  EXPECT_GT(ns.knownFiles(), 0u);
+  EXPECT_EQ(analyses.pathrec.knownFiles(), ns.knownFiles());
+  EXPECT_DOUBLE_EQ(analyses.pathrec.parentCoverage(),
+                   static_cast<double>(parentKnown) /
+                       static_cast<double>(dataOps));
 }
 
 // --------------------------------------------------- engine mechanics
@@ -468,7 +485,8 @@ TEST_F(EngineTest, StatsAndRerunReuse) {
 
 TEST_F(EngineTest, EachPassFinalizeIsTimedAtOneThreadAndFour) {
   // One engine.pass.<p>.finalize_ns sample and one pass-finalize span per
-  // pass, on the inline path and on the threaded one.
+  // pass, on the inline path and on the threaded one; and the namespace,
+  // applied on the decoding thread, timed once per batch.
   for (std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
     StandardAnalyses analyses;
@@ -496,6 +514,11 @@ TEST_F(EngineTest, EachPassFinalizeIsTimedAtOneThreadAndFour) {
     EXPECT_EQ(
         tallies[static_cast<std::size_t>(obs::Stage::PassFinalize)].spans,
         analyses.all().size());
+    const std::uint64_t batches = engine.stats().batches;
+    ASSERT_GT(batches, 0u);
+    EXPECT_EQ(counts["engine.namespace_ns"], batches);
+    EXPECT_EQ(tallies[static_cast<std::size_t>(obs::Stage::Namespace)].spans,
+              batches);
   }
 }
 
@@ -584,6 +607,8 @@ TEST(EngineStandalone, BlockLifePassHoldsBlockEventsNotRecords) {
   ASSERT_TRUE(reader.nextBatch(batch, 2000));
   ASSERT_EQ(batch.n, 1004u);
 
+  Namespace ns;  // the engine's step before any pass
+  ns.apply(batch);
   BlockLifePass pass;
   pass.prepare(1);
   pass.observe(batch, 0);

@@ -244,6 +244,34 @@ TEST_F(QueryTest, ParallelDecodeByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(reportExtent(path_, 4, pred, &st), reportClassic(path_, pred));
   EXPECT_GT(st.extentsPruned, 0u);
   EXPECT_GT(st.records, 0u);
+
+  // A window over a metadata-only stretch: no surviving extent holds a
+  // READ or WRITE, so the passes that narrow opMask() to data ops see no
+  // batch, yet the hierarchy must come out as the classic scan's.
+  Rng rng(34);
+  for (std::size_t i = 768; i < 1280; ++i) {
+    while (recs[i].op == NfsOp::Read || recs[i].op == NfsOp::Write) {
+      recs[i] = randomRecord(rng, recs[i].ts);
+    }
+  }
+  writeV2(path_, recs, /*extentRecords=*/256);
+  ScanPredicate window;
+  window.from = recs[800].ts;
+  window.to = recs[1250].ts;
+  auto index = tracev2::loadChainedIndex(path_);
+  ASSERT_TRUE(index.has_value());
+  for (const tracev2::ExtentInfo& e : *index) {
+    if (!window.mayMatch(e)) continue;
+    EXPECT_EQ(e.opMask & (opMaskBit(NfsOp::Read) | opMaskBit(NfsOp::Write)),
+              0u);
+  }
+  const std::string metaOracle = reportClassic(path_, window);
+  EXPECT_EQ(metaOracle.find("hierarchy: 0 known files"), std::string::npos);
+  for (std::size_t threads : {1, 4}) {
+    SCOPED_TRACE("metadata window, decodeThreads " + std::to_string(threads));
+    EXPECT_EQ(reportExtent(path_, threads, window, &st), metaOracle);
+    EXPECT_GT(st.extentsPruned, 0u);
+  }
 }
 
 /// XOR one byte of the file at `offset`.

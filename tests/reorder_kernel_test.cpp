@@ -16,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "analysis/namespace.hpp"
 #include "analysis/reorder.hpp"
 #include "analysis/runs.hpp"
 #include "util/rng.hpp"
@@ -192,7 +193,7 @@ TEST(ReorderKernel, RowRunsInKernelOrderMatchRecordRuns) {
     std::vector<ReorderKey> keys;
     for (const TraceRecord& r : recs) {
       if (!isDataAccess(r)) continue;
-      std::uint32_t file = ids.id(r.fh);
+      std::uint32_t file = ids.of(r).fh;
       rows.push_back(accessRow(r, file));
       keys.push_back({r.ts, r.offset,
                       reorderGroup(file, r.op == NfsOp::Write)});

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/names.hpp"
+#include "analysis/namespace.hpp"
 #include "analysis/summary.hpp"
 #include "workload/campus.hpp"
 #include "workload/eecs.hpp"
@@ -54,6 +55,19 @@ TEST(Schedule, EventTimesStrictlyAdvance) {
 
 // ------------------------------------------------- campus trace shape
 
+/// The name census of `records`, fed one at a time through one namespace.
+FileLifeCensus censusOf(const std::vector<TraceRecord>& records) {
+  HandleIds ids;
+  Namespace ns;
+  FileLifeCensus census;
+  for (const TraceRecord& r : records) {
+    const RecordIds id = ids.of(r);
+    census.observe(r, id, ns.apply(r, id));
+  }
+  census.finish();
+  return census;
+}
+
 class CampusShape : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -92,9 +106,7 @@ TEST_F(CampusShape, MostCallsAreData) {
 }
 
 TEST_F(CampusShape, LockFilesDominateCreateDelete) {
-  FileLifeCensus census;
-  for (const auto& r : env_->records()) census.observe(r);
-  census.finish();
+  FileLifeCensus census = censusOf(env_->records());
   // Paper: ~96% of created-and-deleted CAMPUS files are lock files.
   EXPECT_GT(census.lockFractionOfDeleted(), 0.5);
   const auto& locks = census.byCategory().at(NameCategory::LockFile);
@@ -107,15 +119,17 @@ TEST_F(CampusShape, LockFilesDominateCreateDelete) {
 
 TEST_F(CampusShape, MailboxBytesDominate) {
   // >95% of data bytes should involve user inboxes (mailbox category).
-  PathReconstructor paths;
+  HandleIds ids;
+  Namespace paths;
   std::uint64_t mailboxBytes = 0, totalBytes = 0;
   for (const auto& r : env_->records()) {
-    paths.observe(r);
+    const RecordIds id = ids.of(r);
+    paths.apply(r, id);
     if (r.op == NfsOp::Read || r.op == NfsOp::Write) {
       std::uint64_t n = r.retCount;
       totalBytes += n;
-      auto name = paths.nameOf(r.fh);
-      if (name && classifyName(*name) == NameCategory::Mailbox) {
+      std::uint32_t name = paths.nameOf(id.fh);
+      if (name && classifyName(ids.name(name)) == NameCategory::Mailbox) {
         mailboxBytes += n;
       }
     }
@@ -171,9 +185,7 @@ TEST_F(EecsShape, WritesOutnumberReads) {
 }
 
 TEST_F(EecsShape, AppletFilesChurn) {
-  FileLifeCensus census;
-  for (const auto& r : env_->records()) census.observe(r);
-  census.finish();
+  FileLifeCensus census = censusOf(env_->records());
   auto it = census.byCategory().find(NameCategory::AppletFile);
   ASSERT_NE(it, census.byCategory().end());
   EXPECT_GT(it->second.deleted, 10u);
