@@ -12,16 +12,29 @@ constexpr std::uint32_t kMaxRun = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
-void BlockLifeAnalyzer::recordBirth(FileState& st, std::size_t block,
-                                    MicroTime now, bool isWrite) {
-  if (block >= st.birth.size()) st.birth.resize(block + 1, kUntracked);
-  st.birth[block] = now;
-  Cause cause = isWrite ? Cause::Write : Cause::Extension;
+void BlockLifeAnalyzer::recordBirths(FileState& st, std::uint64_t first,
+                                     std::uint64_t end, MicroTime now,
+                                     bool isWrite) {
+  if (first >= end) return;
+  if (end > st.birth.size()) st.birth.resize(end, kUntracked);
+  std::fill(st.birth.begin() + static_cast<std::ptrdiff_t>(first),
+            st.birth.begin() + static_cast<std::ptrdiff_t>(end), now);
+  // One event per run of kMaxRun blocks, topping up the last event first
+  // when it has the same time and cause.
+  const Cause cause = isWrite ? Cause::Write : Cause::Extension;
+  std::uint64_t left = end - first;
   if (!births_.empty() && births_.back().ts == now &&
-      births_.back().cause == cause && births_.back().blocks < kMaxRun) {
-    ++births_.back().blocks;
-  } else {
-    births_.push_back({now, 1, cause});
+      births_.back().cause == cause) {
+    const std::uint32_t take = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(left, kMaxRun - births_.back().blocks));
+    births_.back().blocks += take;
+    left -= take;
+  }
+  while (left > 0) {
+    const std::uint32_t take =
+        static_cast<std::uint32_t>(std::min<std::uint64_t>(left, kMaxRun));
+    births_.push_back({now, take, cause});
+    left -= take;
   }
 }
 
@@ -68,21 +81,18 @@ void BlockLifeAnalyzer::observe(const TraceRecord& rec, const RecordIds& ids,
 
       // A write that starts beyond the old EOF block creates the gap
       // blocks *and* the written blocks as extensions (paper's noted
-      // over-count); otherwise new blocks are write births.
-      bool gapped = firstBlock > preBlocks;
-      if (gapped) {
-        for (std::uint64_t b = preBlocks; b < firstBlock; ++b) {
-          recordBirth(st, b, rec.ts, /*isWrite=*/false);
-        }
-      }
-      for (std::uint64_t b = firstBlock; b <= lastBlock; ++b) {
-        if (b < preBlocks) {
-          // Overwrite of a live block: old version dies, new one is born.
+      // over-count).  Otherwise every written block is a write birth, and
+      // the old version of each one below the old EOF dies first.
+      if (firstBlock > preBlocks) {
+        // (lastBlock is below firstBlock only when offset + count wraps.)
+        recordBirths(st, preBlocks, std::max(firstBlock, lastBlock + 1),
+                     rec.ts, /*isWrite=*/false);
+      } else {
+        const std::uint64_t overwritten = std::min(lastBlock + 1, preBlocks);
+        for (std::uint64_t b = firstBlock; b < overwritten; ++b) {
           killBlock(st, b, rec.ts, Cause::Overwrite);
-          recordBirth(st, b, rec.ts, /*isWrite=*/true);
-        } else {
-          recordBirth(st, b, rec.ts, /*isWrite=*/!gapped);
         }
+        recordBirths(st, firstBlock, lastBlock + 1, rec.ts, /*isWrite=*/true);
       }
       std::uint64_t newSize = std::max(preSize, rec.offset + cnt);
       if (rec.hasAttrs) newSize = std::max(newSize, rec.fileSize);
@@ -101,13 +111,14 @@ void BlockLifeAnalyzer::observe(const TraceRecord& rec, const RecordIds& ids,
       std::uint64_t oldBlocks = (st.sizeBytes + bs - 1) / bs;
       std::uint64_t newBlocks = (newSize + bs - 1) / bs;
       if (newBlocks < oldBlocks) {
-        for (std::uint64_t b = newBlocks; b < oldBlocks; ++b) {
+        // Only tracked blocks can die.
+        const std::uint64_t tracked =
+            std::min<std::uint64_t>(oldBlocks, st.birth.size());
+        for (std::uint64_t b = newBlocks; b < tracked; ++b) {
           killBlock(st, b, rec.ts, Cause::Truncate);
         }
-      } else if (newBlocks > oldBlocks) {
-        for (std::uint64_t b = oldBlocks; b < newBlocks; ++b) {
-          recordBirth(st, b, rec.ts, /*isWrite=*/false);
-        }
+      } else {
+        recordBirths(st, oldBlocks, newBlocks, rec.ts, /*isWrite=*/false);
       }
       st.sizeBytes = newSize;
       st.birth.resize(newBlocks, kUntracked);

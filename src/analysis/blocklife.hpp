@@ -105,8 +105,10 @@ class BlockLifeAnalyzer {
   FileState& file(std::uint32_t id);
   void killBlock(FileState& st, std::size_t block, MicroTime now,
                  Cause cause);
-  void recordBirth(FileState& st, std::size_t block, MicroTime now,
-                   bool isWrite);
+  /// Blocks [first, end) are born at `now`: one fill, merged into the
+  /// last birth event when it has the same time and cause.
+  void recordBirths(FileState& st, std::uint64_t first, std::uint64_t end,
+                    MicroTime now, bool isWrite);
 
   std::vector<Birth> births_;
   std::vector<Death> deaths_;

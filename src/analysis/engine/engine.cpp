@@ -10,6 +10,7 @@
 
 #include "obs/timer.hpp"
 #include "pipeline/spsc_ring.hpp"
+#include "util/parallel.hpp"
 
 namespace nfstrace {
 namespace {
@@ -356,40 +357,16 @@ void AnalysisEngine::finalizePass(std::size_t i, std::size_t slot,
 }
 
 void AnalysisEngine::finalizeAll(std::size_t parallelism) {
+  // Passes are independent after the scan; finalize them concurrently.
+  // Thread t > 0 records on worker track t - 1, idle since the scan's
+  // join; the calling thread on the reader's.
   const std::size_t n =
-      std::min(std::max<std::size_t>(parallelism, 1), passes_.size());
-  if (n <= 1) {
-    for (std::size_t i = 0; i < passes_.size(); ++i) {
-      finalizePass(i, 0, readerFlog_);
-    }
-    return;
-  }
-  // Passes are independent after the scan; finalize them concurrently
-  // (work-stealing over an atomic index).  Thread t > 0 records on worker
-  // track t - 1, idle since the scan's join; the calling thread on the
-  // reader's.
+      std::max<std::size_t>(std::min(parallelism, passes_.size()), 1);
   std::vector<obs::ThreadLog*> flogs(n, readerFlog_);
   for (std::size_t t = 1; t < n; ++t) flogs[t] = workerFlog(t - 1);
-  std::atomic<std::size_t> next{0};
-  auto drain = [this, &next, &flogs](std::size_t t) {
-    for (;;) {
-      std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= passes_.size()) break;
-      finalizePass(i, t, flogs[t]);
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(n - 1);
-  try {
-    for (std::size_t t = 1; t < n; ++t) threads.emplace_back(drain, t);
-  } catch (...) {
-    // A thread that failed to start: join the running ones before the
-    // exception destroys them.
-    for (auto& t : threads) t.join();
-    throw;
-  }
-  drain(0);
-  for (auto& t : threads) t.join();
+  parallelFor(passes_.size(), n, [this, &flogs](std::size_t i, std::size_t t) {
+    finalizePass(i, t, flogs[t]);
+  });
 }
 
 }  // namespace nfstrace

@@ -59,7 +59,8 @@ class AnalysisEngine {
     /// fans every batch out to N observer threads, then finalizes the
     /// passes on up to N threads.  Reports are byte-identical at any
     /// value.  At most kMaxDecodeThreads.  (The name predates the
-    /// fan-out: it once counted extent-decode threads.)
+    /// fan-out: it once counted extent-decode threads.  ReorderPass's
+    /// window sweep sizes its own threads from its input.)
     std::size_t decodeThreads = 1;
     /// Pushdown filter, applied record by record to every batch.
     /// runFile() also hands it to the reader, which then prunes whole
@@ -106,6 +107,8 @@ class AnalysisEngine {
 
   /// Drive every pass over the reader's stream in one scan (prepare ->
   /// observe* -> finalize).  Reusable: each call re-prepares the passes.
+  /// An error from a decode, an observe() or a finalize() on any thread
+  /// is rethrown here once every thread the scan started has joined.
   const Stats& run(TraceReader& reader);
 
   /// run() over a reader opened on `path` with config_.predicate, so

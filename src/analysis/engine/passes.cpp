@@ -81,10 +81,11 @@ void ReorderPass::observe(const TraceBatch& batch, std::size_t) {
 void ReorderPass::finalize() {
   ReorderKernel kernel(keys_);
   keys_ = {};
+  const std::vector<std::uint64_t> swapped = kernel.sweep(sweepWindows_);
   sweep_.clear();
-  for (MicroTime w : sweepWindows_) {
-    sweep_.emplace_back(
-        w, swappedFraction(kernel.run(w), kernel.accessesTotal()));
+  for (std::size_t i = 0; i < sweepWindows_.size(); ++i) {
+    sweep_.emplace_back(sweepWindows_[i],
+                        swappedFraction(swapped[i], kernel.accessesTotal()));
   }
 }
 

@@ -111,7 +111,8 @@ class ReorderPass final : public AnalysisPass {
   }
   void prepare(std::size_t shards) override;
   void observe(const TraceBatch& batch, std::size_t shard) override;
-  /// One kernel over the buffered keys, run once per sweep window.
+  /// One kernel over the buffered keys, swept over every window
+  /// (ReorderKernel::sweep, concurrent for a large kernel).
   void finalize() override;
   const std::vector<std::pair<MicroTime, double>>& sweep() const {
     return sweep_;

@@ -1,13 +1,15 @@
 #include "analysis/reorder.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "analysis/namespace.hpp"
+#include "util/parallel.hpp"
+#include "util/runqueue.hpp"
 
 namespace nfstrace {
 
@@ -22,20 +24,17 @@ ReorderKernel::ReorderKernel(const std::vector<ReorderKey>& keys) {
                    [&keys](std::uint32_t a, std::uint32_t b) {
                      return keys[a].ts < keys[b].ts;
                    });
-  ts_.resize(n);
-  offset_.resize(n);
   std::size_t groups = 0;
-  for (std::size_t p = 0; p < n; ++p) {
-    const ReorderKey& key = keys[timeOrder_[p]];
-    ts_[p] = key.ts;
-    offset_[p] = key.offset;
+  for (const ReorderKey& key : keys) {
     if (key.group != kNoGroup) {
       groups = std::max<std::size_t>(groups, std::size_t{key.group} + 1);
     }
   }
 
-  // Group the time positions (offsets into one flat member array), each
-  // group's in time order: a counting sort by group id.
+  // Group the time positions (offsets into flat member arrays), each
+  // group's in time order: a counting sort by group id.  Each member
+  // carries its key's timestamp and offset, so run() reads a group's
+  // keys from contiguous memory.
   groupStart_.assign(groups + 1, 0);
   for (const ReorderKey& key : keys) {
     if (key.group != kNoGroup) ++groupStart_[key.group + 1];
@@ -43,13 +42,18 @@ ReorderKernel::ReorderKernel(const std::vector<ReorderKey>& keys) {
   for (std::size_t g = 1; g <= groups; ++g) {
     groupStart_[g] += groupStart_[g - 1];
   }
-  members_.resize(groupStart_[groups]);
+  const std::size_t members = groupStart_[groups];
+  members_.resize(members);
+  memberTs_.resize(members);
+  memberOffset_.resize(members);
   std::vector<std::uint32_t> fill(groupStart_.begin(), groupStart_.end() - 1);
   for (std::size_t p = 0; p < n; ++p) {
-    std::uint32_t group = keys[timeOrder_[p]].group;
-    if (group != kNoGroup) {
-      members_[fill[group]++] = static_cast<std::uint32_t>(p);
-    }
+    const ReorderKey& key = keys[timeOrder_[p]];
+    if (key.group == kNoGroup) continue;
+    const std::uint32_t j = fill[key.group]++;
+    members_[j] = static_cast<std::uint32_t>(p);
+    memberTs_[j] = key.ts;
+    memberOffset_[j] = key.offset;
   }
 }
 
@@ -58,35 +62,54 @@ std::uint64_t ReorderKernel::run(MicroTime windowUs,
   if (order) *order = timeOrder_;
   if (windowUs <= 0) return 0;
 
-  // Min-heap of (offset, member index): the member index is the time
+  // The window as (offset, member index): the member index is the time
   // order within the group, so offset ties go to the earliest access.
-  using Entry = std::pair<std::uint64_t, std::uint32_t>;
-  std::vector<Entry> heap;
+  // Indices enter in increasing order, so a stretch of offsets that does
+  // not descend goes to the queue's FIFO.
+  RunQueue<std::pair<std::uint64_t, std::uint32_t>> window;
   std::vector<std::uint8_t> placed;
   std::uint64_t swapped = 0;
   for (std::size_t g = 0; g + 1 < groupStart_.size(); ++g) {
-    const std::uint32_t* m = members_.data() + groupStart_[g];
-    const std::size_t n = groupStart_[g + 1] - groupStart_[g];
+    const std::size_t base = groupStart_[g];
+    const std::size_t n = groupStart_[g + 1] - base;
     if (n < 2) continue;  // a lone access never moves
-    heap.clear();
+    const MicroTime* ts = memberTs_.data() + base;
+    const std::uint64_t* offset = memberOffset_.data() + base;
+    window.clear();
     placed.assign(n, 0);
     std::size_t first = 0;  // first unplaced member
-    std::size_t end = 0;    // first member not yet in the heap
+    std::size_t end = 0;    // first member not yet in the window
     for (std::size_t i = 0; i < n; ++i) {
       while (placed[first]) ++first;
-      const MicroTime tsFirst = ts_[m[first]];
-      for (; end < n && ts_[m[end]] - tsFirst <= windowUs; ++end) {
-        heap.emplace_back(offset_[m[end]], static_cast<std::uint32_t>(end));
-        std::push_heap(heap.begin(), heap.end(), std::greater<>());
+      // Members are in time order, so ts[end] >= ts[first]: the unsigned
+      // difference is exact and cannot overflow.
+      const auto tsFirst = static_cast<std::uint64_t>(ts[first]);
+      for (; end < n && static_cast<std::uint64_t>(ts[end]) - tsFirst <=
+                            static_cast<std::uint64_t>(windowUs);
+           ++end) {
+        window.push({offset[end], static_cast<std::uint32_t>(end)});
       }
-      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-      const std::uint32_t pick = heap.back().second;
-      heap.pop_back();
+      const std::uint32_t pick = window.top().second;
+      window.pop();
       placed[pick] = 1;
       if (pick != first) ++swapped;
-      if (order) (*order)[m[i]] = timeOrder_[m[pick]];
+      if (order) {
+        (*order)[members_[base + i]] = timeOrder_[members_[base + pick]];
+      }
     }
   }
+  return swapped;
+}
+
+std::vector<std::uint64_t> ReorderKernel::sweep(
+    const std::vector<MicroTime>& windows) const {
+  std::vector<std::uint64_t> swapped(windows.size(), 0);
+  const std::size_t threads = accessesTotal() >= kConcurrentSweepMin
+                                  ? std::thread::hardware_concurrency()
+                                  : 1;
+  parallelFor(windows.size(), threads, [&](std::size_t i, std::size_t) {
+    swapped[i] = run(windows[i]);
+  });
   return swapped;
 }
 
@@ -126,11 +149,12 @@ std::vector<std::pair<MicroTime, double>> sweepReorderWindows(
     const std::vector<TraceRecord>& input,
     const std::vector<MicroTime>& windows) {
   ReorderKernel kernel(keysOf(input));
+  const std::vector<std::uint64_t> swapped = kernel.sweep(windows);
   std::vector<std::pair<MicroTime, double>> out;
   out.reserve(windows.size());
-  for (MicroTime w : windows) {
-    out.emplace_back(w, swappedFraction(kernel.run(w),
-                                        kernel.accessesTotal()));
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    out.emplace_back(windows[i],
+                     swappedFraction(swapped[i], kernel.accessesTotal()));
   }
   return out;
 }

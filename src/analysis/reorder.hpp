@@ -16,9 +16,10 @@
 // holds the first of them.  Each step's window is therefore the unplaced
 // accesses with ts <= ts(first unplaced) + window, and the pick is their
 // minimum (offset, time position) — which ReorderKernel draws from a
-// min-heap fed as the window's end advances, in O(n log n) instead of the
-// rotation's O(n * window).  tests/reorder_kernel_test.cpp pins it
-// against the rotation loop.
+// RunQueue (util/runqueue.hpp) fed as the window's end advances, in
+// O(n log n) at worst instead of the rotation's O(n * window), and O(1)
+// per access where offsets do not descend.  tests/reorder_kernel_test.cpp
+// pins it against the rotation loop.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +61,11 @@ static_assert(sizeof(ReorderKey) == 24);
 class ReorderKernel {
  public:
   static constexpr std::uint32_t kNoGroup = ~std::uint32_t{0};
+  /// sweep() runs its windows on several threads only for a kernel of at
+  /// least this many accesses: a small scan, such as a one-hour query of
+  /// a few thousand accesses, loses more to thread start-up than the
+  /// threads save.
+  static constexpr std::uint64_t kConcurrentSweepMin = std::uint64_t{1} << 14;
 
   explicit ReorderKernel(const std::vector<ReorderKey>& keys);
 
@@ -73,15 +79,22 @@ class ReorderKernel {
   std::uint64_t run(MicroTime windowUs,
                     std::vector<std::uint32_t>* order = nullptr) const;
 
+  /// run(w) for each of `windows`: their swap counts, in order.  The
+  /// windows run on up to std::thread::hardware_concurrency() threads
+  /// when the kernel holds at least kConcurrentSweepMin accesses, inline
+  /// otherwise.
+  std::vector<std::uint64_t> sweep(const std::vector<MicroTime>& windows) const;
+
  private:
-  // Per time position: the key's timestamp, offset and index.
-  std::vector<MicroTime> ts_;
-  std::vector<std::uint64_t> offset_;
+  // Which key sits at each time position.
   std::vector<std::uint32_t> timeOrder_;
-  // Group g's time positions, in time order, are
-  // members_[groupStart_[g], groupStart_[g + 1]).
+  // Group g's members, in time order, are [groupStart_[g],
+  // groupStart_[g + 1]) of the three arrays below: each member's time
+  // position, timestamp and offset.
   std::vector<std::uint32_t> groupStart_;
   std::vector<std::uint32_t> members_;
+  std::vector<MicroTime> memberTs_;
+  std::vector<std::uint64_t> memberOffset_;
 };
 
 struct ReorderResult {

@@ -1,7 +1,6 @@
 #include "sniffer/sniffer.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <tuple>
 
 #include "pcap/pcap.hpp"
@@ -248,9 +247,8 @@ void Sniffer::handleCall(MicroTime ts, IpAddr client, IpAddr server,
   auto [it, isNew] = pending_.try_emplace(key);
   it->second = std::move(pc);
   // Both fresh calls and retransmissions (which refresh the entry's ts)
-  // get an expiry-heap pair; the stale older pair is skipped at pop time.
-  pendingByTs_.emplace_back(it->second.ts, key);
-  std::push_heap(pendingByTs_.begin(), pendingByTs_.end(), std::greater<>{});
+  // get an expiry-queue pair; the stale older pair is skipped at pop time.
+  pendingByTs_.push({it->second.ts, key});
   if (isNew) {
     pendingOrder_.push_back(key);
     if (config_.maxPendingCalls > 0) {
@@ -373,15 +371,14 @@ void Sniffer::expirePending(MicroTime now) {
   // Collect first, then emit ordered by (client, xid): emission order must
   // not depend on hash-table iteration order, or serial and sharded runs
   // of the same capture would produce differently-ordered traces.  The
-  // heap pops exactly the (key, ts) pairs past the timeout horizon; a
+  // queue pops exactly the (key, ts) pairs past the timeout horizon; a
   // pair whose ts no longer matches the live entry is stale (answered,
   // evicted, or retransmitted since) and contributes nothing.
   std::vector<std::uint64_t> expired;
   while (!pendingByTs_.empty() &&
-         now - pendingByTs_.front().first > config_.pendingTimeout) {
-    auto [ts, key] = pendingByTs_.front();
-    std::pop_heap(pendingByTs_.begin(), pendingByTs_.end(), std::greater<>{});
-    pendingByTs_.pop_back();
+         now - pendingByTs_.top().first > config_.pendingTimeout) {
+    auto [ts, key] = pendingByTs_.top();
+    pendingByTs_.pop();
     auto it = pending_.find(key);
     if (it != pending_.end() && it->second.ts == ts) expired.push_back(key);
   }

@@ -22,6 +22,7 @@
 #include "trace/record.hpp"
 #include "util/flatmap.hpp"
 #include "util/hash.hpp"
+#include "util/runqueue.hpp"
 
 namespace nfstrace {
 
@@ -160,15 +161,17 @@ class Sniffer : public FrameSink {
   /// go stale when a reply or expiry removes the call; eviction skips
   /// them lazily and compactPendingOrder() trims the backlog.
   std::deque<std::uint64_t> pendingOrder_;
-  /// Min-heap of (call ts, key) driving the expiry scan: each boundary
+  /// Min-queue of (call ts, key) driving the expiry scan: each boundary
   /// pops only the entries past the timeout horizon instead of walking
   /// the whole table (2-hour timeout ⇒ a big table, scanned every 30
   /// simulated seconds — the old walk dominated the decode profile).
+  /// Capture timestamps arrive in order, so nearly every pair lands in
+  /// the RunQueue's FIFO; a frame stamped earlier goes to its heap.
   /// Pairs go stale when a reply/eviction removes the call or a
   /// retransmission refreshes its ts; the (key, ts) liveness match skips
   /// them, so the popped set equals the full scan's exactly — under any
   /// frame order — which the byte-identical guarantee requires.
-  std::vector<std::pair<MicroTime, std::uint64_t>> pendingByTs_;
+  RunQueue<std::pair<MicroTime, std::uint64_t>> pendingByTs_;
   /// Calls for other RPC programs whose replies we must skip silently.
   FlatSet<std::uint64_t, U64Hash> ignoredXids_;
 

@@ -451,6 +451,31 @@ TEST(BlockLife, ExtensionBirths) {
   EXPECT_EQ(st.birthsWrite, 0u);
 }
 
+TEST(BlockLife, BlockRangesLogOneEventPerTimeAndCause) {
+  // A write 100,000 blocks past EOF, a SETATTR growth and a four-block
+  // overwrite each log one birth event, however many blocks they birth;
+  // the four blocks the overwrite kills were born together, so their
+  // deaths share one event too.
+  constexpr std::uint64_t bs = 8192;
+  Fed<BlockLifeAnalyzer> bl;
+  bl.observe(writeRec(1, seconds(10), 100'000 * bs, 8192, 0, 100'001 * bs));
+  EXPECT_EQ(bl.loggedEvents(), 1u);
+  TraceRecord grow = dataRec(NfsOp::Setattr, 1, seconds(20), 0, 0,
+                             150'000 * bs);
+  bl.observe(grow);
+  EXPECT_EQ(bl.loggedEvents(), 2u);
+  bl.observe(writeRec(1, seconds(30), 0, 4 * bs, 150'000 * bs, 150'000 * bs));
+  EXPECT_EQ(bl.loggedEvents(), 4u);
+  bl.finish(BlockLifeConfig{});
+  const auto& st = bl.stats();
+  EXPECT_EQ(st.birthsExtension, 100'001u + 49'999u);
+  EXPECT_EQ(st.birthsWrite, 4u);
+  EXPECT_EQ(st.deathsOverwrite, 4u);
+  EXPECT_EQ(st.deaths, 4u);
+  EXPECT_EQ(st.endSurplus, 150'000u);
+  EXPECT_EQ(bl.lifetimes().size(), 4u);
+}
+
 TEST(BlockLife, AppendWithoutGapIsWriteBirth) {
   BlockLifeConfig cfg;
   Fed<BlockLifeAnalyzer> bl;

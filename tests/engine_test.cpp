@@ -348,6 +348,39 @@ TEST_F(EngineTest, FanOutRethrowsScanErrors) {
   std::remove(bad.c_str());
 }
 
+/// A pass whose finalize() throws.
+class FinalizeThrowingPass : public AnalysisPass {
+ public:
+  std::string_view name() const override { return "finalize-throwing"; }
+  bool mergeable() const override { return false; }
+  void prepare(std::size_t) override {}
+  void observe(const TraceBatch&, std::size_t) override {}
+  void finalize() override { throw std::runtime_error("finalize failed"); }
+};
+
+TEST_F(EngineTest, FinalizeErrorsRethrowOnTheCaller) {
+  // Finalize runs the passes on up to decodeThreads threads; a pass that
+  // throws on any of them, the caller included, makes run() throw after
+  // every finalize thread has joined.  The throwing pass is registered
+  // first, last, or alone.
+  for (std::size_t threads : {1u, 4u}) {
+    for (int where = 0; where < 3; ++where) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, placement " +
+                   std::to_string(where));
+      StandardAnalyses analyses;
+      FinalizeThrowingPass throwing;
+      AnalysisEngine::Config cfg;
+      cfg.decodeThreads = threads;
+      AnalysisEngine engine(cfg);
+      if (where == 0) engine.addPass(&throwing);
+      if (where < 2) engine.addPasses(analyses.all());
+      if (where > 0) engine.addPass(&throwing);
+      TraceReader reader(*tracePath_);
+      EXPECT_THROW(engine.run(reader), std::runtime_error);
+    }
+  }
+}
+
 // --------------------------------------------- legacy-result equality
 
 TEST_F(EngineTest, PassResultsMatchLegacyFunctions) {

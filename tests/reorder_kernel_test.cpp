@@ -6,7 +6,10 @@
 // the same swaps, and — through the row-based detectRuns in kernel order
 // — split the same runs, on randomized traces with heavy ties in
 // timestamp and offset, several files, reads and writes interleaved on
-// one handle, records without a handle and ops that are not data ops.
+// one handle, records without a handle and ops that are not data ops,
+// and on long streams whose windows fill both sides of the kernel's
+// RunQueue.  A kernel past the concurrent-sweep size must sweep to the
+// same counts as run(), however many sweeps run at once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +22,7 @@
 #include "analysis/namespace.hpp"
 #include "analysis/reorder.hpp"
 #include "analysis/runs.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace nfstrace {
@@ -125,6 +129,68 @@ std::vector<TraceRecord> randomTrace(Rng& rng) {
   return recs;
 }
 
+/// Two files read and written in long streams of `perGroup` accesses per
+/// (file, direction) group, each record tagged with its input index in
+/// `xid`.  Each stream strings together stretches of 20 to 320 accesses
+/// that ascend block by block, ascend but restart at offset 0, repeat one
+/// offset, or descend; then nfsiod-style scheduling swaps the offsets of
+/// some neighbours.  Times advance by 0 to 3 ms, with ties.
+std::vector<TraceRecord> longStreams(Rng& rng, std::size_t perGroup) {
+  std::vector<TraceRecord> recs;
+  for (std::uint64_t file = 1; file <= 2; ++file) {
+    for (bool write : {false, true}) {
+      MicroTime clock = kMicrosPerSecond;
+      std::uint64_t block = 0;
+      std::uint64_t shape = 0;
+      std::size_t left = 0;
+      const std::size_t begin = recs.size();
+      for (std::size_t i = 0; i < perGroup; ++i) {
+        if (left == 0) {
+          shape = rng.below(4);
+          left = 20 + rng.below(300);
+        }
+        --left;
+        switch (shape) {
+          case 0: ++block; break;
+          case 1: block = rng.chance(0.05) ? 0 : block + 1; break;
+          case 2: block += rng.chance(0.1) ? 1 : 0; break;
+          default: block = block ? block - 1 : 64; break;
+        }
+        clock += rng.chance(0.3) ? 0 : static_cast<MicroTime>(rng.below(3000));
+        TraceRecord r;
+        r.ts = clock;
+        r.op = write ? NfsOp::Write : NfsOp::Read;
+        r.fh = FileHandle::make(1, file, 1);
+        r.offset = block * 8192;
+        r.count = 8192;
+        recs.push_back(r);
+      }
+      for (std::size_t i = begin; i + 1 < recs.size(); ++i) {
+        if (rng.chance(0.15)) {
+          std::swap(recs[i].offset, recs[i + 1].offset);
+          ++i;  // the pair stays swapped
+        }
+      }
+    }
+  }
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    recs[i].xid = static_cast<std::uint32_t>(i);
+  }
+  return recs;
+}
+
+/// Kernel keys of data-access records, as ReorderPass buffers them.
+std::vector<ReorderKey> keysOf(const std::vector<TraceRecord>& recs) {
+  HandleIds ids;
+  std::vector<ReorderKey> keys;
+  for (const TraceRecord& r : recs) {
+    if (!isDataAccess(r)) continue;
+    keys.push_back(
+        {r.ts, r.offset, reorderGroup(ids.of(r).fh, r.op == NfsOp::Write)});
+  }
+  return keys;
+}
+
 /// 0, 1 us, 10 ms, 1 s, and longer than any trace above.
 const std::vector<MicroTime> kWindows = {0, 1, 10'000, kMicrosPerSecond,
                                          1'000'000 * kMicrosPerSecond};
@@ -212,6 +278,40 @@ TEST(ReorderKernel, RowRunsInKernelOrderMatchRecordRuns) {
       ASSERT_EQ(runKeys(detectRuns(rows, order, ids.handles(), raw)),
                 runKeys(detectRuns(referenceSort(recs, w).records, raw)));
     }
+  }
+}
+
+TEST(ReorderKernel, LongStreamsMatchRotationLoop) {
+  Rng rng(23);
+  for (int t = 0; t < 2; ++t) {
+    auto recs = longStreams(rng, 2500);
+    auto sweep = sweepReorderWindows(recs, kWindows);
+    for (std::size_t w = 0; w < kWindows.size(); ++w) {
+      SCOPED_TRACE("stream set " + std::to_string(t) + " window " +
+                   std::to_string(kWindows[w]));
+      ReorderResult want = referenceSort(recs, kWindows[w]);
+      ReorderResult got = sortWithReorderWindow(recs, kWindows[w]);
+      ASSERT_EQ(xids(got.records), xids(want.records));
+      ASSERT_EQ(got.accessesSwapped, want.accessesSwapped);
+      EXPECT_EQ(sweep[w].second, want.swappedFraction());
+    }
+  }
+}
+
+TEST(ReorderKernel, ConcurrentSweepsEqualRunAtAnyThreadCount) {
+  Rng rng(24);
+  ReorderKernel kernel(keysOf(longStreams(rng, 4500)));
+  ASSERT_GE(kernel.accessesTotal(), ReorderKernel::kConcurrentSweepMin);
+  std::vector<std::uint64_t> want;
+  for (MicroTime w : kWindows) want.push_back(kernel.run(w));
+  EXPECT_GT(want[3], 0u);
+  for (std::size_t threads = 1; threads <= 8; ++threads) {
+    SCOPED_TRACE(std::to_string(threads) + " sweeps at once");
+    std::vector<std::vector<std::uint64_t>> got(threads);
+    parallelFor(threads, threads, [&](std::size_t i, std::size_t) {
+      got[i] = kernel.sweep(kWindows);
+    });
+    for (const auto& counts : got) EXPECT_EQ(counts, want);
   }
 }
 

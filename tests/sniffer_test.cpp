@@ -202,6 +202,53 @@ TEST(Sniffer, FlushEmitsPendingCalls) {
   EXPECT_EQ(out[0].xid, 0x1234u);
 }
 
+TEST(Sniffer, ExpiryFollowsCallTimeWhenFramesGoBackInTime) {
+  // Frame timestamps that go backwards (a merged or reordered capture):
+  // the earlier-stamped calls sit on the expiry queue's heap side, yet
+  // every scan expires exactly the calls older than the timeout.
+  std::vector<TraceRecord> out;
+  Sniffer::Config cfg;
+  cfg.pendingTimeout = seconds(5);
+  Sniffer sniffer(cfg, [&](const TraceRecord& r) { out.push_back(r); });
+  auto call = [&](std::uint32_t xid, MicroTime ts) {
+    XdrEncoder enc;
+    AuthUnix cred;
+    encodeRpcCall(enc, xid, kNfsProgram, 3,
+                  static_cast<std::uint32_t>(Proc3::Getattr), cred);
+    encodeCall3(enc, GetattrArgs{FileHandle::make(1, 5, 1)});
+    CapturedPacket pkt;
+    pkt.ts = ts;
+    pkt.data = buildUdpFrame(makeIp(1, 1, 1, 1), 900, makeIp(2, 2, 2, 2),
+                             2049, enc.bytes());
+    sniffer.onFrame(pkt);
+  };
+  auto xidsOut = [&] {
+    std::vector<std::uint32_t> xids;
+    for (const TraceRecord& r : out) xids.push_back(r.xid);
+    return xids;
+  };
+  // The expiry scan runs when a frame's time crosses a whole second past
+  // the last scan.  Calls 2, 3 and 5 are stamped before a call already
+  // queued, so they wait on the queue's heap side.
+  call(1, seconds(20));
+  call(2, seconds(12));
+  call(3, seconds(8));
+  call(4, seconds(20) + 500'000);
+  call(5, seconds(14) + 500'000);
+  EXPECT_TRUE(out.empty());
+  // The scan at 21 s: calls 2, 3 and 5 are more than 5 s old, 1 and 4
+  // are not.
+  call(6, seconds(21));
+  EXPECT_EQ(xidsOut(), (std::vector<std::uint32_t>{2, 3, 5}));
+  // The scan at 26 s: calls 1 and 4; call 6 is exactly 5 s old.
+  call(7, seconds(26));
+  EXPECT_EQ(xidsOut(), (std::vector<std::uint32_t>{2, 3, 5, 1, 4}));
+  EXPECT_EQ(sniffer.stats().expiredCalls, 5u);
+  for (const TraceRecord& r : out) EXPECT_FALSE(r.hasReply);
+  sniffer.flush();
+  EXPECT_EQ(xidsOut(), (std::vector<std::uint32_t>{2, 3, 5, 1, 4, 6, 7}));
+}
+
 TEST(Sniffer, TcpRecordInOneSegmentIsAViewIntoTheFrame) {
   // The TCP path copies nothing for a record that fits its segment: the
   // reassembler and the record reader hand the decoder a view that lies

@@ -1,10 +1,21 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <functional>
+#include <queue>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "util/histogram.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/runqueue.hpp"
 #include "util/stats.hpp"
 #include "util/config.hpp"
 #include "util/strings.hpp"
@@ -463,6 +474,137 @@ TEST(Config, KeysListed) {
   EXPECT_EQ(keys[0], "a");
   EXPECT_EQ(keys[1], "b");
 }
+
+// ------------------------------------------------------------ run queue
+
+TEST(RunQueue, PopsWhatAPriorityQueuePops) {
+  // Keys that climb, repeat, restart and descend, pushed and popped in
+  // random interleavings: the FIFO and the heap both hold many keys, and
+  // every pop must match a binary heap's.
+  Rng rng(41);
+  for (int trial = 0; trial < 100; ++trial) {
+    RunQueue<std::uint64_t> q;
+    std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
+                        std::greater<>>
+        ref;
+    std::uint64_t level = 0;
+    const double pushShare = 0.3 + 0.4 * static_cast<double>(trial % 5) / 4;
+    for (int step = 0; step < 3000; ++step) {
+      if (ref.empty() || rng.chance(pushShare)) {
+        switch (rng.below(8)) {
+          case 0:  // restart
+            level = 0;
+            break;
+          case 1:  // descend
+            level -= std::min(level, rng.below(20));
+            break;
+          case 2:
+          case 3:  // repeat
+            break;
+          default:  // climb
+            level += rng.below(4);
+        }
+        q.push(level);
+        ref.push(level);
+      } else {
+        ASSERT_EQ(q.top(), ref.top()) << "trial " << trial << " step " << step;
+        q.pop();
+        ref.pop();
+      }
+      ASSERT_EQ(q.size(), ref.size());
+      ASSERT_EQ(q.empty(), ref.empty());
+    }
+    while (!ref.empty()) {
+      ASSERT_EQ(q.top(), ref.top());
+      q.pop();
+      ref.pop();
+    }
+    EXPECT_TRUE(q.empty());
+    q.push(3);
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.size(), 0u);
+  }
+}
+
+// --------------------------------------------------------- parallel for
+
+TEST(ParallelFor, CallsEveryIndexOnceAtAnyThreadCount) {
+  for (std::size_t threads = 0; threads <= 8; ++threads) {
+    for (std::size_t n : {0, 1, 3, 100}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, " +
+                   std::to_string(n) + " tasks");
+      std::vector<std::atomic<int>> calls(n);
+      std::atomic<std::size_t> maxThread{0};
+      parallelFor(n, threads, [&](std::size_t i, std::size_t t) {
+        calls[i].fetch_add(1);
+        std::size_t seen = maxThread.load();
+        while (t > seen && !maxThread.compare_exchange_weak(seen, t)) {
+        }
+      });
+      for (const auto& c : calls) EXPECT_EQ(c.load(), 1);
+      EXPECT_LT(maxThread.load(), std::max<std::size_t>(threads, 1));
+    }
+  }
+}
+
+TEST(ParallelFor, RethrowsTheFirstErrorOnTheCaller) {
+  for (std::size_t threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    std::atomic<int> calls{0};
+    try {
+      parallelFor(64, threads, [&](std::size_t i, std::size_t) {
+        ++calls;
+        if (i == 5) throw std::runtime_error("task 5");
+      });
+      ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 5");
+    }
+    // The error stops later tasks from starting: inline, none after it.
+    if (threads == 1) {
+      EXPECT_EQ(calls.load(), 6);
+    }
+    EXPECT_LE(calls.load(), 64);
+  }
+}
+
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+TEST(ParallelFor, ThreadsThatCannotStartLeaveTheirTasksToTheCaller) {
+  // A child process whose address space is capped just above its
+  // current size: a new thread's stack cannot be mapped, so every start
+  // fails, and the caller must still run every task.  (The sanitizers
+  // map their own memory, so this runs in the plain build only.)
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    unsigned long pages = 0;
+    std::FILE* statm = std::fopen("/proc/self/statm", "r");
+    if (!statm || std::fscanf(statm, "%lu", &pages) != 1) ::_exit(3);
+    std::fclose(statm);
+    const rlim_t cap = static_cast<rlim_t>(pages) *
+                           static_cast<rlim_t>(::sysconf(_SC_PAGESIZE)) +
+                       (rlim_t{1} << 20);
+    const rlimit limit{cap, cap};
+    if (::setrlimit(RLIMIT_AS, &limit) != 0) ::_exit(3);
+    int calls[32] = {};
+    try {
+      parallelFor(32, 4, [&](std::size_t i, std::size_t) { ++calls[i]; });
+    } catch (...) {
+      ::_exit(2);
+    }
+    for (int c : calls) {
+      if (c != 1) ::_exit(1);
+    }
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: a task ran other than once; 2: parallelFor threw; 3: setup";
+}
+#endif
 
 }  // namespace
 }  // namespace nfstrace
