@@ -59,8 +59,7 @@ class AnalysisEngine {
     /// fans every batch out to N observer threads, then finalizes the
     /// passes on up to N threads.  Reports are byte-identical at any
     /// value.  At most kMaxDecodeThreads.  (The name predates the
-    /// fan-out: it once counted extent-decode threads.  ReorderPass's
-    /// window sweep sizes its own threads from its input.)
+    /// fan-out: it once counted extent-decode threads.)
     std::size_t decodeThreads = 1;
     /// Pushdown filter, applied record by record to every batch.
     /// runFile() also hands it to the reader, which then prunes whole

@@ -4,11 +4,9 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "analysis/namespace.hpp"
-#include "util/parallel.hpp"
 #include "util/runqueue.hpp"
 
 namespace nfstrace {
@@ -103,13 +101,9 @@ std::uint64_t ReorderKernel::run(MicroTime windowUs,
 
 std::vector<std::uint64_t> ReorderKernel::sweep(
     const std::vector<MicroTime>& windows) const {
-  std::vector<std::uint64_t> swapped(windows.size(), 0);
-  const std::size_t threads = accessesTotal() >= kConcurrentSweepMin
-                                  ? std::thread::hardware_concurrency()
-                                  : 1;
-  parallelFor(windows.size(), threads, [&](std::size_t i, std::size_t) {
-    swapped[i] = run(windows[i]);
-  });
+  std::vector<std::uint64_t> swapped;
+  swapped.reserve(windows.size());
+  for (MicroTime w : windows) swapped.push_back(run(w));
   return swapped;
 }
 

@@ -61,11 +61,6 @@ static_assert(sizeof(ReorderKey) == 24);
 class ReorderKernel {
  public:
   static constexpr std::uint32_t kNoGroup = ~std::uint32_t{0};
-  /// sweep() runs its windows on several threads only for a kernel of at
-  /// least this many accesses: a small scan, such as a one-hour query of
-  /// a few thousand accesses, loses more to thread start-up than the
-  /// threads save.
-  static constexpr std::uint64_t kConcurrentSweepMin = std::uint64_t{1} << 14;
 
   explicit ReorderKernel(const std::vector<ReorderKey>& keys);
 
@@ -79,10 +74,8 @@ class ReorderKernel {
   std::uint64_t run(MicroTime windowUs,
                     std::vector<std::uint32_t>* order = nullptr) const;
 
-  /// run(w) for each of `windows`: their swap counts, in order.  The
-  /// windows run on up to std::thread::hardware_concurrency() threads
-  /// when the kernel holds at least kConcurrentSweepMin accesses, inline
-  /// otherwise.
+  /// run(w) for each of `windows`, in order, on the calling thread:
+  /// their swap counts.
   std::vector<std::uint64_t> sweep(const std::vector<MicroTime>& windows) const;
 
  private:

@@ -301,7 +301,6 @@ TEST(ReorderKernel, LongStreamsMatchRotationLoop) {
 TEST(ReorderKernel, ConcurrentSweepsEqualRunAtAnyThreadCount) {
   Rng rng(24);
   ReorderKernel kernel(keysOf(longStreams(rng, 4500)));
-  ASSERT_GE(kernel.accessesTotal(), ReorderKernel::kConcurrentSweepMin);
   std::vector<std::uint64_t> want;
   for (MicroTime w : kWindows) want.push_back(kernel.run(w));
   EXPECT_GT(want[3], 0u);
