@@ -112,7 +112,7 @@ class ReorderPass final : public AnalysisPass {
   void prepare(std::size_t shards) override;
   void observe(const TraceBatch& batch, std::size_t shard) override;
   /// One kernel over the buffered keys, swept over every window
-  /// (ReorderKernel::sweep, concurrent for a large kernel).
+  /// (ReorderKernel::sweep, serially on the finalizing thread).
   void finalize() override;
   const std::vector<std::pair<MicroTime, double>>& sweep() const {
     return sweep_;

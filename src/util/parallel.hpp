@@ -1,5 +1,5 @@
 // The one loop that spreads independent tasks over threads: the engine's
-// concurrent finalize and the reorder kernel's window sweep both use it.
+// concurrent finalize (decodeThreads > 1) runs on it.
 #pragma once
 
 #include <cstddef>
