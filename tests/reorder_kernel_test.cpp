@@ -8,8 +8,8 @@
 // timestamp and offset, several files, reads and writes interleaved on
 // one handle, records without a handle and ops that are not data ops,
 // and on long streams whose windows fill both sides of the kernel's
-// RunQueue.  A kernel past the concurrent-sweep size must sweep to the
-// same counts as run(), however many sweeps run at once.
+// RunQueue.  One kernel swept from several threads at once must sweep
+// to the same counts as run() on every thread.
 #include <gtest/gtest.h>
 
 #include <algorithm>
